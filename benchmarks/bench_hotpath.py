@@ -284,11 +284,15 @@ def measure_plans(kind: str, num_batches: int, repeats: int,
     speedup is plans-only.  The equivalence gate compares every loss,
     every prediction, and the final parameters bitwise.
     """
+    from repro.nn import plan as nn_plan
     from repro.perf import configure
 
     batches = make_stream("slight", num_batches, batch_size)
 
     def one_pass(plans_on: bool):
+        # Plans are shared across models, so every pass (on and off)
+        # starts from an empty cache: each on-pass captures afresh.
+        nn_plan.clear_plans()
         factory = model_factory_for(kind, NUM_FEATURES, NUM_CLASSES,
                                     lr=0.3, seed=0)
         model = factory()
@@ -354,7 +358,7 @@ def measure_plans_stacked(num_models: int = 8, steps: int = 30,
     ys = rng.integers(0, NUM_CLASSES, size=(steps, num_models, batch_size))
 
     def one_pass(plans_on: bool):
-        nn_plan.clear_stacked_plans()
+        nn_plan.clear_plans()
         modules = [_small_module("mlp", seed) for seed in range(num_models)]
         optimizers = [nn.SGD(module.parameters(), lr=0.1, momentum=0.9)
                       for module in modules]

@@ -21,6 +21,7 @@ import numpy as np
 from .. import nn
 from ..nn import functional as F
 from ..nn import plan as _plan
+from ..nn.stacked import StackedModelError, architecture_key
 from ..perf.config import config as _perf_config
 
 __all__ = ["StreamingModel", "NeuralStreamingModel"]
@@ -189,15 +190,26 @@ class NeuralStreamingModel(StreamingModel):
             last_loss = loss.item()
         return last_loss
 
-    def _plan_eligible(self) -> bool:
-        """Whether :mod:`repro.nn.plan` may capture this model's steps.
+    def _plan_structure(self) -> tuple | None:
+        """What this model shares captured plans by, or None to opt out.
 
-        Subclasses with a custom ``_prepare`` (e.g. image models that keep
-        the channel layout) or an exotic optimizer opt out automatically;
-        everything else is guarded by capture-time verification anyway.
+        Models of one class whose modules have the same
+        :func:`~repro.nn.stacked.architecture_key` and whose optimizers
+        have the same class trace the same op sequence, so
+        :mod:`repro.nn.plan` lets them share plans.  Subclasses with a
+        custom ``_prepare`` (e.g. image models that keep the channel
+        layout), an exotic optimizer, or layers ``architecture_key``
+        rejects opt out; everything else is guarded by capture-time
+        verification anyway.
         """
-        return (type(self)._prepare is NeuralStreamingModel._prepare
-                and type(self.optimizer) in (nn.SGD, nn.Adam))
+        if (type(self)._prepare is not NeuralStreamingModel._prepare
+                or type(self.optimizer) not in (nn.SGD, nn.Adam)):
+            return None
+        try:
+            architecture = architecture_key(self.module)
+        except StackedModelError:
+            return None
+        return (type(self), architecture, type(self.optimizer))
 
     def gradient_on(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
         """Per-parameter gradients on a batch, without applying an update.
@@ -237,16 +249,6 @@ class NeuralStreamingModel(StreamingModel):
     def load_state_dict(self, state: dict) -> None:
         self.module.load_state_dict(state)
         self._weights_version += 1
-        # Restored weights are new arrays; cached plans hold buffers bound
-        # to the old ones and would silently train stale state.
-        _plan.invalidate_plans(self)
-
-    def __getstate__(self) -> dict:
-        # Plans alias parameter/optimizer buffers by identity; a pickled or
-        # deep-copied model must re-capture against its own copies.
-        state = self.__dict__.copy()
-        state.pop("_plans", None)
-        return state
 
     def clone(self) -> "NeuralStreamingModel":
         return type(self)(**self._config())

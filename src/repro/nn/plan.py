@@ -16,21 +16,25 @@ cached.  Any mismatch (or any op the compiler does not recognize) marks
 the signature unsupported and the model keeps using the reference path.
 Capture therefore never changes results, only speed.
 
-**Invalidation.**  Plans are keyed by batch shape, train/eval mode, and
-step count; a shape change simply misses the cache.  Replay kernels
-fetch ``parameter.data`` at call time, so ``load_state_dict`` /
-checkpoint restore (which replaces the data arrays — the PR-9
-``_flat_state`` bug class) cannot leave a kernel holding stale buffers;
-the model layer still drops its plans on restore so momentum-laden
-replays re-verify from scratch.  The whole engine sits behind the
+**Sharing.**  A plan holds no model: it records the *positions* of the
+parameters and Dropout layers it reads, and each replay binds it to the
+calling model's (or stack's) parameters, optimizer, and Dropout
+generators.  Kernels fetch ``parameter.data``, optimizer state, and RNG
+state at call time, so a plan serves every model with the same
+structure — class, ``architecture_key``, optimizer class — and
+checkpoint restores or pickling never leave it stale.  Plans live in one
+cache per thread (like :data:`repro.perf.pool.POOL`), bounded by the
+bytes their arenas hold.  The whole engine sits behind the
 ``plan_capture`` flag in :mod:`repro.perf.config`.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import Counter, OrderedDict
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +52,7 @@ __all__ = [
     "fit_with_plan",
     "proba_with_plan",
     "stacked_fit_with_plan",
-    "invalidate_plans",
-    "clear_stacked_plans",
+    "clear_plans",
     "PLAN_CACHE_COUNTER",
 ]
 
@@ -57,11 +60,10 @@ __all__ = [
 #: invalidate), exported by :class:`repro.perf.HotPathProfiler`.
 PLAN_CACHE_COUNTER = "freeway_plan_cache"
 
-#: Per-model plans kept per signature before LRU eviction.
-_PLAN_SET_CAP = 8
-
-#: Global stacked-plan cache size (one entry per tenant-group signature).
-_STACKED_CAP = 16
+#: Arena bytes one thread's plan cache may hold before it evicts least
+#: recently used plans.  16 MiB keeps a 1024-row MLP stream's steady fit
+#: and proba plans (about 2.3 MB) beside its current long-window fit plan.
+_PLAN_CACHE_BYTES = 16 << 20
 
 
 class PlanUnsupported(Exception):
@@ -210,47 +212,58 @@ def _buffer_like(array: np.ndarray) -> np.ndarray:
     return np.empty(array.shape)
 
 
+def _arena_bytes(parts) -> int:
+    """Bytes of the distinct numpy buffers held in ``parts``' slots."""
+    buffers: dict[int, int] = {}
+    for part in parts:
+        for name in part.__slots__:
+            value = getattr(part, name, None)
+            if isinstance(value, np.ndarray):
+                buffers[id(value)] = value.nbytes
+    return sum(buffers.values())
+
+
 # -- replay kernels ----------------------------------------------------------
 #
 # Each kernel replays one recorded op's exact float operations into
 # preallocated buffers.  ``forward``/``backward``/``step`` are marked
 # with @replay_kernel: they must not allocate (lint rule REP012).
-# Parameter arrays are fetched via ``.data`` at call time so checkpoint
-# restores and flat-state re-adoption can never leave a kernel stale.
+# Kernels hold positions, never parameters: ``params`` and ``dropouts``
+# are the calling model's, passed in on every replay, and parameter
+# arrays are fetched via ``.data`` at call time so checkpoint restores
+# and flat-state re-adoption can never leave a kernel stale.
 
 
 class _LinearKernel:
     """``x @ W.T + b`` (+ fused activation) — mirrors ``fused_linear``."""
 
-    __slots__ = ("weight", "bias", "activation", "stacked", "windex",
-                 "bindex", "x", "out", "mask", "scratch", "g_out", "g_in",
-                 "w_scratch", "gw", "gb", "x_t", "out_t")
+    __slots__ = ("windex", "bindex", "activation", "stacked", "x", "out",
+                 "mask", "scratch", "g_out", "g_in", "w_scratch", "gw", "gb")
 
-    def __init__(self, x_buf, out_ref, weight, bias, activation, stacked):
-        self.weight = weight
-        self.bias = bias
+    def __init__(self, x_buf, out_ref, weight_ref, bias_ref, windex, bindex,
+                 activation, stacked):
+        self.windex = windex
+        self.bindex = bindex    # -1 without a bias
         self.activation = activation
         self.stacked = stacked
-        self.windex = -1
-        self.bindex = -1
         self.x = x_buf
         self.out = _buffer_like(out_ref)
         self.mask = (np.empty(out_ref.shape, dtype=bool)
                      if activation == "relu" else None)
         self.scratch = (_buffer_like(out_ref)
                         if activation in ("tanh", "sigmoid") else None)
-        self.w_scratch = np.empty(np.swapaxes(weight.data, -1, -2).shape)
-        self.gw = np.empty(weight.data.shape)
-        self.gb = np.empty(bias.data.shape) if bias is not None else None
+        self.w_scratch = np.empty(np.swapaxes(weight_ref, -1, -2).shape)
+        self.gw = np.empty(weight_ref.shape)
+        self.gb = np.empty(bias_ref.shape) if bias_ref is not None else None
         self.g_out = None   # wired by the compiler (grad w.r.t. self.out)
         self.g_in = None    # grad w.r.t. self.x; None for the first layer
 
     @replay_kernel
-    def forward(self) -> None:
-        w = self.weight.data
+    def forward(self, params, dropouts) -> None:
+        w = params[self.windex].data
         np.matmul(self.x, np.swapaxes(w, -1, -2), out=self.out)
-        if self.bias is not None:
-            b = self.bias.data
+        if self.bindex >= 0:
+            b = params[self.bindex].data
             np.add(self.out, b[:, None, :] if self.stacked else b,
                    out=self.out)
         if self.activation == "relu":
@@ -266,7 +279,7 @@ class _LinearKernel:
             np.divide(1.0, self.scratch, out=self.out)
 
     @replay_kernel
-    def backward(self) -> None:
+    def backward(self, params) -> None:
         g = self.g_out
         if self.activation == "relu":
             np.multiply(g, self.mask, out=g)
@@ -278,9 +291,8 @@ class _LinearKernel:
             np.subtract(1.0, self.out, out=self.scratch)
             np.multiply(g, self.out, out=g)
             np.multiply(g, self.scratch, out=g)
-        w = self.weight.data
         if self.g_in is not None:
-            np.matmul(g, w, out=self.g_in)
+            np.matmul(g, params[self.windex].data, out=self.g_in)
         # grad_W = (x.T @ g).T — matmul with the same operand layout as
         # the reference closure, then a float-op-free transposed copy.
         np.matmul(np.swapaxes(self.x, -1, -2), g, out=self.w_scratch)
@@ -292,8 +304,7 @@ class _LinearKernel:
 class _ActKernel:
     """A standalone activation — mirrors the ``Tensor`` method ops."""
 
-    __slots__ = ("name", "x", "out", "mask", "scratch", "g_out", "g_in",
-                 "x_t", "out_t")
+    __slots__ = ("name", "x", "out", "mask", "scratch", "g_out", "g_in")
 
     def __init__(self, name, x_buf, out_ref):
         self.name = name
@@ -307,7 +318,7 @@ class _ActKernel:
         self.g_in = None
 
     @replay_kernel
-    def forward(self) -> None:
+    def forward(self, params, dropouts) -> None:
         if self.name == "relu":
             # Tensor.relu uses np.where(mask, x, 0.0): a pure selection,
             # replayed as fill + masked copy (no float ops either way).
@@ -324,7 +335,7 @@ class _ActKernel:
             np.divide(1.0, self.scratch, out=self.out)
 
     @replay_kernel
-    def backward(self) -> None:
+    def backward(self, params) -> None:
         g = self.g_out
         if self.name == "relu":
             np.multiply(g, self.mask, out=g)
@@ -341,15 +352,19 @@ class _ActKernel:
 
 
 class _DropoutKernel:
-    """Inverted dropout drawing from the live generator(s) each replay."""
+    """Inverted dropout drawing from the live generator(s) each replay.
 
-    __slots__ = ("p", "rng", "layers", "x", "out", "rand", "maskb", "maskf",
-                 "g_out", "g_in", "x_t", "out_t")
+    ``dropouts[index]`` is the bound model's Dropout layer, or for a
+    stacked plan the list of per-model layers of one stacked op.
+    """
 
-    def __init__(self, p, rng, layers, x_buf, out_ref):
+    __slots__ = ("p", "index", "stacked", "x", "out", "rand", "maskb",
+                 "maskf", "g_out", "g_in")
+
+    def __init__(self, p, index, stacked, x_buf, out_ref):
         self.p = p
-        self.rng = rng          # single-model capture
-        self.layers = layers    # stacked capture: one Dropout per model
+        self.index = index
+        self.stacked = stacked
         self.x = x_buf
         self.out = _buffer_like(out_ref)
         self.rand = np.empty(out_ref.shape)
@@ -359,19 +374,19 @@ class _DropoutKernel:
         self.g_in = None
 
     @replay_kernel
-    def forward(self) -> None:
-        if self.layers is None:
-            self.rng.random(out=self.rand)
+    def forward(self, params, dropouts) -> None:
+        if self.stacked:
+            for model, layer in enumerate(dropouts[self.index]):
+                layer.rng.random(out=self.rand[model])
         else:
-            for index, layer in enumerate(self.layers):
-                layer.rng.random(out=self.rand[index])
+            dropouts[self.index].rng.random(out=self.rand)
         np.greater_equal(self.rand, self.p, out=self.maskb)
         np.copyto(self.maskf, self.maskb)
         np.divide(self.maskf, 1.0 - self.p, out=self.maskf)
         np.multiply(self.x, self.maskf, out=self.out)
 
     @replay_kernel
-    def backward(self) -> None:
+    def backward(self, params) -> None:
         if self.g_in is not None:
             np.multiply(self.g_out, self.maskf, out=self.g_in)
 
@@ -461,7 +476,7 @@ class _CrossEntropyKernel:
 class _SoftmaxKernel:
     """The inference softmax chain (max → sub → exp → sum → log → sub → exp)."""
 
-    __slots__ = ("x", "out", "mx", "shifted", "x_t", "out_t")
+    __slots__ = ("x", "out", "mx", "shifted")
 
     def __init__(self, x_buf, out_ref):
         self.x = x_buf
@@ -483,17 +498,15 @@ class _SoftmaxKernel:
 class _StepKernel:
     """One optimizer step from plan gradient buffers, reference-exact."""
 
-    __slots__ = ("optimizer", "pairs", "is_adam")
+    __slots__ = ("grads", "is_adam")
 
-    def __init__(self, optimizer, pairs):
-        self.optimizer = optimizer
-        self.pairs = pairs  # [(parameter, grad buffer), ...]
-        self.is_adam = isinstance(optimizer, Adam)
+    def __init__(self, grads, is_adam):
+        self.grads = grads  # one buffer per optimizer parameter, in order
+        self.is_adam = is_adam
 
     @replay_kernel
-    def step(self) -> None:
-        opt = self.optimizer
-        for parameter, grad in self.pairs:
+    def step(self, opt) -> None:
+        for parameter, grad in zip(opt.parameters, self.grads):
             parameter.grad = grad
         if self.is_adam:
             opt._step_count += 1
@@ -553,8 +566,22 @@ def _resolve(tensor_id: int, alias: dict) -> int:
     return tensor_id
 
 
-def _compile_forward(ops, x_shape):
-    """Kernels + buffer arena for a forward op chain starting at ``x_shape``."""
+def _position(items, target, what: str) -> int:
+    """Index of ``target`` in ``items`` by identity: its binding slot."""
+    for index, item in enumerate(items):
+        if item is target:
+            return index
+    raise PlanUnsupported(f"{what} outside the plan's binding")
+
+
+def _compile_forward(ops, x_shape, params, dropouts):
+    """Kernels + buffer arena for a forward op chain starting at ``x_shape``.
+
+    ``params``/``dropouts`` are the capturing model's binding; kernels
+    keep only positions in them.  Also returns each kernel's ``(input,
+    output)`` tensor ids for :func:`_wire_backward` — the trace's
+    tensors themselves must not outlive compilation.
+    """
     if not ops:
         raise PlanUnsupported("empty forward trace")
     x_buf = np.empty(x_shape)
@@ -564,7 +591,7 @@ def _compile_forward(ops, x_shape):
             f"entry shape {first_in.data.shape} != input {tuple(x_shape)}")
     buf_of = {id(first_in): x_buf}
     alias: dict[int, int] = {}
-    kernels = []
+    kernels, edges = [], []
     for op in ops:
         kind = op[0]
         x_t = _op_input(op)
@@ -584,31 +611,39 @@ def _compile_forward(ops, x_shape):
             _, _x, weight, bias, activation, _o = op
             if activation not in (None, "relu", "tanh", "sigmoid"):
                 raise PlanUnsupported(f"activation {activation!r}")
-            kernel = _LinearKernel(x_b, out_t.data, weight, bias, activation,
-                                   stacked=(kind == "slinear"))
+            windex = _position(params, weight, "linear parameter")
+            bindex = (_position(params, bias, "linear parameter")
+                      if bias is not None else -1)
+            kernel = _LinearKernel(
+                x_b, out_t.data, weight.data,
+                bias.data if bias is not None else None, windex, bindex,
+                activation, stacked=(kind == "slinear"))
         elif kind == "act":
             name = op[1]
             if name not in ("relu", "tanh", "sigmoid"):
                 raise PlanUnsupported(f"activation {name!r}")
             kernel = _ActKernel(name, x_b, out_t.data)
         elif kind == "dropout":
-            kernel = _DropoutKernel(op[1], op[2], None, x_b, out_t.data)
+            index = _position([layer.rng for layer in dropouts], op[2],
+                              "dropout generator")
+            kernel = _DropoutKernel(op[1], index, False, x_b, out_t.data)
         elif kind == "sdropout":
-            kernel = _DropoutKernel(op[1], None, list(op[2]), x_b, out_t.data)
+            index = _position(dropouts, op[2], "dropout layers")
+            kernel = _DropoutKernel(op[1], index, True, x_b, out_t.data)
         else:
             raise PlanUnsupported(f"unsupported op {kind!r}")
-        kernel.x_t = x_t
-        kernel.out_t = out_t
         buf_of[id(out_t)] = kernel.out
         kernels.append(kernel)
-    return x_buf, kernels, buf_of, alias
+        edges.append((id(x_t), id(out_t)))
+    return x_buf, kernels, edges, buf_of, alias
 
 
-def _wire_backward(kernels, x_buf, loss_kernel, logits_t, alias) -> None:
+def _wire_backward(kernels, edges, x_buf, loss_kernel, logits_id,
+                   alias) -> None:
     """Connect gradient buffers in reverse order; entry grads are skipped."""
-    grad_of = {_resolve(id(logits_t), alias): loss_kernel.g_logits}
-    for kernel in reversed(kernels):
-        g = grad_of.get(_resolve(id(kernel.out_t), alias))
+    grad_of = {_resolve(logits_id, alias): loss_kernel.g_logits}
+    for kernel, (x_id, out_id) in zip(reversed(kernels), reversed(edges)):
+        g = grad_of.get(_resolve(out_id, alias))
         if g is None:
             raise PlanUnsupported("gradient chain broken")
         kernel.g_out = g
@@ -616,7 +651,7 @@ def _wire_backward(kernels, x_buf, loss_kernel, logits_t, alias) -> None:
             kernel.g_in = None  # nothing consumes the input gradient
         else:
             kernel.g_in = np.empty(kernel.x.shape)
-            source = _resolve(id(kernel.x_t), alias)
+            source = _resolve(x_id, alias)
             if source in grad_of:
                 raise PlanUnsupported("tensor consumed twice")
             grad_of[source] = kernel.g_in
@@ -625,8 +660,7 @@ def _wire_backward(kernels, x_buf, loss_kernel, logits_t, alias) -> None:
 class _FitPlan:
     """A compiled train step: forward, loss, backward, optimizer update."""
 
-    __slots__ = ("x_buf", "kernels", "loss", "step", "sgd_steps",
-                 "grads_in_order", "_lock")
+    __slots__ = ("x_buf", "kernels", "loss", "step", "sgd_steps", "nbytes")
 
     def __init__(self, x_buf, kernels, loss_kernel, step_kernel, sgd_steps):
         self.x_buf = x_buf
@@ -634,67 +668,46 @@ class _FitPlan:
         self.loss = loss_kernel
         self.step = step_kernel
         self.sgd_steps = sgd_steps
-        self.grads_in_order = [grad for _, grad in step_kernel.pairs]
-        self._lock = threading.Lock()
+        self.nbytes = _arena_bytes([self, loss_kernel, *kernels])
 
-    def replay(self, xr: np.ndarray, labels: np.ndarray):
+    def replay(self, optimizer, dropouts, xr: np.ndarray, labels: np.ndarray):
+        """Train the model or stack that ``optimizer`` updates on a batch."""
+        params = optimizer.parameters
         np.copyto(self.x_buf, xr)
         loss = None
         for _ in range(self.sgd_steps):
             for kernel in self.kernels:
-                kernel.forward()
+                kernel.forward(params, dropouts)
             loss = self.loss.forward(labels)
             self.loss.backward()
             for kernel in reversed(self.kernels):
-                kernel.backward()
-            self.step.step()
+                kernel.backward(params)
+            self.step.step(optimizer)
         return loss
-
-    def bind(self, stack, optimizer) -> None:
-        """Point the kernels at a rebuilt stack's parameters and optimizer.
-
-        The serving layer reconstructs each tenant group's ``ModelStack``
-        (fresh ``Parameter`` objects) every scheduling round; the cached
-        plan's buffers are shape-compatible by key, only the bindings
-        move.
-        """
-        params = stack.stacked_params
-        dropout_ops = [op for op in stack._plan
-                       if op[0] == "dropout" and op[1] > 0.0]
-        position = 0
-        for kernel in self.kernels:
-            if isinstance(kernel, _LinearKernel):
-                kernel.weight = params[kernel.windex]
-                kernel.bias = (params[kernel.bindex]
-                               if kernel.bindex >= 0 else None)
-            elif isinstance(kernel, _DropoutKernel):
-                kernel.layers = dropout_ops[position][2]
-                position += 1
-        self.step.optimizer = optimizer
-        self.step.is_adam = isinstance(optimizer, Adam)
-        self.step.pairs = list(zip(optimizer.parameters, self.grads_in_order))
 
 
 class _ProbaPlan:
     """A compiled inference pass ending in the softmax chain."""
 
-    __slots__ = ("x_buf", "kernels", "softmax")
+    __slots__ = ("x_buf", "kernels", "softmax", "nbytes")
 
     def __init__(self, x_buf, kernels, softmax_kernel):
         self.x_buf = x_buf
         self.kernels = kernels
         self.softmax = softmax_kernel
+        self.nbytes = _arena_bytes([self, softmax_kernel, *kernels])
 
-    def replay(self, xr: np.ndarray) -> np.ndarray:
+    def replay(self, params, dropouts, xr: np.ndarray) -> np.ndarray:
         np.copyto(self.x_buf, xr)
         for kernel in self.kernels:
-            kernel.forward()
+            kernel.forward(params, dropouts)
         self.softmax.forward()
         # Callers cache the result; the arena is rewritten next call.
         return self.softmax.out.copy()
 
 
-def _compile_fit(trace, optimizer, sgd_steps: int, x_shape, stacked: bool):
+def _compile_fit(trace, optimizer, dropouts, sgd_steps: int, x_shape,
+                 stacked: bool):
     """Compile a recorded ``fit`` trace into a :class:`_FitPlan`."""
     segments: list[list] = []
     segment: list = []
@@ -719,46 +732,33 @@ def _compile_fit(trace, optimizer, sgd_steps: int, x_shape, stacked: bool):
     loss_kind = "sce" if stacked else "ce"
     if not first or first[-1][0] != loss_kind:
         raise PlanUnsupported("trace does not end in the expected loss")
-    loss_op = first[-1]
-    logits_t = loss_op[1]
-    x_buf, kernels, buf_of, alias = _compile_forward(first[:-1], x_shape)
+    logits_t = first[-1][1]
+    x_buf, kernels, edges, buf_of, alias = _compile_forward(
+        first[:-1], x_shape, optimizer.parameters, dropouts)
     logits_buf = buf_of.get(id(logits_t))
     if logits_buf is None:
         raise PlanUnsupported("loss input not produced by the plan")
     loss_kernel = _CrossEntropyKernel(logits_buf, logits_t.data, stacked)
-    _wire_backward(kernels, x_buf, loss_kernel, logits_t, alias)
+    _wire_backward(kernels, edges, x_buf, loss_kernel, id(logits_t), alias)
 
-    index_of = {id(p): i for i, p in enumerate(optimizer.parameters)}
-    grads: dict[int, np.ndarray] = {}
+    grads = [None] * len(optimizer.parameters)
     for kernel in kernels:
         if not isinstance(kernel, _LinearKernel):
             continue
-        if id(kernel.weight) in grads:
-            raise PlanUnsupported("tied parameters")
-        grads[id(kernel.weight)] = kernel.gw
-        kernel.windex = index_of.get(id(kernel.weight), -1)
-        if kernel.bias is not None:
-            if id(kernel.bias) in grads:
+        for index, grad in ((kernel.windex, kernel.gw),
+                            (kernel.bindex, kernel.gb)):
+            if index < 0:
+                continue
+            if grads[index] is not None:
                 raise PlanUnsupported("tied parameters")
-            grads[id(kernel.bias)] = kernel.gb
-            kernel.bindex = index_of.get(id(kernel.bias), -1)
-            if kernel.bindex < 0:
-                raise PlanUnsupported("linear parameter outside the optimizer")
-        if kernel.windex < 0:
-            raise PlanUnsupported("linear parameter outside the optimizer")
-    pairs = []
-    for parameter in optimizer.parameters:
-        grad = grads.pop(id(parameter), None)
-        if grad is None:
-            raise PlanUnsupported("optimizer parameter without a gradient")
-        pairs.append((parameter, grad))
-    if grads:
-        raise PlanUnsupported("gradient for a non-optimizer parameter")
-    step_kernel = _StepKernel(optimizer, pairs)
+            grads[index] = grad
+    if any(grad is None for grad in grads):
+        raise PlanUnsupported("optimizer parameter without a gradient")
+    step_kernel = _StepKernel(grads, isinstance(optimizer, Adam))
     return _FitPlan(x_buf, kernels, loss_kernel, step_kernel, sgd_steps)
 
 
-def _compile_proba(trace, x_shape):
+def _compile_proba(trace, params, dropouts, x_shape):
     """Compile a recorded inference trace into a :class:`_ProbaPlan`."""
     ops = trace.ops
     if not ops or ops[-1][0] != "softmax":
@@ -768,66 +768,99 @@ def _compile_proba(trace, x_shape):
         raise PlanUnsupported(f"softmax axis {axis}")
     if len(ops) == 1:
         raise PlanUnsupported("empty forward trace")
-    x_buf, kernels, buf_of, _alias = _compile_forward(ops[:-1], x_shape)
+    x_buf, kernels, _edges, buf_of, _alias = _compile_forward(
+        ops[:-1], x_shape, params, dropouts)
     logits_buf = buf_of.get(id(sm_in))
     if logits_buf is None:
         raise PlanUnsupported("softmax input not produced by the plan")
     return _ProbaPlan(x_buf, kernels, _SoftmaxKernel(logits_buf, sm_out.data))
 
 
-# -- per-model plan cache ----------------------------------------------------
+# -- the per-thread plan cache -----------------------------------------------
 
 _UNSUPPORTED = object()
 
 
-class _PlanSet:
-    """Small LRU of plans per model (one entry per signature)."""
+class _PlanCache:
+    """Plans shared by every model on one thread, least recently used first.
 
-    __slots__ = ("entries",)
+    Bounded by the arena bytes its plans hold (an unsupported marker
+    costs its key); the entry just stored is never evicted, so a plan
+    larger than the whole budget still serves its next replay.
+    """
+
+    __slots__ = ("entries", "nbytes")
 
     def __init__(self):
-        self.entries: OrderedDict = OrderedDict()
+        self.entries: OrderedDict = OrderedDict()  # key -> (plan, nbytes)
+        self.nbytes = 0
 
     def get(self, key):
         entry = self.entries.get(key)
-        if entry is not None:
-            self.entries.move_to_end(key)
-        return entry
-
-    def put(self, key, value) -> None:
-        self.entries[key] = value
+        if entry is None:
+            return None
         self.entries.move_to_end(key)
-        while len(self.entries) > _PLAN_SET_CAP:
-            self.entries.popitem(last=False)
+        return entry[0]
+
+    def put(self, key, plan) -> None:
+        nbytes = sys.getsizeof(key) if plan is _UNSUPPORTED else plan.nbytes
+        self.entries[key] = (plan, nbytes)
+        self.nbytes += nbytes
+        while self.nbytes > _PLAN_CACHE_BYTES and len(self.entries) > 1:
+            _, (_, evicted) = self.entries.popitem(last=False)
+            self.nbytes -= evicted
             _notify("invalidate")
 
     def clear(self) -> int:
         count = len(self.entries)
         self.entries.clear()
+        self.nbytes = 0
         return count
 
 
-def invalidate_plans(model) -> None:
-    """Drop a model's cached plans (called on checkpoint restore)."""
-    plans = getattr(model, "_plans", None)
-    if plans is None:
-        return
-    for _ in range(plans.clear()):
+_LOCAL = threading.local()
+
+
+def _cache() -> _PlanCache:
+    """The calling thread's plan cache (created on first use)."""
+    cache = getattr(_LOCAL, "cache", None)
+    if cache is None:
+        cache = _LOCAL.cache = _PlanCache()
+    return cache
+
+
+def clear_plans() -> None:
+    """Drop every plan cached on the calling thread (tests, benchmarks)."""
+    for _ in range(_cache().clear()):
         _notify("invalidate")
 
 
-def _plan_set(model):
-    plans = getattr(model, "_plans", None)
-    if plans is None:
-        if not model._plan_eligible():
-            return None
-        plans = _PlanSet()
-        model._plans = plans
-    return plans
+class _Binding(NamedTuple):
+    """What a model's plans are keyed by and bound to at replay."""
+
+    structure: tuple    # the model's ``_plan_structure()``
+    params: list        # ``module.parameters()``, for proba plans
+    dropouts: list      # the module's Dropout layers, in module order
 
 
-def _model_rngs(module) -> list:
-    return [m.rng for m in module.modules() if isinstance(m, Dropout)]
+def _binding(model) -> _Binding | None:
+    """``model``'s :class:`_Binding`, computed once and kept on the model.
+
+    ``structure`` is the part of a plan key that lets models share
+    plans.  None marks a model the engine must not capture.
+    """
+    binding = getattr(model, "_plan_binding", None)
+    if binding is None:
+        structure = model._plan_structure()
+        if structure is None:
+            binding = False
+        else:
+            module = model.module
+            binding = _Binding(structure, module.parameters(),
+                               [m for m in module.modules()
+                                if isinstance(m, Dropout)])
+        model._plan_binding = binding
+    return binding or None
 
 
 def _count_replay() -> None:
@@ -848,22 +881,24 @@ def fit_with_plan(model, x, y):
     """
     if _record.ACTIVE and _record.current() is not None:
         return None
-    plans = _plan_set(model)
-    if plans is None:
+    binding = _binding(model)
+    if binding is None:
         return None
     n = len(x)
     if n == 0:
         return None
     xr = np.asarray(x, dtype=float)
-    key = ("fit", n, xr.size // n, bool(model.module.training),
-           model.sgd_steps)
-    entry = plans.get(key)
-    if entry is _UNSUPPORTED:
+    key = ("fit", binding.structure, n, xr.size // n,
+           bool(model.module.training), model.sgd_steps)
+    cache = _cache()
+    plan = cache.get(key)
+    if plan is _UNSUPPORTED:
         return None
-    if entry is None:
-        return _capture_fit(model, plans, key, x, y)
+    if plan is None:
+        return _capture_fit(model, binding, cache, key, x, y)
     start = perf_counter() if _HOOKS else 0.0
-    loss = entry.replay(xr.reshape(n, -1), y)
+    loss = plan.replay(model.optimizer, binding.dropouts,
+                       xr.reshape(n, -1), y)
     if _HOOKS:
         _notify("replay", perf_counter() - start)
     else:
@@ -871,26 +906,27 @@ def fit_with_plan(model, x, y):
     return float(loss)
 
 
-def _capture_fit(model, plans, key, x, y):
+def _capture_fit(model, binding, cache, key, x, y):
     """Trace + compile + verify; always advances state exactly once."""
     optimizer = model.optimizer
-    rngs = _model_rngs(model.module)
+    dropouts = binding.dropouts
+    rngs = [layer.rng for layer in dropouts]
     pre = _Snapshot(optimizer, rngs)
     trace = _record.Trace()
     start = perf_counter()
     with _record.capturing(trace):
         loss_ref = model._fit_steps(x, y)
     if not trace.ok:
-        plans.put(key, _UNSUPPORTED)
+        cache.put(key, _UNSUPPORTED)
         _notify("unsupported")
         return loss_ref
     post = _Snapshot(optimizer, rngs)
     xr = np.asarray(x, dtype=float).reshape(len(x), -1)
     try:
-        plan = _compile_fit(trace, optimizer, model.sgd_steps, xr.shape,
-                            stacked=False)
+        plan = _compile_fit(trace, optimizer, dropouts, model.sgd_steps,
+                            xr.shape, stacked=False)
     except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
-        plans.put(key, _UNSUPPORTED)
+        cache.put(key, _UNSUPPORTED)
         _notify("unsupported")
         return loss_ref
     # Trial replay from the pre-capture state: it must land bit-for-bit
@@ -898,7 +934,7 @@ def _capture_fit(model, plans, key, x, y):
     pre.restore()
     loss_plan = None
     try:
-        loss_plan = plan.replay(xr, y)
+        loss_plan = plan.replay(optimizer, dropouts, xr, y)
     except Exception:  # repro: noqa[REP004] — trial replay failure → plan rejected below
         pass
     now = _Snapshot(optimizer, rngs)
@@ -906,10 +942,10 @@ def _capture_fit(model, plans, key, x, y):
             or np.float64(loss_plan).tobytes()
             != np.float64(loss_ref).tobytes()):
         post.restore()
-        plans.put(key, _UNSUPPORTED)
+        cache.put(key, _UNSUPPORTED)
         _notify("unsupported")
         return loss_ref
-    plans.put(key, plan)
+    cache.put(key, plan)
     _notify("capture", perf_counter() - start)
     return float(loss_plan)
 
@@ -918,21 +954,22 @@ def proba_with_plan(model, x):
     """Class probabilities via a captured plan; ``None`` → reference path."""
     if _record.ACTIVE and _record.current() is not None:
         return None
-    plans = _plan_set(model)
-    if plans is None:
+    binding = _binding(model)
+    if binding is None:
         return None
     n = len(x)
     if n == 0:
         return None
     xr = np.asarray(x, dtype=float)
-    key = ("proba", n, xr.size // n)
-    entry = plans.get(key)
-    if entry is _UNSUPPORTED:
+    key = ("proba", binding.structure, n, xr.size // n)
+    cache = _cache()
+    plan = cache.get(key)
+    if plan is _UNSUPPORTED:
         return None
-    if entry is None:
-        return _capture_proba(model, plans, key, x)
+    if plan is None:
+        return _capture_proba(model, binding, cache, key, x)
     start = perf_counter() if _HOOKS else 0.0
-    result = entry.replay(xr.reshape(n, -1))
+    result = plan.replay(binding.params, binding.dropouts, xr.reshape(n, -1))
     # The reference path leaves the module in train mode unconditionally.
     model.module.train()
     if _HOOKS:
@@ -942,58 +979,35 @@ def proba_with_plan(model, x):
     return result
 
 
-def _capture_proba(model, plans, key, x):
+def _capture_proba(model, binding, cache, key, x):
+    params, dropouts = binding.params, binding.dropouts
     trace = _record.Trace()
     start = perf_counter()
     with _record.capturing(trace):
         out_ref = model._forward_proba(x)
     if not trace.ok:
-        plans.put(key, _UNSUPPORTED)
+        cache.put(key, _UNSUPPORTED)
         _notify("unsupported")
         return out_ref
     xr = np.asarray(x, dtype=float).reshape(len(x), -1)
     out_plan = None
     try:
-        plan = _compile_proba(trace, xr.shape)
-        out_plan = plan.replay(xr)
+        plan = _compile_proba(trace, params, dropouts, xr.shape)
+        out_plan = plan.replay(params, dropouts, xr)
         model.module.train()
     except Exception:  # repro: noqa[REP004] — compile/replay failure → plan rejected below
         pass
     if (out_plan is None or out_plan.shape != out_ref.shape
             or out_plan.tobytes() != out_ref.tobytes()):
-        plans.put(key, _UNSUPPORTED)
+        cache.put(key, _UNSUPPORTED)
         _notify("unsupported")
         return out_ref
-    plans.put(key, plan)
+    cache.put(key, plan)
     _notify("capture", perf_counter() - start)
     return out_plan
 
 
 # -- stacked (multi-tenant) plans --------------------------------------------
-
-_STACKED_PLANS: OrderedDict = OrderedDict()
-_STACKED_LOCK = threading.Lock()
-
-
-def clear_stacked_plans() -> None:
-    """Drop every cached stacked plan (tests, config resets)."""
-    with _STACKED_LOCK:
-        count = len(_STACKED_PLANS)
-        _STACKED_PLANS.clear()
-    for _ in range(count):
-        _notify("invalidate")
-
-
-def _put_stacked(key, value) -> None:
-    evicted = 0
-    with _STACKED_LOCK:
-        _STACKED_PLANS[key] = value
-        _STACKED_PLANS.move_to_end(key)
-        while len(_STACKED_PLANS) > _STACKED_CAP:
-            _STACKED_PLANS.popitem(last=False)
-            evicted += 1
-    for _ in range(evicted):
-        _notify("invalidate")
 
 
 def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference):
@@ -1001,72 +1015,66 @@ def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference):
 
     ``xs``/``ys`` arrive already reshaped to ``(models, batch, features)``
     / ``(models, batch)``; ``reference`` is the uncaptured step loop,
-    passed in to keep this module import-cycle-free.  The cache is
-    global and keyed by architecture + shapes, so the serving layer's
-    per-round stack rebuilds hit the same plan via :meth:`_FitPlan.bind`.
+    passed in to keep this module import-cycle-free.  Keys cover
+    architecture + shapes, so the serving layer's per-round stack
+    rebuilds (fresh ``Parameter`` objects each time) hit the same plan.
     """
     if _record.ACTIVE and _record.current() is not None:
         return None
     kind = "adam" if isinstance(optimizer, Adam) else "sgd"
     key = (stack.key, stack.num_models, xs.shape, sgd_steps, kind,
            bool(stack.training))
-    with _STACKED_LOCK:
-        entry = _STACKED_PLANS.get(key)
-        if entry is not None:
-            _STACKED_PLANS.move_to_end(key)
-    if entry is _UNSUPPORTED:
+    cache = _cache()
+    plan = cache.get(key)
+    if plan is _UNSUPPORTED:
         return None
-    if entry is None:
-        return _capture_stacked(stack, optimizer, key, xs, ys, sgd_steps,
-                                reference)
-    if not entry._lock.acquire(blocking=False):
-        return None  # another thread owns these buffers right now
-    try:
-        entry.bind(stack, optimizer)
-        start = perf_counter() if _HOOKS else 0.0
-        losses = entry.replay(xs, ys)
-        if _HOOKS:
-            _notify("replay", perf_counter() - start)
-        else:
-            _count_replay()
-        return losses.copy()
-    finally:
-        entry._lock.release()
+    dropouts = [op[2] for op in stack._plan
+                if op[0] == "dropout" and op[1] > 0.0]
+    if plan is None:
+        return _capture_stacked(stack, optimizer, dropouts, cache, key, xs,
+                                ys, sgd_steps, reference)
+    start = perf_counter() if _HOOKS else 0.0
+    losses = plan.replay(optimizer, dropouts, xs, ys)
+    if _HOOKS:
+        _notify("replay", perf_counter() - start)
+    else:
+        _count_replay()
+    return losses.copy()
 
 
-def _capture_stacked(stack, optimizer, key, xs, ys, sgd_steps, reference):
-    rngs = [layer.rng for op in stack._plan if op[0] == "dropout"
-            for layer in op[2]]
+def _capture_stacked(stack, optimizer, dropouts, cache, key, xs, ys,
+                     sgd_steps, reference):
+    rngs = [layer.rng for layers in dropouts for layer in layers]
     pre = _Snapshot(optimizer, rngs)
     trace = _record.Trace()
     start = perf_counter()
     with _record.capturing(trace):
         losses_ref = reference(stack, optimizer, xs, ys, sgd_steps)
     if not trace.ok:
-        _put_stacked(key, _UNSUPPORTED)
+        cache.put(key, _UNSUPPORTED)
         _notify("unsupported")
         return losses_ref
     post = _Snapshot(optimizer, rngs)
     try:
-        plan = _compile_fit(trace, optimizer, sgd_steps, xs.shape,
+        plan = _compile_fit(trace, optimizer, dropouts, sgd_steps, xs.shape,
                             stacked=True)
     except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
-        _put_stacked(key, _UNSUPPORTED)
+        cache.put(key, _UNSUPPORTED)
         _notify("unsupported")
         return losses_ref
     pre.restore()
     losses_plan = None
     try:
-        losses_plan = plan.replay(xs, ys)
+        losses_plan = plan.replay(optimizer, dropouts, xs, ys)
     except Exception:  # repro: noqa[REP004] — trial replay failure → plan rejected below
         pass
     now = _Snapshot(optimizer, rngs)
     if (losses_plan is None or not now.matches(post)
             or losses_plan.tobytes() != losses_ref.tobytes()):
         post.restore()
-        _put_stacked(key, _UNSUPPORTED)
+        cache.put(key, _UNSUPPORTED)
         _notify("unsupported")
         return losses_ref
-    _put_stacked(key, plan)
+    cache.put(key, plan)
     _notify("capture", perf_counter() - start)
     return losses_plan.copy()

@@ -61,7 +61,8 @@ class PerfConfig:
         buffer arena, then replay the plan for every later batch with
         the same signature (:mod:`repro.nn.plan`).  A plan is cached
         only after a trial replay reproduces the reference run's
-        post-state bit for bit; anything unverifiable falls back to the
+        post-state bit for bit, and every model with the same structure
+        replays it; anything unverifiable falls back to the
         define-by-run path.
     """
 

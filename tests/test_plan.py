@@ -5,8 +5,12 @@ indistinguishable** from the define-by-run reference — same losses, same
 probabilities, same parameters, same optimizer state, same Dropout RNG
 stream.  These tests hold that line across the invalidation matrix
 (shape changes, checkpoint restores mid-momentum, train/eval flips,
-mid-stream flag toggles) and then fuzz it over random architectures.
+mid-stream flag toggles), across model instances and threads sharing
+plans, and then fuzz it over random architectures.
 """
+
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +24,41 @@ from repro.models.mlp import StreamingMLP
 from repro.nn import plan as nn_plan
 from repro.obs import Observability
 from repro.perf import HotPathProfiler, configure
+
+
+@pytest.fixture(autouse=True)
+def empty_plan_cache():
+    """Start every test from an empty cache: capture counts are exact."""
+    nn_plan.clear_plans()
+    yield
+    nn_plan.clear_plans()
+
+
+def plan_events(before):
+    """Plan-cache event counts since the ``plan_cache_stats()`` ``before``."""
+    now = nn_plan.plan_cache_stats()
+    return {event: now.get(event, 0) - before.get(event, 0)
+            for event in ("capture", "replay", "unsupported", "invalidate")}
+
+
+def reachable_tensors(root):
+    """Every ``Tensor`` reachable from ``root`` through slots/containers."""
+    found, seen, pending = [], set(), [root]
+    while pending:
+        obj = pending.pop()
+        if id(obj) in seen or isinstance(obj, np.ndarray):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, nn.Tensor):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            pending.extend(obj)
+        elif isinstance(obj, dict):
+            pending.extend(obj.values())
+        elif hasattr(type(obj), "__slots__"):
+            pending.extend(getattr(obj, name, None)
+                           for name in type(obj).__slots__)
+    return found
 
 
 def make_batches(num_batches, batch_size, num_features, num_classes, seed=0):
@@ -81,13 +120,16 @@ class TestBitwiseEquivalence:
         batches = make_batches(12, 16, 8, 3)
         with_plans = cls(num_features=8, num_classes=3, seed=4)
         reference = cls(num_features=8, num_classes=3, seed=4)
+        before = nn_plan.plan_cache_stats()
         results_on = run_stream(with_plans, batches, plans_on=True)
         results_off = run_stream(reference, batches, plans_on=False)
         assert_bitwise_equal(with_plans, reference, results_on[0],
                              results_off[0], results_on[1], results_off[1])
-        # The plan actually replayed — this was not a silent fallback.
-        assert any(entry is not nn_plan._UNSUPPORTED
-                   for entry in with_plans._plans.entries.values())
+        # The plans actually replayed — this was not a silent fallback.
+        events = plan_events(before)
+        assert events["capture"] == 2  # one fit plan, one proba plan
+        assert events["replay"] == 2 * len(batches) - 2
+        assert events["unsupported"] == 0
 
     def test_dropout_rng_stream_advances_identically(self):
         batches = make_batches(8, 8, 6, 2)
@@ -123,6 +165,7 @@ class TestInvalidationMatrix:
         reference = StreamingMLP(num_features=6, num_classes=2, seed=0)
         sizes = [16, 16, 8, 16, 8, 32]
         rng = np.random.default_rng(3)
+        before = nn_plan.plan_cache_stats()
         for size in sizes:
             x = rng.normal(size=(size, 6))
             y = rng.integers(0, 2, size)
@@ -132,11 +175,12 @@ class TestInvalidationMatrix:
                 loss_ref = reference.partial_fit(x, y)
             assert np.float64(loss_plan).tobytes() == \
                 np.float64(loss_ref).tobytes()
-        # Three distinct fit signatures -> three cached fit plans.
-        fit_keys = [key for key in model._plans.entries if key[0] == "fit"]
-        assert len(fit_keys) == 3
+        # Three distinct fit signatures -> three captured fit plans.
+        events = plan_events(before)
+        assert events["capture"] == 3
+        assert events["replay"] == len(sizes) - 3
 
-    def test_checkpoint_restore_mid_momentum_invalidates(self):
+    def test_checkpoint_restore_mid_momentum_replays(self):
         batches = make_batches(10, 8, 5, 2, seed=7)
         model = StreamingMLP(num_features=5, num_classes=2, seed=2,
                              momentum=0.9)
@@ -149,16 +193,22 @@ class TestInvalidationMatrix:
         run_stream(reference, batches[4:7], plans_on=False)
         model.load_state_dict(checkpoint)
         reference.load_state_dict(checkpoint)
-        assert len(model._plans.entries) == 0  # dropped on restore
+        # Kernels read the restored arrays and the live momentum at call
+        # time, so the cached plans keep serving: no recapture.
+        before = nn_plan.plan_cache_stats()
         results_on = run_stream(model, batches[7:], plans_on=True)
         results_off = run_stream(reference, batches[7:], plans_on=False)
         assert_bitwise_equal(model, reference, results_on[0], results_off[0],
                              results_on[1], results_off[1])
+        events = plan_events(before)
+        assert events["capture"] == 0
+        assert events["replay"] == 2 * len(batches[7:])
 
     def test_train_eval_flip_uses_distinct_plans(self):
         batches = make_batches(6, 8, 6, 2, seed=5)
         model = DropoutMLP(num_features=6, num_classes=2, seed=3)
         reference = DropoutMLP(num_features=6, num_classes=2, seed=3)
+        before = nn_plan.plan_cache_stats()
         for flip, (x, y) in enumerate(batches):
             training = flip % 2 == 0
             model.module.train(training)
@@ -169,8 +219,10 @@ class TestInvalidationMatrix:
                 loss_ref = reference.partial_fit(x, y)
             assert np.float64(loss_plan).tobytes() == \
                 np.float64(loss_ref).tobytes()
-        fit_keys = [key for key in model._plans.entries if key[0] == "fit"]
-        assert len(fit_keys) == 2  # train-mode plan and eval-mode plan
+        # A train-mode plan and an eval-mode plan, each replayed twice.
+        events = plan_events(before)
+        assert events["capture"] == 2
+        assert events["replay"] == len(batches) - 2
 
     def test_flag_toggle_mid_stream(self):
         batches = make_batches(9, 8, 5, 2, seed=11)
@@ -188,15 +240,164 @@ class TestInvalidationMatrix:
                 np.float64(loss_ref).tobytes()
             assert proba_plan.tobytes() == proba_ref.tobytes()
 
-    def test_plan_set_is_bounded_lru(self):
+    def test_plan_set_is_bounded_lru(self, monkeypatch):
+        # Many distinct row counts never hold more than the byte budget:
+        # least recently used plans are evicted to make room.
+        budget = 24_000
+        monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES", budget)
         model = StreamingLR(num_features=4, num_classes=2, seed=0)
+        reference = StreamingLR(num_features=4, num_classes=2, seed=0)
         rng = np.random.default_rng(0)
+        before = nn_plan.plan_cache_stats()
+        for size in range(2, 42):
+            x = rng.normal(size=(size, 4))
+            y = rng.integers(0, 2, size)
+            with configure(plan_capture=True):
+                loss_plan = model.partial_fit(x, y)
+            with configure(plan_capture=False):
+                loss_ref = reference.partial_fit(x, y)
+            assert np.float64(loss_plan).tobytes() == \
+                np.float64(loss_ref).tobytes()
+            assert nn_plan._cache().nbytes <= budget
+        events = plan_events(before)
+        assert events["capture"] == 40
+        assert events["invalidate"] > 0
+        assert len(nn_plan._cache().entries) == \
+            events["capture"] - events["invalidate"]
+
+    def test_entry_just_used_survives_a_budget_it_exceeds(self, monkeypatch):
+        # A 4-epoch long-window fit whose plan alone outgrows the budget
+        # captures once and replays three times.
+        monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES", 1)
+        model = StreamingMLP(num_features=6, num_classes=3, seed=2)
+        reference = StreamingMLP(num_features=6, num_classes=3, seed=2)
+        warm = make_batches(1, 8, 6, 3, seed=4)[0]
         with configure(plan_capture=True):
-            for size in range(2, 2 + nn_plan._PLAN_SET_CAP + 4):
-                x = rng.normal(size=(size, 4))
-                y = rng.integers(0, 2, size)
-                model.partial_fit(x, y)
-        assert len(model._plans.entries) <= nn_plan._PLAN_SET_CAP
+            model.partial_fit(*warm)
+        with configure(plan_capture=False):
+            reference.partial_fit(*warm)
+        window = make_batches(1, 96, 6, 3, seed=5)[0]
+        before = nn_plan.plan_cache_stats()
+        for _ in range(4):
+            with configure(plan_capture=True):
+                loss_plan = model.partial_fit(*window)
+            with configure(plan_capture=False):
+                loss_ref = reference.partial_fit(*window)
+            assert np.float64(loss_plan).tobytes() == \
+                np.float64(loss_ref).tobytes()
+        events = plan_events(before)
+        assert events["capture"] == 1
+        assert events["replay"] == 3
+        assert events["invalidate"] == 1  # the 8-row plan made room
+        assert len(nn_plan._cache().entries) == 1
+
+
+# -- plans shared across instances and threads ---------------------------------
+
+
+class TestSharedPlans:
+    @pytest.mark.parametrize("cls", [StreamingLR, StreamingMLP, DropoutMLP,
+                                     AdamLR])
+    def test_second_instance_replays_without_capture(self, cls):
+        batches = make_batches(10, 16, 8, 3, seed=2)
+        first = cls(num_features=8, num_classes=3, seed=4)
+        second = cls(num_features=8, num_classes=3, seed=11)
+        first_ref = cls(num_features=8, num_classes=3, seed=4)
+        second_ref = cls(num_features=8, num_classes=3, seed=11)
+        results = {id(first): ([], []), id(second): ([], [])}
+        # The first instance captures the fit and proba plans; from then
+        # on the two instances interleave through the same plans.
+        before = nn_plan.plan_cache_stats()
+        for index, (x, y) in enumerate(batches):
+            for model in ((first,) if index == 0 else (first, second)):
+                losses, probas = results[id(model)]
+                with configure(plan_capture=True):
+                    probas.append(model.predict_proba(x).copy())
+                    losses.append(model.partial_fit(x, y))
+            if index == 0:
+                assert plan_events(before)["capture"] == 2
+                before = nn_plan.plan_cache_stats()
+        events = plan_events(before)
+        assert events["capture"] == 0
+        assert events["unsupported"] == 0
+        assert events["replay"] == 4 * (len(batches) - 1)
+        for model, ref, stream in ((first, first_ref, batches),
+                                   (second, second_ref, batches[1:])):
+            losses, probas = results[id(model)]
+            losses_ref, probas_ref = run_stream(ref, stream, plans_on=False)
+            assert_bitwise_equal(model, ref, losses, losses_ref, probas,
+                                 probas_ref)
+        for model, ref in ((first, first_ref), (second, second_ref)):
+            rngs = [m.rng for m in model.module.modules()
+                    if isinstance(m, nn.Dropout)]
+            ref_rngs = [m.rng for m in ref.module.modules()
+                        if isinstance(m, nn.Dropout)]
+            for rng, ref_rng in zip(rngs, ref_rngs):
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_two_threads_replay_one_signature_bitwise(self):
+        batches = make_batches(40, 16, 8, 3, seed=6)
+        seeds = (3, 17)
+        references = {}
+        for seed in seeds:
+            reference = DropoutMLP(num_features=8, num_classes=3, seed=seed)
+            references[seed] = (reference, run_stream(reference, batches,
+                                                      plans_on=False))
+        models = {seed: DropoutMLP(num_features=8, num_classes=3, seed=seed)
+                  for seed in seeds}
+        results, errors = {}, []
+        barrier = threading.Barrier(len(seeds))
+
+        def worker(seed):
+            try:
+                model = models[seed]
+                losses, probas = [], []
+                barrier.wait()
+                for x, y in batches:
+                    probas.append(model.predict_proba(x).copy())
+                    losses.append(model.partial_fit(x, y))
+                results[seed] = (losses, probas,
+                                 nn_plan.plan_cache_stats())
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        before = nn_plan.plan_cache_stats()
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        for seed in seeds:
+            reference, (losses_ref, probas_ref) = references[seed]
+            losses, probas, _ = results[seed]
+            assert_bitwise_equal(models[seed], reference, losses, losses_ref,
+                                 probas, probas_ref)
+        # Each thread captured into its own cache, then replayed.
+        events = plan_events(before)
+        assert events["capture"] == 2 * len(seeds)
+        assert events["replay"] == len(seeds) * (2 * len(batches) - 2)
+
+    def test_cached_plans_hold_no_tensors(self):
+        batches = make_batches(3, 8, 6, 2, seed=1)
+        for cls in (StreamingLR, StreamingMLP, DropoutMLP):
+            run_stream(cls(num_features=6, num_classes=2, seed=0), batches,
+                       plans_on=True)
+        models = [StreamingMLP(num_features=6, num_classes=3, seed=s)
+                  for s in range(3)]
+        stack = nn.stack_models([m.module for m in models])
+        optimizer = nn.make_stacked_optimizer(
+            stack, [m.optimizer for m in models])
+        rng = np.random.default_rng(2)
+        with configure(plan_capture=True):
+            nn.stacked_fit(stack, optimizer, rng.normal(size=(3, 8, 6)),
+                           rng.integers(0, 3, (3, 8)))
+        plans = [plan for plan, _ in nn_plan._cache().entries.values()]
+        assert len(plans) == 7
+        # A plan keeps neither its capture run's graph nor any model.
+        for plan in plans:
+            assert reachable_tensors(plan) == []
 
 
 # -- eligibility and fallback -------------------------------------------------
@@ -211,9 +412,11 @@ class TestFallback:
         model = WeirdPrepare(num_features=4, num_classes=2, seed=0)
         x = np.ones((6, 4))
         y = np.zeros(6, dtype=np.int64)
+        before = nn_plan.plan_cache_stats()
         with configure(plan_capture=True):
             model.partial_fit(x, y)
-        assert not hasattr(model, "_plans")
+            model.predict_proba(x)
+        assert set(plan_events(before).values()) == {0}
 
     def test_exotic_optimizer_opts_out(self):
         class FobosLR(StreamingLR):
@@ -223,22 +426,25 @@ class TestFallback:
         model = FobosLR(num_features=4, num_classes=2, seed=0)
         x = np.ones((6, 4))
         y = np.zeros(6, dtype=np.int64)
+        before = nn_plan.plan_cache_stats()
         with configure(plan_capture=True):
             model.partial_fit(x, y)
-        assert not hasattr(model, "_plans")
+            model.predict_proba(x)
+        assert set(plan_events(before).values()) == {0}
 
-    def test_pickling_drops_plans(self):
-        import pickle
-
-        model = StreamingLR(num_features=4, num_classes=2, seed=0)
+    def test_unpickled_model_replays_shared_plan(self):
+        model = StreamingLR(num_features=4, num_classes=2, seed=0,
+                            momentum=0.9)
         batches = make_batches(3, 8, 4, 2)
         run_stream(model, batches, plans_on=True)
-        assert hasattr(model, "_plans")
         clone = pickle.loads(pickle.dumps(model))
-        assert not hasattr(clone, "_plans")
-        # The revived model still trains, and captures fresh plans.
-        results_a = run_stream(clone, batches, plans_on=True)
         reference = pickle.loads(pickle.dumps(model))
+        # The revived model binds the plans its original captured.
+        before = nn_plan.plan_cache_stats()
+        results_a = run_stream(clone, batches, plans_on=True)
+        events = plan_events(before)
+        assert events["capture"] == 0
+        assert events["replay"] == 2 * len(batches)
         results_b = run_stream(reference, batches, plans_on=False)
         assert_bitwise_equal(clone, reference, results_a[0], results_b[0],
                              results_a[1], results_b[1])
@@ -257,7 +463,6 @@ class TestStackedPlans:
         return models, stack, optimizer
 
     def test_stacked_fit_replay_is_bitwise(self):
-        nn_plan.clear_stacked_plans()
         rng = np.random.default_rng(8)
         steps = [(rng.normal(size=(4, 8, 6)), rng.integers(0, 3, (4, 8)))
                  for _ in range(8)]
@@ -278,12 +483,10 @@ class TestStackedPlans:
         for state_a, state_b in zip(states_on, states_off):
             for key in state_a:
                 assert state_a[key].tobytes() == state_b[key].tobytes()
-        nn_plan.clear_stacked_plans()
 
     def test_stacked_plan_survives_rebinding_to_new_fleet(self):
         # Two different fleets with the same signature share one cached
-        # plan; bind() must rebind parameters, not leak the first fleet's.
-        nn_plan.clear_stacked_plans()
+        # plan; each replay must bind the calling fleet's parameters.
         rng = np.random.default_rng(9)
         xs = rng.normal(size=(3, 8, 6))
         ys = rng.integers(0, 3, (3, 8))
@@ -292,9 +495,11 @@ class TestStackedPlans:
             nn.stacked_fit(stack_a, opt_a, xs, ys)
             losses_a = nn.stacked_fit(stack_a, opt_a, xs, ys)
             nn.unstack_models(stack_a)
+            before = nn_plan.plan_cache_stats()
             models_b, stack_b, opt_b = self._fleet(3, seed=40)
             losses_b = nn.stacked_fit(stack_b, opt_b, xs, ys)
             nn.unstack_models(stack_b)
+        assert plan_events(before)["capture"] == 0
         # Different weights -> different losses; same plan served both.
         assert losses_a.tobytes() != losses_b.tobytes()
         with configure(plan_capture=False):
@@ -306,7 +511,6 @@ class TestStackedPlans:
             state_b, state_ref = model_b.state_dict(), model_ref.state_dict()
             for key in state_b:
                 assert state_b[key].tobytes() == state_ref[key].tobytes()
-        nn_plan.clear_stacked_plans()
 
 
 # -- telemetry ----------------------------------------------------------------
