@@ -77,6 +77,60 @@ def test_conv2d_forward_backward(benchmark):
     benchmark(step)
 
 
+# The tabular CNN's define-by-run ops (never plan-captured) at batch 512:
+# a (1, 3) conv over the 16-feature signal, then ReLU and a (1, 2) pool
+# over its 512x32x1x16 activation, in the memory layout the conv leaves.
+
+
+@pytest.fixture(scope="module")
+def tabular_conv():
+    rng = np.random.default_rng(0)
+    conv = nn.Conv2d(1, 32, kernel_size=(1, 3), padding=(0, 1), rng=rng)
+    return conv, nn.Tensor(rng.normal(size=(512, 1, 1, 16)))
+
+
+@pytest.fixture(scope="module")
+def tabular_activation(tabular_conv):
+    conv, x = tabular_conv
+    with nn.no_grad():
+        return conv(x).data
+
+
+def test_tabular_conv2d_forward_backward(benchmark, tabular_conv):
+    conv, x = tabular_conv
+    g = np.ones((512, 32, 1, 16))
+
+    def step():
+        conv.zero_grad()
+        conv(x).backward(g)
+        return conv.weight.grad
+
+    benchmark(step)
+
+
+def test_tabular_relu_forward_backward(benchmark, tabular_activation):
+    g = np.ones(tabular_activation.shape)
+
+    def step():
+        x = nn.Tensor(tabular_activation, requires_grad=True)
+        x.relu().backward(g)
+        return x.grad
+
+    benchmark(step)
+
+
+def test_tabular_max_pool2d_forward_backward(benchmark, tabular_activation):
+    pooled = nn.Tensor(tabular_activation).relu().data
+    g = np.ones((512, 32, 1, 8))
+
+    def step():
+        x = nn.Tensor(pooled, requires_grad=True)
+        F.max_pool2d(x, (1, 2)).backward(g)
+        return x.grad
+
+    benchmark(step)
+
+
 def test_softmax_cross_entropy(benchmark):
     logits = nn.Tensor(RNG.normal(size=(1024, 5)), requires_grad=True)
     labels = RNG.integers(0, 5, 1024)

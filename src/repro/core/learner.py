@@ -30,7 +30,6 @@ from ..api import BaseReport
 from ..data.stream import Batch
 from ..models.base import StreamingModel
 from ..nn import plan as _nn_plan
-from ..perf.pool import POOL
 from ..obs import (
     NULL_OBS,
     CircuitOpened,
@@ -890,9 +889,6 @@ class Learner:
             registry.counter(
                 "freeway_fallbacks_total", "degraded routing decisions",
             ).inc()
-        # The pool is thread-local; this runs on the run-loop thread, which
-        # is exactly the one whose scratch buffers matter.
-        POOL.publish(registry)
 
     def _update_only(self, batch: Batch) -> BatchReport:
         loss = None

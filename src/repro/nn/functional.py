@@ -13,7 +13,6 @@ import functools
 
 import numpy as np
 
-from ..perf import POOL as _POOL
 from ..perf.config import config as _perf_config
 from . import record as _record
 from .tensor import Tensor
@@ -333,7 +332,7 @@ def _im2col_indices_cached(x_shape, kernel_h, kernel_w, stride_h, stride_w,
     out_w = (width + 2 * pad_w - kernel_w) // stride_w + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
-            f"conv/pool output would be empty for input {x_shape} with "
+            f"conv2d output would be empty for input {x_shape} with "
             f"kernel ({kernel_h},{kernel_w}), stride ({stride_h},{stride_w}), "
             f"padding ({pad_h},{pad_w})"
         )
@@ -358,20 +357,11 @@ def _im2col(x: np.ndarray, kernel_h, kernel_w, stride, padding):
         # full copy.  Fancy indexing yields the identical fresh array.
         cols = x[:, k, i, j]  # (batch, C*kh*kw, out_h*out_w)
         return cols, out_h, out_w
-    padded_shape = (x.shape[0], x.shape[1],
-                    x.shape[2] + 2 * pad_h, x.shape[3] + 2 * pad_w)
-    if _perf_config.buffer_pool:
-        # Zero-filled pool scratch + interior write == np.pad constant-0;
-        # the gather below copies out of it, so it can be released here.
-        padded = _POOL.zeros(padded_shape, dtype=x.dtype)
-        padded[:, :, pad_h:pad_h + x.shape[2], pad_w:pad_w + x.shape[3]] = x
-        cols = padded[:, k, i, j]
-        _POOL.release(padded)
-    else:
-        padded = np.pad(
-            x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)), mode="constant"
-        )
-        cols = padded[:, k, i, j]
+    padded = np.zeros((x.shape[0], x.shape[1],
+                       x.shape[2] + 2 * pad_h, x.shape[3] + 2 * pad_w),
+                      dtype=x.dtype)
+    padded[:, :, pad_h:pad_h + x.shape[2], pad_w:pad_w + x.shape[3]] = x
+    cols = padded[:, k, i, j]
     return cols, out_h, out_w
 
 
@@ -414,13 +404,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         out = out + bias.data.reshape(1, -1, 1, 1)
 
     x_shape = x.shape
+    # A data input (every first conv layer's) takes no gradient, and
+    # Tensor._deliver would discard one: skip the einsum and the scatter.
+    input_grad = x.requires_grad
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray):
         g_mat = g.reshape(g.shape[0], kernel_out, -1)  # (batch, out_c, positions)
         grad_weight = np.einsum("bop,bfp->of", g_mat, cols).reshape(weight.shape)
-        grad_cols = np.einsum("of,bop->bfp", weight_mat, g_mat)
-        grad_x = _col2im(grad_cols, x_shape, kernel_h, kernel_w, stride, padding)
+        grad_x = None
+        if input_grad:
+            grad_cols = np.einsum("of,bop->bfp", weight_mat, g_mat)
+            grad_x = _col2im(grad_cols, x_shape, kernel_h, kernel_w, stride,
+                             padding)
         if bias is None:
             return grad_x, grad_weight
         grad_bias = g.sum(axis=(0, 2, 3))
@@ -432,29 +428,68 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 def max_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
     """2-D max pooling over ``(batch, channels, H, W)`` input.
 
-    ``kernel_size`` and ``stride`` may be ints or ``(h, w)`` pairs.
+    ``kernel_size`` and ``stride`` may be ints or ``(h, w)`` pairs.  Each
+    window yields its first maximum, as ``argmax`` picks it: a later
+    kernel offset wins only with a strictly larger value, or with a NaN
+    while the running maximum is not NaN.  Ties, signed zeros and NaN
+    windows therefore keep the earliest element's bits, and the gradient
+    goes to that element alone.
     """
     x = _as_tensor(x)
     kernel_h, kernel_w = _pair(kernel_size)
-    stride = kernel_size if stride is None else stride
-    batch, channels, height, width = x.shape
-    # Pool each channel independently by folding channels into the batch.
-    reshaped = x.data.reshape(batch * channels, 1, height, width)
-    cols, out_h, out_w = _im2col(reshaped, kernel_h, kernel_w, stride, 0)
-    # cols: (batch*channels, k*k, positions)
-    argmax = cols.argmax(axis=1)
-    positions = np.arange(cols.shape[2])
-    rows = np.arange(cols.shape[0])[:, None]
-    pooled = cols[rows, argmax, positions]
-    out = pooled.reshape(batch, channels, out_h, out_w)
+    stride_h, stride_w = _pair(kernel_size if stride is None else stride)
+    _, _, height, width = x.shape
+    out_h = (height - kernel_h) // stride_h + 1
+    out_w = (width - kernel_w) // stride_w + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(
+            f"max_pool2d output would be empty for input {x.shape} with "
+            f"kernel ({kernel_h},{kernel_w}), stride ({stride_h},{stride_w})"
+        )
+    # One strided view per kernel offset, in row-major offset order: view
+    # ``k`` holds element ``k`` of every window.
+    windows = [
+        (slice(None), slice(None),
+         slice(ki, ki + stride_h * (out_h - 1) + 1, stride_h),
+         slice(kj, kj + stride_w * (out_w - 1) + 1, stride_w))
+        for ki in range(kernel_h) for kj in range(kernel_w)
+    ]
+    data = x.data
+    # The running maximum keeps the input's memory order (a view, then
+    # np.where results), so its passes walk memory sequentially.  The
+    # winning offsets are C-ordered, like the gradients they route.
+    out = data[windows[0]]
+    winner = np.zeros(out.shape, dtype=np.min_scalar_type(len(windows) - 1))
+    for offset, window in enumerate(windows[1:], start=1):
+        candidate = data[window]
+        # ``<=`` is False when either side is NaN, so this takes strictly
+        # larger values and NaNs, except over a maximum that is NaN.
+        take = ~(candidate <= out) & (out == out)
+        out = np.where(take, candidate, out)
+        # Offsets only grow, so each take raises its window's winner.
+        np.maximum(winner, take * winner.dtype.type(offset), out=winner)
+    # Hand back a fresh C-ordered array, as an im2col gather returns it:
+    # a matmul downstream can round differently over another layout.
+    out = out.copy() if len(windows) == 1 else np.ascontiguousarray(out)
+
+    overlapping = stride_h < kernel_h or stride_w < kernel_w
 
     def backward(g: np.ndarray):
-        g_flat = g.reshape(batch * channels, -1)
-        grad_cols = np.zeros_like(cols)
-        grad_cols[rows, argmax, positions] = g_flat
-        grad_reshaped = _col2im(
-            grad_cols, reshaped.shape, kernel_h, kernel_w, stride, 0
-        )
-        return (grad_reshaped.reshape(batch, channels, height, width),)
+        # Adding each offset's share into zeros, in offset order, is the
+        # ``0.0 + g`` sum an np.add.at scatter of the window columns
+        # computes.  Where windows overlap, two NaN shares can meet in one
+        # element: the scatter keeps the later NaN, but a vectorized add
+        # may keep either, so the later one is copied over.  Adding 0.0 to
+        # g first quiets its NaNs as the sum would, and changes no sum.
+        if overlapping:
+            g = g + 0.0
+        grad = np.zeros(data.shape, dtype=data.dtype)
+        for offset, window in enumerate(windows):
+            share = np.where(winner == offset, g, 0.0)
+            view = grad[window]
+            view += share
+            if overlapping:
+                np.copyto(view, share, where=np.isnan(share))
+        return (grad,)
 
     return Tensor._make(out, (x,), backward)

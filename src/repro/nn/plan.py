@@ -23,9 +23,8 @@ generators.  Kernels fetch ``parameter.data``, optimizer state, and RNG
 state at call time, so a plan serves every model with the same
 structure — class, ``architecture_key``, optimizer class — and
 checkpoint restores or pickling never leave it stale.  Plans live in one
-cache per thread (like :data:`repro.perf.pool.POOL`), bounded by the
-bytes their arenas hold.  The whole engine sits behind the
-``plan_capture`` flag in :mod:`repro.perf.config`.
+cache per thread, bounded by the bytes their arenas hold.  The whole
+engine sits behind the ``plan_capture`` flag in :mod:`repro.perf.config`.
 """
 
 from __future__ import annotations
@@ -320,8 +319,9 @@ class _ActKernel:
     @replay_kernel
     def forward(self, params, dropouts) -> None:
         if self.name == "relu":
-            # Tensor.relu uses np.where(mask, x, 0.0): a pure selection,
-            # replayed as fill + masked copy (no float ops either way).
+            # Tensor.relu computes fmax(x + 0.0, 0.0), whose bits are the
+            # selection np.where(x > 0, x, 0.0) on every input (NaN and
+            # -0.0 give +0.0): replayed as fill + masked copy.
             np.greater(self.x, 0.0, out=self.mask)
             self.out.fill(0.0)
             np.copyto(self.out, self.x, where=self.mask)

@@ -330,8 +330,8 @@ class Tensor:
             )
             if parent._backward is None:
                 # A contribution transformed by asarray/_unbroadcast is a
-                # fresh local array; otherwise ask the pool's aliasing
-                # oracle whether the closure's buffer is private.
+                # fresh local array; otherwise ask the aliasing oracle
+                # whether the closure's buffer is private.
                 own = _perf_config.grad_ownership and (
                     contribution is not raw or _can_own(raw, grad))
                 parent._accumulate(contribution, own=own)
@@ -537,7 +537,11 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        data = np.where(mask, self.data, 0.0)
+        # The bits of np.where(mask, x, 0.0) without a masked select:
+        # adding 0.0 turns -0.0 into +0.0 and quiets signalling NaNs, then
+        # fmax maps every NaN and negative to 0.0.
+        data = self.data + 0.0
+        np.fmax(data, 0.0, out=data)
         return Tensor._make(data, (self,), lambda g: (g * mask,))
 
     def abs(self) -> "Tensor":

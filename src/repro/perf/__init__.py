@@ -1,18 +1,17 @@
-"""Hot-path performance layer: feature flags, buffer pool, stage profiler.
+"""Hot-path performance layer: feature flags and the stage profiler.
 
 ``repro.perf`` is deliberately a *leaf* package: it imports nothing from
 :mod:`repro.nn`, :mod:`repro.core`, or :mod:`repro.shift` so those modules
 can consult it without cycles.  It bundles three things:
 
 - :data:`config` — global feature flags for every optimization introduced
-  by the hot-path pass (autograd tape, fused linear, buffer pool, grad
-  ownership, in-place optimizers, cached nearest-neighbour norms).  Each
-  flag gates one optimization whose output is bitwise-identical to the
-  legacy path; ``optimizations_disabled()`` restores the reference
-  implementation wholesale so equivalence tests can diff the two.
-- :data:`POOL` — a thread-local per-shape scratch-buffer pool
-  (:class:`BufferPool`), safe under the thread execution backend because
-  free lists are never shared across threads.
+  by the hot-path pass (autograd tape, fused linear, grad ownership,
+  in-place optimizers, cached nearest-neighbour norms).  Each flag gates
+  one optimization whose output is bitwise-identical to the legacy path;
+  ``optimizations_disabled()`` restores the reference implementation
+  wholesale so equivalence tests can diff the two.
+- :func:`can_own` — the aliasing oracle that lets ``grad_ownership`` adopt
+  a private gradient buffer instead of copying it.
 - :class:`HotPathProfiler` — per-stage wall-clock aggregation for
   :meth:`Learner.process`, feeding the ``freeway_hot_path_seconds{stage}``
   histogram when an :class:`~repro.obs.Observability` facade is attached
@@ -23,8 +22,7 @@ See ``docs/PERF.md`` for the design notes and the benchmark workflow.
 
 from .config import (PerfConfig, config, configure, optimizations_disabled,
                      optimizations_enabled)
-from .pool import (POOL, POOL_BUFFERS_GAUGE, POOL_HITS_COUNTER, BufferPool,
-                   can_own)
+from .ownership import can_own
 from .profile import HOT_PATH_HISTOGRAM, PLAN_CACHE_COUNTER, HotPathProfiler
 
 __all__ = [
@@ -33,11 +31,7 @@ __all__ = [
     "configure",
     "optimizations_disabled",
     "optimizations_enabled",
-    "BufferPool",
-    "POOL",
     "can_own",
-    "POOL_BUFFERS_GAUGE",
-    "POOL_HITS_COUNTER",
     "HotPathProfiler",
     "HOT_PATH_HISTOGRAM",
     "PLAN_CACHE_COUNTER",

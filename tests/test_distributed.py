@@ -164,50 +164,9 @@ class TestDistributedLearner:
         with pytest.raises(ValueError):
             DistributedLearner(factory, partitioner="bogus")
 
-
-class TestBufferPoolUnderThreadBackend:
-    """The perf buffer pool must never alias scratch across worker threads."""
-
-    def test_concurrent_acquire_never_aliases(self):
-        import threading
-        from repro.perf import POOL
-
-        barrier = threading.Barrier(2)
-        grabbed: dict[str, list[np.ndarray]] = {}
-        errors: list[BaseException] = []
-
-        def worker(name):
-            try:
-                POOL.clear()
-                # Warm this thread's free list, then re-acquire from it.
-                warm = [POOL.acquire((16, 8)) for _ in range(4)]
-                for buffer in warm:
-                    POOL.release(buffer)
-                barrier.wait(timeout=10)
-                buffers = [POOL.acquire((16, 8)) for _ in range(4)]
-                for buffer in buffers:
-                    buffer[...] = hash(name) % 97
-                grabbed[name] = buffers
-            except BaseException as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(name,))
-                   for name in ("a", "b")]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not errors
-        ids_a = {id(buffer) for buffer in grabbed["a"]}
-        ids_b = {id(buffer) for buffer in grabbed["b"]}
-        assert not ids_a & ids_b, "pool handed the same buffer to two threads"
-        for buffer in grabbed["a"]:
-            np.testing.assert_array_equal(buffer, np.full((16, 8),
-                                                          hash("a") % 97))
-
     def test_thread_backend_matches_serial_bitwise(self):
-        """Replicas on the thread backend (pool + tape active per thread)
-        must produce exactly the serial backend's parameters."""
+        """Replicas on the thread backend (a tape per thread) must produce
+        exactly the serial backend's parameters."""
 
         def run(backend):
             distributed = DistributedLearner(factory, num_workers=2,

@@ -18,9 +18,9 @@ from repro.data.drift import (GaussianMixtureConcept, Segment,
 from repro.eval import model_factory_for
 from repro.nn import functional as F
 from repro.obs import Observability
-from repro.perf import (HOT_PATH_HISTOGRAM, BufferPool, HotPathProfiler,
-                        PerfConfig, can_own, config, configure,
-                        optimizations_disabled, optimizations_enabled)
+from repro.perf import (HOT_PATH_HISTOGRAM, HotPathProfiler, PerfConfig,
+                        can_own, config, configure, optimizations_disabled,
+                        optimizations_enabled)
 
 
 # -- feature flags ------------------------------------------------------------
@@ -55,53 +55,7 @@ class TestPerfConfig:
         assert not any(PerfConfig(enabled=False).as_dict().values())
 
 
-# -- buffer pool --------------------------------------------------------------
-
-
-class TestBufferPool:
-    def test_acquire_release_reuses_buffer(self):
-        pool = BufferPool()
-        first = pool.acquire((4, 3))
-        assert pool.release(first)
-        again = pool.acquire((4, 3))
-        assert again is first
-        stats = pool.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
-    def test_zeros_clears_recycled_contents(self):
-        pool = BufferPool()
-        dirty = pool.acquire((5,))
-        dirty[:] = 7.0
-        pool.release(dirty)
-        clean = pool.zeros((5,))
-        assert clean is dirty
-        np.testing.assert_array_equal(clean, np.zeros(5))
-
-    def test_release_refuses_views(self):
-        pool = BufferPool()
-        base = np.zeros((4, 4))
-        assert not pool.release(base[:2])
-        assert pool.stats()["released"] == 0
-
-    def test_max_per_key_caps_retention(self):
-        pool = BufferPool(max_per_key=1)
-        assert pool.release(np.zeros(3))
-        assert not pool.release(np.zeros(3))
-        assert pool.stats()["idle_buffers"] == 1
-
-    def test_distinct_dtypes_use_distinct_lists(self):
-        pool = BufferPool()
-        pool.release(np.zeros(3, dtype=np.float64))
-        from_pool = pool.acquire(3, dtype=np.float32)
-        assert from_pool.dtype == np.float32
-        assert pool.stats()["misses"] == 1
-
-    def test_clear_resets_thread_state(self):
-        pool = BufferPool()
-        pool.release(np.zeros(2))
-        pool.clear()
-        assert pool.stats() == {"hits": 0, "misses": 0, "released": 0,
-                                "idle_buffers": 0}
+# -- gradient-buffer ownership ----------------------------------------------
 
 
 class TestCanOwn:
