@@ -23,7 +23,8 @@ generators.  Kernels fetch ``parameter.data``, optimizer state, and RNG
 state at call time, so a plan serves every model with the same
 structure — class, ``architecture_key``, optimizer class — and
 checkpoint restores or pickling never leave it stale.  Plans live in one
-cache per thread, bounded by the bytes their arenas hold.  The whole
+cache per thread, bounded by the bytes their arenas hold; the stacked
+arenas of :mod:`repro.nn.stacked` share it and its budget.  The whole
 engine sits behind the ``plan_capture`` flag in :mod:`repro.perf.config`.
 """
 
@@ -59,9 +60,10 @@ __all__ = [
 #: invalidate), exported by :class:`repro.perf.HotPathProfiler`.
 PLAN_CACHE_COUNTER = "freeway_plan_cache"
 
-#: Arena bytes one thread's plan cache may hold before it evicts least
-#: recently used plans.  16 MiB keeps a 1024-row MLP stream's steady fit
-#: and proba plans (about 2.3 MB) beside its current long-window fit plan.
+#: Arena bytes one thread's plan cache may hold — plans and stacked
+#: arenas together — before it evicts least recently used entries.  16 MiB
+#: keeps a 1024-row MLP stream's steady fit and proba plans (about 2.3 MB)
+#: beside its current long-window fit plan.
 _PLAN_CACHE_BYTES = 16 << 20
 
 
@@ -781,18 +783,25 @@ def _compile_proba(trace, params, dropouts, x_shape):
 _UNSUPPORTED = object()
 
 
+def _is_plan(entry) -> bool:
+    """Whether a cache entry is a plan or unsupported marker, not an arena."""
+    return entry is _UNSUPPORTED or isinstance(entry, (_FitPlan, _ProbaPlan))
+
+
 class _PlanCache:
     """Plans shared by every model on one thread, least recently used first.
 
-    Bounded by the arena bytes its plans hold (an unsupported marker
-    costs its key); the entry just stored is never evicted, so a plan
-    larger than the whole budget still serves its next replay.
+    Also holds the thread's stacked arenas (:mod:`repro.nn.stacked`), so
+    one budget bounds both.  Bounded by the bytes its entries hold (an
+    unsupported marker costs its key); the entry just stored is never
+    evicted, so a plan larger than the whole budget still serves its next
+    replay.  Only evicted plans are ``"invalidate"`` events.
     """
 
     __slots__ = ("entries", "nbytes")
 
     def __init__(self):
-        self.entries: OrderedDict = OrderedDict()  # key -> (plan, nbytes)
+        self.entries: OrderedDict = OrderedDict()  # key -> (entry, nbytes)
         self.nbytes = 0
 
     def get(self, key):
@@ -802,20 +811,22 @@ class _PlanCache:
         self.entries.move_to_end(key)
         return entry[0]
 
-    def put(self, key, plan) -> None:
-        nbytes = sys.getsizeof(key) if plan is _UNSUPPORTED else plan.nbytes
-        self.entries[key] = (plan, nbytes)
+    def put(self, key, entry) -> None:
+        nbytes = sys.getsizeof(key) if entry is _UNSUPPORTED else entry.nbytes
+        self.entries[key] = (entry, nbytes)
         self.nbytes += nbytes
         while self.nbytes > _PLAN_CACHE_BYTES and len(self.entries) > 1:
-            _, (_, evicted) = self.entries.popitem(last=False)
-            self.nbytes -= evicted
-            _notify("invalidate")
+            _, (evicted, evicted_bytes) = self.entries.popitem(last=False)
+            self.nbytes -= evicted_bytes
+            if _is_plan(evicted):
+                _notify("invalidate")
 
     def clear(self) -> int:
-        count = len(self.entries)
+        """Drop every entry; returns how many were plans."""
+        plans = sum(1 for entry, _ in self.entries.values() if _is_plan(entry))
         self.entries.clear()
         self.nbytes = 0
-        return count
+        return plans
 
 
 _LOCAL = threading.local()
@@ -830,7 +841,7 @@ def _cache() -> _PlanCache:
 
 
 def clear_plans() -> None:
-    """Drop every plan cached on the calling thread (tests, benchmarks)."""
+    """Drop every plan and stacked arena cached on the calling thread."""
     for _ in range(_cache().clear()):
         _notify("invalidate")
 
@@ -1016,8 +1027,8 @@ def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference):
     ``xs``/``ys`` arrive already reshaped to ``(models, batch, features)``
     / ``(models, batch)``; ``reference`` is the uncaptured step loop,
     passed in to keep this module import-cycle-free.  Keys cover
-    architecture + shapes, so the serving layer's per-round stack
-    rebuilds (fresh ``Parameter`` objects each time) hit the same plan.
+    architecture + shapes, not the stack, so every stack of one group
+    shape — a rebuilt arena included — hits the same plan.
     """
     if _record.ACTIVE and _record.current() is not None:
         return None

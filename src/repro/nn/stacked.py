@@ -27,6 +27,16 @@ Only architectures built from ``Linear``, the fusable activations,
 ``Dropout``, ``Flatten``, and ``Sequential`` can stack; anything else
 (e.g. ``Conv2d``) raises :class:`StackedModelError` and callers fall
 back to the serial loop.
+
+**Persistent arenas.**  A caller that stacks the same kind of group over
+and over (the serving dispatcher, every round) keeps the stack instead
+of rebuilding it: :func:`stacked_arena` returns the calling thread's
+:class:`StackedArena` for a group's :func:`stacking_group` and size —
+stacked parameter buffers, layer plan, and stacked optimizer with its
+flat state — and each round copies the members' parameters and
+optimizer state into the arena's rows and back, in place.  Arenas live
+in the per-thread plan cache of :mod:`repro.nn.plan` and share its byte
+budget; an evicted arena is rebuilt on its next use.
 """
 
 from __future__ import annotations
@@ -62,6 +72,9 @@ __all__ = [
     "StackedSGD",
     "StackedAdam",
     "make_stacked_optimizer",
+    "stacking_group",
+    "StackedArena",
+    "stacked_arena",
 ]
 
 
@@ -448,6 +461,16 @@ def _check_uniform(optimizers, expected_type, fields, num_models):
     return first
 
 
+def _shared_step_count(optimizers) -> int:
+    """The Adam step count every optimizer sits at; raises when they differ."""
+    counts = {optimizer._step_count for optimizer in optimizers}
+    if len(counts) > 1:
+        raise StackedModelError(
+            f"Adam step counts differ across models: {sorted(counts)} "
+            f"— bias correction cannot be shared")
+    return counts.pop()
+
+
 def _gather_state(optimizers, state_name, index, stacked_parameter):
     """Stack one per-model optimizer-state entry; None when all absent.
 
@@ -480,14 +503,19 @@ class StackedSGD(SGD):
         self.stack = stack
 
     @classmethod
+    def like(cls, stack: ModelStack, optimizer: SGD) -> "StackedSGD":
+        """``optimizer``'s hyperparameters over ``stack``, with no state."""
+        return cls(stack, lr=optimizer.lr, momentum=optimizer.momentum,
+                   weight_decay=optimizer.weight_decay)
+
+    @classmethod
     def from_optimizers(cls, stack: ModelStack,
                         optimizers: list[SGD]) -> "StackedSGD":
         """Build from N per-model optimizers, importing their state."""
         first = _check_uniform(optimizers, SGD,
                                ("lr", "momentum", "weight_decay"),
                                stack.num_models)
-        stacked = cls(stack, lr=first.lr, momentum=first.momentum,
-                      weight_decay=first.weight_decay)
+        stacked = cls.like(stack, first)
         for optimizer in optimizers:
             optimizer._export_flat_state()
         for index, parameter in enumerate(stacked.parameters):
@@ -521,20 +549,21 @@ class StackedAdam(Adam):
         self.stack = stack
 
     @classmethod
+    def like(cls, stack: ModelStack, optimizer: Adam) -> "StackedAdam":
+        """``optimizer``'s hyperparameters over ``stack``, with no state."""
+        return cls(stack, lr=optimizer.lr,
+                   betas=(optimizer.beta1, optimizer.beta2),
+                   eps=optimizer.eps, weight_decay=optimizer.weight_decay)
+
+    @classmethod
     def from_optimizers(cls, stack: ModelStack,
                         optimizers: list[Adam]) -> "StackedAdam":
         """Build from N per-model optimizers, importing their state."""
         first = _check_uniform(optimizers, Adam,
                                ("lr", "beta1", "beta2", "eps",
                                 "weight_decay"), stack.num_models)
-        counts = {optimizer._step_count for optimizer in optimizers}
-        if len(counts) > 1:
-            raise StackedModelError(
-                f"Adam step counts differ across models: {sorted(counts)} "
-                f"— bias correction cannot be shared")
-        stacked = cls(stack, lr=first.lr, betas=(first.beta1, first.beta2),
-                      eps=first.eps, weight_decay=first.weight_decay)
-        stacked._step_count = first._step_count
+        stacked = cls.like(stack, first)
+        stacked._step_count = _shared_step_count(optimizers)
         for optimizer in optimizers:
             optimizer._export_flat_state()
         for index, parameter in enumerate(stacked.parameters):
@@ -570,3 +599,209 @@ def make_stacked_optimizer(stack: ModelStack, optimizers):
         return StackedAdam.from_optimizers(stack, optimizers)
     raise StackedModelError(
         f"cannot stack {kind.__name__} optimizers (supported: SGD, Adam)")
+
+
+# -- persistent arenas -------------------------------------------------------
+
+
+def _hyperparameters(optimizer) -> tuple | None:
+    """Hashable configuration a stacked optimizer shares; None for types
+    that cannot stack.  Adam's step count is state, not configuration."""
+    kind = type(optimizer)
+    if kind is SGD:
+        return ("sgd", optimizer.lr, optimizer.momentum,
+                optimizer.weight_decay)
+    if kind is Adam:
+        return ("adam", optimizer.lr, optimizer.beta1, optimizer.beta2,
+                optimizer.eps, optimizer.weight_decay)
+    return None
+
+
+def stacking_group(model) -> tuple | None:
+    """What a streaming model stacks by; None when it cannot stack.
+
+    ``model`` is a :class:`~repro.models.base.NeuralStreamingModel`.  The
+    group is its plan structure — class, ``architecture_key`` and
+    optimizer class, computed once per model and cached with its plan
+    binding (:mod:`repro.nn.plan`) — plus its optimizer's
+    hyperparameters.  A model whose ``_plan_structure`` opts out (a
+    custom ``_prepare``, which the stacked program would skip, an exotic
+    optimizer, or a layer the engine cannot stack) has no group.
+    """
+    binding = _plan._binding(model)
+    if binding is None:
+        return None
+    hyperparameters = _hyperparameters(model.optimizer)
+    if hyperparameters is None:
+        return None
+    return (binding.structure, hyperparameters)
+
+
+def _state_of(optimizer, name: str, index: int, shape: tuple):
+    """The ``name`` state (``"velocity"``, ``"m"``, ``"v"``) that
+    ``optimizer``'s next step reads for parameter ``index``; None means
+    zeros.
+
+    That is the flat buffer's entry when there is one, else the
+    per-parameter dict entry, which the next flat step would migrate.
+    State laid out for another shape raises :class:`StackedModelError`:
+    the serial path decides what happens to it.
+    """
+    flat = optimizer._flat
+    if flat is not None:
+        if flat.views[index].shape != shape:
+            raise StackedModelError(
+                f"optimizer state laid out for {flat.views[index].shape}, "
+                f"not {shape}")
+        buffer = flat.extra.get(name)
+        if buffer is not None:
+            start, end = flat.slices[index]
+            return buffer[start:end].reshape(shape)
+    entry = getattr(optimizer, "_" + name).get(index)
+    if entry is not None and entry.shape != shape:
+        raise StackedModelError(
+            f"optimizer state of shape {entry.shape}, not {shape}")
+    return entry
+
+
+def _state_slot(optimizer, name: str, index: int,
+                shape: tuple) -> np.ndarray:
+    """Writable storage ``optimizer``'s next step reads ``name`` state
+    for parameter ``index`` from.
+
+    Inside the flat buffer when the optimizer has one — created as zeros
+    on first use, superseding the per-parameter dict, so every index must
+    then be written — else the dict entry.
+    """
+    flat = optimizer._flat
+    if flat is not None:
+        buffer = flat.extra.get(name)
+        if buffer is None:
+            buffer = flat.extra[name] = np.zeros_like(flat.flat)
+            getattr(optimizer, "_" + name).clear()
+        start, end = flat.slices[index]
+        return buffer[start:end].reshape(shape)
+    entries = getattr(optimizer, "_" + name)
+    entry = entries.get(index)
+    if entry is None or entry.shape != shape:
+        entry = entries[index] = np.zeros(shape)
+    return entry
+
+
+class StackedArena:
+    """A stack kept for one group shape: parameters, plan and optimizer.
+
+    One arena serves every group of ``num_models`` models that share a
+    :func:`stacking_group`.  A round calls :meth:`load`, runs the stacked
+    program on :attr:`stack` and :attr:`optimizer`, and — after a
+    successful training step — calls :meth:`store`.  Members are only
+    read until :meth:`store`, so a round that fails leaves them as they
+    were.
+    """
+
+    __slots__ = ("group", "stack", "optimizer", "state_names", "dropouts",
+                 "nbytes")
+
+    def __init__(self, models, group: tuple):
+        stack = ModelStack([model.module for model in models])
+        # Each round binds its own members; the arena must not keep the
+        # first group alive.
+        stack.sources, stack._source_params = [], []
+        first = models[0].optimizer
+        kind = StackedAdam if isinstance(first, Adam) else StackedSGD
+        optimizer = kind.like(stack, first)
+        flat = optimizer._flat_state()
+        if flat is None:
+            raise StackedModelError("stacked arenas hold float64 parameters")
+        if kind is StackedAdam:
+            self.state_names = ("m", "v")
+        else:
+            self.state_names = ("velocity",) if optimizer.momentum else ()
+        for name in self.state_names:
+            flat.extra[name] = np.zeros_like(flat.flat)
+        self.group = group
+        self.stack = stack
+        self.optimizer = optimizer
+        #: Per Dropout layer, the list the stacked program draws rows from.
+        self.dropouts = [op[2] for op in stack._plan if op[0] == "dropout"]
+        # Parameters, gradient and two scratch buffers, plus the state.
+        self.nbytes = flat.flat.nbytes * (4 + len(self.state_names))
+
+    def load(self, models, *, train: bool) -> None:
+        """Copy each member into its row, in place.
+
+        Copies parameters and binds Dropout layers; with ``train`` also
+        the optimizer state (a member without state yet gets zeros, what
+        its next serial step would start from).  Raises
+        :class:`StackedModelError`, before writing any member, when a
+        member does not fit the arena.
+        """
+        if len(models) != self.stack.num_models:
+            raise StackedModelError(
+                f"{len(models)} models for an arena of "
+                f"{self.stack.num_models}")
+        rows = [parameter.data for parameter in self.stack.stacked_params]
+        for row, model in enumerate(models):
+            if stacking_group(model) != self.group:
+                raise StackedModelError(
+                    "model does not share the arena's stacking group")
+            binding = _plan._binding(model)
+            for target, parameter in zip(rows, binding.params):
+                data = parameter.data
+                if (data.shape != target.shape[1:]
+                        or data.dtype != target.dtype):
+                    raise StackedModelError(
+                        f"parameter of shape {data.shape} and dtype "
+                        f"{data.dtype} does not fit the arena's "
+                        f"{target.shape[1:]} {target.dtype}")
+                target[row] = data
+            for layers, layer in zip(self.dropouts, binding.dropouts):
+                layers[row] = layer
+        if not train:
+            return
+        optimizers = [model.optimizer for model in models]
+        optimizer = self.optimizer
+        if isinstance(optimizer, Adam):
+            optimizer._step_count = _shared_step_count(optimizers)
+        for name in self.state_names:
+            for index, target in enumerate(rows):
+                slot = _state_slot(optimizer, name, index, target.shape)
+                for row, member in enumerate(optimizers):
+                    state = _state_of(member, name, index, target.shape[1:])
+                    slot[row] = 0.0 if state is None else state
+
+    def store(self, models) -> None:
+        """Copy every row back into its member's existing arrays."""
+        rows = [parameter.data for parameter in self.stack.stacked_params]
+        for row, model in enumerate(models):
+            for source, parameter in zip(rows, _plan._binding(model).params):
+                np.copyto(parameter.data, source[row])
+        optimizer = self.optimizer
+        for name in self.state_names:
+            for index, source in enumerate(rows):
+                state = _state_of(optimizer, name, index, source.shape)
+                for row, model in enumerate(models):
+                    np.copyto(_state_slot(model.optimizer, name, index,
+                                          source.shape[1:]), state[row])
+        if isinstance(optimizer, Adam):
+            for model in models:
+                model.optimizer._step_count = optimizer._step_count
+
+
+def stacked_arena(models) -> StackedArena:
+    """The calling thread's :class:`StackedArena` for a group of models.
+
+    Keyed by the first model's :func:`stacking_group` and the group size,
+    built on first use, and kept in the thread's plan cache under its
+    byte budget.  :meth:`StackedArena.load` checks the other members.
+    """
+    group = stacking_group(models[0]) if models else None
+    if group is None:
+        raise StackedModelError("these models cannot stack")
+    key = ("arena", group, len(models))
+    cache = _plan._cache()
+    arena = cache.get(key)
+    if arena is None:
+        arena = StackedArena(models, group)
+        cache.put(key, arena)
+    return arena

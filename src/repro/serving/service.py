@@ -1,10 +1,10 @@
 """The asyncio serving front end: admission control and micro-batching.
 
 :class:`StreamingService` multiplexes per-tenant request streams onto one
-process.  Requests for a tenant coalesce into
-:class:`~repro.data.stream.Batch` micro-batches (count-based flush with a
-latency-bounding timeout); bounded per-tenant and global pending queues
-shed load by policy (:data:`~repro.serving.config.SHED_POLICIES`); a
+process.  Requests for a tenant coalesce into micro-batches (count-based
+flush, with a timeout bounding the age of a partial batch); bounded
+per-tenant and global pending queues shed load by policy
+(:data:`~repro.serving.config.SHED_POLICIES`); a
 per-tenant circuit breaker stops admitting a tenant whose requests keep
 failing; and an optional watermark couples queue pressure to the PR-4
 degrade chain (resident estimators flip into graceful degradation when the
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data.stream import Batch
 from ..obs import NULL_OBS, RequestShed
 from ..perf.config import config as _perf_config
 from ..resilience.degrade import CircuitBreaker
@@ -105,7 +104,7 @@ class _TenantState:
     signaled: bool = False
     #: Monotonic flush-timer generation; stale timer callbacks no-op.
     timer_generation: int = 0
-    #: Micro-batches processed (the per-tenant ``Batch.index`` sequence).
+    #: Micro-batches processed (the per-tenant batch index sequence).
     batches: int = 0
     #: Requests coalesced per processed micro-batch, in order.
     grouping: list = field(default_factory=list)
@@ -189,7 +188,11 @@ class StreamingService:
 
     @staticmethod
     def _validate(x, y):
-        """Normalize one request's payload; raises ValueError when bad."""
+        """Normalize one request's payload; raises ValueError when bad.
+
+        The only validation a request gets: coalesced micro-batches go
+        to the estimator as they are.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
@@ -199,7 +202,10 @@ class StreamingService:
         if not np.isfinite(x).all():
             raise ValueError("x contains non-finite values")
         if y is not None:
-            y = np.asarray(y).reshape(-1)
+            try:
+                y = np.asarray(y, dtype=np.int64).reshape(-1)
+            except TypeError as exc:
+                raise ValueError(f"y must be integer labels: {exc}") from exc
             if len(y) != len(x):
                 raise ValueError(
                     f"y has {len(y)} labels for {len(x)} rows")
@@ -261,8 +267,11 @@ class StreamingService:
             self._apply_pressure()
             if state.pending_rows >= self.config.microbatch_size:
                 self._signal(tenant)
-            elif not state.signaled:
-                self._arm_timer(tenant, state)
+            elif len(state.pending) == 1 and not state.signaled:
+                # The queue just became non-empty: the batch's age counts
+                # from this, its oldest request.
+                self._arm_timer(tenant, state,
+                                self.config.microbatch_timeout_s)
         return await future
 
     class _Admission:
@@ -310,12 +319,12 @@ class StreamingService:
             state.timer_generation += 1  # cancel any armed flush timer
             self._work.put_nowait(tenant)
 
-    def _arm_timer(self, tenant: str, state: _TenantState) -> None:
+    def _arm_timer(self, tenant: str, state: _TenantState,
+                   delay: float) -> None:
         state.timer_generation += 1
         generation = state.timer_generation
         asyncio.get_running_loop().call_later(
-            self.config.microbatch_timeout_s,
-            self._timer_fired, tenant, generation)
+            delay, self._timer_fired, tenant, generation)
 
     def _timer_fired(self, tenant: str, generation: int) -> None:
         state = self._tenants.get(tenant)
@@ -369,7 +378,12 @@ class StreamingService:
                 if state.pending_rows >= self.config.microbatch_size:
                     self._signal(name)
                 elif state.pending:
-                    self._arm_timer(name, state)
+                    # A partial take: the remainder is due when its oldest
+                    # request reaches the timeout.
+                    deadline = (state.pending[0].submitted_at
+                                + self.config.microbatch_timeout_s)
+                    self._arm_timer(name, state,
+                                    max(0.0, deadline - time.perf_counter()))
             if stopping:
                 return
             # Yield so queued submitters interleave with dispatch.
@@ -378,8 +392,8 @@ class StreamingService:
     def _take_microbatch(self, state: _TenantState) -> list[_Request]:
         """Pop whole requests until the row target is met.
 
-        Labeled and unlabeled requests never mix (a coalesced Batch is
-        labeled or not as a unit), and at least one request is always
+        Labeled and unlabeled requests never mix (a coalesced micro-batch
+        is labeled or not as a unit), and at least one request is always
         taken, so an oversized single request still dispatches.
         """
         taken: list[_Request] = []
@@ -417,8 +431,7 @@ class StreamingService:
         x = np.vstack([request.x for request in requests])
         y = (np.concatenate([request.y for request in requests])
              if requests[0].y is not None else None)
-        batch = Batch(x, y, index=state.batches)
-        labels = predict_and_update(estimator, batch.x, batch.y)
+        labels = predict_and_update(estimator, x, y)
         self._resolve_success(tenant, state, requests, labels)
 
     def _resolve_failure(self, tenant: str, state: _TenantState,
@@ -603,31 +616,36 @@ def serve_requests(config: ServeConfig, registry: SessionRegistry,
     """Serve a finite request sequence synchronously.
 
     ``requests`` is an iterable of ``(tenant, x)`` or ``(tenant, x, y)``
-    tuples.  Submissions run concurrently inside a bounded window (so
-    micro-batching and queue bounds actually engage) but are *created* in
-    input order, which preserves each tenant's submission order.  Returns
+    tuples.  ``window`` submitter coroutines share one iterator over
+    them, so at most ``window`` requests are in flight (micro-batching
+    and queue bounds actually engage) and ``submit`` calls start in input
+    order, which preserves each tenant's submission order.  Returns
     ``(results, service)`` with ``results`` in input order; the returned
-    service is stopped and exposes ``summary()``/``grouping()``.
+    service is stopped and exposes ``summary()``/``grouping()``.  Raises
+    ValueError when ``window`` is below 1.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1; got {window}")
     prepared = []
     for entry in requests:
         tenant, x = entry[0], entry[1]
         y = entry[2] if len(entry) > 2 else None
         prepared.append((tenant, x, y))
-
+    results = [None] * len(prepared)
     service = StreamingService(config, registry, obs=obs)
 
     async def _run():
-        gate = asyncio.Semaphore(window)
+        pending = enumerate(prepared)
 
-        async def _one(tenant, x, y):
-            async with gate:
-                return await service.submit(tenant, x, y)
+        async def _submitter():
+            # Taking the next request and starting its submit happen in
+            # one step of this coroutine, so submits start in input order.
+            for index, (tenant, x, y) in pending:
+                results[index] = await service.submit(tenant, x, y)
 
         async with service:
-            tasks = [asyncio.get_running_loop().create_task(
-                _one(tenant, x, y)) for tenant, x, y in prepared]
-            return await asyncio.gather(*tasks)
+            await asyncio.gather(*[
+                _submitter() for _ in range(min(window, len(prepared)))])
 
-    results = asyncio.run(_run())
-    return list(results), service
+    asyncio.run(_run())
+    return results, service

@@ -15,8 +15,12 @@ tenant, served labels and post-update parameters are bitwise-identical
 to the serial loop, so the serving-equivalence replay gate in
 ``bench_serving.py`` holds with stacking on.
 
-Co-scheduling composes with the captured-plan engine: with the
-``plan_capture`` flag on, a recurring tenant-group signature runs the
+A group runs in the calling thread's persistent arena for its stacking
+group and size (:func:`~repro.nn.stacked.stacked_arena`): each round
+copies the tenants' parameters and optimizer state into the arena's rows
+and back, in place, instead of rebuilding a stack and a stacked
+optimizer.  Co-scheduling composes with the captured-plan engine: with
+the ``plan_capture`` flag on, a recurring tenant-group signature runs the
 stacked step through a replayed plan (:mod:`repro.nn.plan`), stacking
 the amortization wins — one tensor program for N tenants, compiled once
 and replayed allocation-free.
@@ -37,14 +41,7 @@ import numpy as np
 
 from ..api import BaseReport
 from ..nn import Adam, SGD
-from ..nn.stacked import (
-    StackedModelError,
-    architecture_key,
-    make_stacked_optimizer,
-    stack_models,
-    stacked_fit,
-    unstack_models,
-)
+from ..nn.stacked import stacked_arena, stacked_fit, stacking_group
 
 __all__ = ["ModelEstimator", "StackedGroupPlan", "stacking_key",
            "plan_stacked_groups", "execute_stacked"]
@@ -135,6 +132,8 @@ class ModelEstimator:
         model.load_state_dict(state)
         model.updates = int(meta.get("__meta__.updates", model.updates))
         optimizer = model.optimizer
+        # The flat buffer's state would outrank the dicts replaced below.
+        optimizer._export_flat_state()
         if isinstance(optimizer, SGD):
             optimizer._velocity = {
                 int(key.rsplit(".", 1)[1]): np.array(value, copy=True)
@@ -153,27 +152,15 @@ class ModelEstimator:
                 if key.startswith("__opt__.v.")}
 
 
-def _optimizer_signature(optimizer) -> tuple | None:
-    """Hashable optimizer configuration; None for unstackable types."""
-    kind = type(optimizer)
-    if kind is SGD:
-        return ("sgd", optimizer.lr, optimizer.momentum,
-                optimizer.weight_decay)
-    if kind is Adam:
-        return ("adam", optimizer.lr, optimizer.beta1, optimizer.beta2,
-                optimizer.eps, optimizer.weight_decay, optimizer._step_count)
-    return None
-
-
 def stacking_key(estimator, rows: int, labeled: bool):
     """Group key for one dispatched micro-batch; None → serial path.
 
-    Two micro-batches may execute stacked iff their keys are equal:
-    identical model architecture (:func:`~repro.nn.stacked.
-    architecture_key`), identical training configuration (``sgd_steps``
-    plus the optimizer's type and hyperparameters — for Adam also its
-    step count, since bias correction is shared across a stack),
-    identical coalesced row count, and the same labeledness.
+    Two micro-batches may execute stacked iff their keys are equal: the
+    same :func:`~repro.nn.stacked.stacking_group` (model class,
+    architecture and optimizer configuration, computed once per model),
+    for Adam the same step count, since bias correction is shared across
+    a stack, the same ``sgd_steps``, the same coalesced row count, and
+    the same labeledness.
     """
     handle = getattr(estimator, "stacking_handle", None)
     if handle is None:
@@ -181,14 +168,12 @@ def stacking_key(estimator, rows: int, labeled: bool):
     model = handle()
     if model is None:
         return None
-    signature = _optimizer_signature(model.optimizer)
-    if signature is None:
+    group = stacking_group(model)
+    if group is None:
         return None
-    try:
-        arch = architecture_key(model.module)
-    except StackedModelError:
-        return None
-    return (arch, signature, model.sgd_steps, rows, labeled)
+    optimizer = model.optimizer
+    step = optimizer._step_count if type(optimizer) is Adam else 0
+    return (group, step, model.sgd_steps, rows, labeled)
 
 
 class StackedGroupPlan:
@@ -231,25 +216,26 @@ def execute_stacked(estimators, xs, ys) -> np.ndarray:
 
     Mirrors :func:`~repro.serving.service.predict_and_update` per model:
     predict from the pre-update weights, then (for labeled batches) run
-    ``sgd_steps`` training steps — all through one stacked program.
-    Returns the ``(models, rows)`` predicted labels; each estimator's
-    model ends bitwise-identical to having served its batch alone.
+    ``sgd_steps`` training steps — all through one stacked program in the
+    thread's arena for this group.  Returns the ``(models, rows)``
+    predicted labels; each estimator's model ends bitwise-identical to
+    having served its batch alone.  Raises
+    :class:`~repro.nn.stacked.StackedModelError`, leaving every model as
+    it was, when the models do not stack.
     """
     models = [estimator.stacking_handle() for estimator in estimators]
     stacked_x = np.stack([
         np.asarray(x, dtype=float).reshape(len(x), -1) for x in xs])
-    stack = stack_models([model.module for model in models])
-    labels = stack.predict_proba(stacked_x).argmax(axis=-1)
     labeled = ys[0] is not None
+    arena = stacked_arena(models)
+    arena.load(models, train=labeled)
+    labels = arena.stack.predict_proba(stacked_x).argmax(axis=-1)
     if labeled:
-        optimizer = make_stacked_optimizer(
-            stack, [model.optimizer for model in models])
         stacked_y = np.stack([
             np.asarray(y, dtype=np.int64).reshape(-1) for y in ys])
-        stacked_fit(stack, optimizer, stacked_x, stacked_y,
+        stacked_fit(arena.stack, arena.optimizer, stacked_x, stacked_y,
                     sgd_steps=models[0].sgd_steps)
-        unstack_models(stack)
-        optimizer.export_to([model.optimizer for model in models])
+        arena.store(models)
         for model in models:
             model.updates += 1
             model._weights_version += 1

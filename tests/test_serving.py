@@ -16,8 +16,9 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core.learner import Learner
-from repro.models import StreamingLR
+from repro.models import StreamingLR, StreamingMLP
 from repro.obs import (
     Observability,
     RequestShed,
@@ -38,6 +39,7 @@ from repro.serving import (
     make_requests,
     predict_and_update,
     serve_requests,
+    stacking_key,
     zipf_tenants,
 )
 
@@ -401,6 +403,28 @@ class TestStreamingService:
         assert result.accepted
         assert service.grouping("t") == [1]  # timer, not count, flushed it
 
+    def test_timeout_bounds_partial_batch_age_from_oldest_request(self):
+        # Requests arrive faster than the timeout but never fill the
+        # batch: each partial batch still dispatches once its oldest
+        # request is a timeout old, however many join it later.
+        config = ServeConfig(max_active_tenants=4, microbatch_size=32,
+                             microbatch_timeout_s=0.05)
+        registry = SessionRegistry(model_factory, capacity=4)
+        x, y = labeled_rows(1)
+
+        async def scenario(service):
+            loop = asyncio.get_running_loop()
+            tasks = []
+            for _ in range(10):
+                tasks.append(loop.create_task(service.submit("t", x, y)))
+                await asyncio.sleep(0.04)
+            return await asyncio.gather(*tasks)
+
+        results, service = run_service(config, registry, scenario)
+        assert all(result.accepted for result in results)
+        assert len(service.grouping("t")) > 1
+        assert max(result.latency_s for result in results) < 0.25
+
     def test_labeled_and_unlabeled_never_share_a_batch(self):
         config = ServeConfig(max_active_tenants=4, microbatch_size=16,
                              microbatch_timeout_s=5.0)
@@ -618,6 +642,69 @@ class TestServingEquivalence:
         assert checked == len(by_tenant) >= 10
 
 
+class TestServeRequests:
+    def test_window_bounds_in_flight_and_keeps_input_order(self, monkeypatch):
+        started, in_flight, peak = [], [0], [0]
+        submit = StreamingService.submit
+
+        async def counting_submit(self, tenant, x, y=None):
+            started.append(id(x))
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+            try:
+                return await submit(self, tenant, x, y)
+            finally:
+                in_flight[0] -= 1
+
+        monkeypatch.setattr(StreamingService, "submit", counting_submit)
+        rng = np.random.default_rng(3)
+        requests = []
+        for index in range(120):
+            rows = 1 + index % 5
+            x, y = labeled_rows(rows, seed=index)
+            tenant = f"t{rng.integers(0, 6)}"
+            requests.append((tenant, x, y) if index % 4 else (tenant, x))
+        config = ServeConfig(max_active_tenants=8, microbatch_size=8,
+                             microbatch_timeout_s=0.002)
+        registry = SessionRegistry(make_learner, capacity=8)
+        results, service = serve_requests(config, registry, requests,
+                                          window=5)
+        assert peak[0] == 5
+        assert started == [id(request[1]) for request in requests]
+        assert all(result.accepted for result in results)
+        by_tenant: dict = {}
+        for request, result in zip(requests, results):
+            assert result.tenant == request[0]
+            assert len(result.labels) == len(request[1])
+            by_tenant.setdefault(request[0], []).append(result.batch_index)
+        # Each tenant's micro-batches took its requests in input order.
+        for tenant, indices in by_tenant.items():
+            assert indices == sorted(indices)
+            runs = [indices.count(index) for index in sorted(set(indices))]
+            assert service.grouping(tenant) == runs
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_is_rejected(self, window):
+        outcome = []
+
+        def serve():
+            try:
+                serve_requests(ServeConfig(max_active_tenants=2),
+                               SessionRegistry(make_learner, capacity=2),
+                               [("t", *labeled_rows(2))], window=window)
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                outcome.append(exc)
+            else:
+                outcome.append(None)
+
+        worker = threading.Thread(target=serve, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "serve_requests did not return"
+        assert isinstance(outcome[0], ValueError)
+        assert "window" in str(outcome[0])
+
+
 # -- stacked co-scheduling -----------------------------------------------------
 
 
@@ -723,6 +810,61 @@ class TestStackedServing:
         probe, _ = labeled_rows(16, seed=8)
         np.testing.assert_array_equal(original.predict(probe),
                                       restored.predict(probe))
+
+    def test_custom_prepare_never_stacks(self):
+        class ScaledMLP(StreamingMLP):
+            def _prepare(self, x):
+                x = np.asarray(x, dtype=float)
+                return nn.Tensor(x.reshape(len(x), -1) * 10.0)
+
+        def scaled(_tenant=""):
+            return ModelEstimator(ScaledMLP(NUM_FEATURES, NUM_CLASSES,
+                                            hidden=(8,), seed=5))
+
+        assert stacking_key(scaled(), rows=8, labeled=True) is None
+        x, y = labeled_rows(8, seed=10)
+        registry = SessionRegistry(scaled, capacity=4)
+        config = ServeConfig(max_active_tenants=4, microbatch_size=8,
+                             stacked_execution=True)
+        results, service = serve_requests(
+            config, registry, [("a", x, y), ("b", x, y)] * 3, window=2)
+        assert service.batches_stacked == 0
+        replica = scaled()
+        for result in results[::2]:
+            np.testing.assert_array_equal(
+                result.labels, predict_and_update(replica, x, y))
+
+    @pytest.mark.parametrize("optimizer", ["momentum", "adam"])
+    def test_restore_into_live_estimator_resets_optimizer_state(
+            self, optimizer):
+        class AdamLR(StreamingLR):
+            def _make_optimizer(self):
+                return nn.Adam(self.module.parameters(), lr=0.01)
+
+        def make():
+            if optimizer == "adam":
+                return ModelEstimator(AdamLR(num_features=NUM_FEATURES,
+                                             num_classes=NUM_CLASSES, seed=3))
+            return model_factory()
+
+        batches = [labeled_rows(16, seed=seed) for seed in range(20, 26)]
+        live = make()
+        for x, y in batches[:3]:
+            predict_and_update(live, x, y)
+        checkpoint = live.state_dict()
+        for x, y in batches[3:5]:
+            predict_and_update(live, x, y)
+        live.load_state_dict(checkpoint)
+        fresh = make()
+        fresh.load_state_dict(checkpoint)
+        x, y = batches[5]
+        predict_and_update(live, x, y)
+        predict_and_update(fresh, x, y)
+        live_state, fresh_state = live.state_dict(), fresh.state_dict()
+        assert list(live_state) == list(fresh_state)
+        for key in live_state:
+            assert (np.asarray(live_state[key]).tobytes()
+                    == np.asarray(fresh_state[key]).tobytes()), key
 
     def test_stacked_metrics_emitted(self):
         obs = Observability.in_memory()
