@@ -130,8 +130,8 @@ RULE_DETAILS: dict[str, dict[str, str]] = {
     "REP012": {
         "pass": "lint",
         "summary": "per-batch allocation inside a replay kernel",
-        "detail": "Functions marked `@replay_kernel` (repro.nn.plan) run "
-                  "on every replayed batch; constructing a `Tensor` or "
+        "detail": "Functions marked `@replay_kernel` (repro.nn.kernels) "
+                  "run on every replayed batch; constructing a `Tensor` or "
                   "calling `np.zeros`/`np.empty`/`*_like` there defeats "
                   "the preallocated-arena contract — allocate at capture "
                   "time and write with `out=` instead.",

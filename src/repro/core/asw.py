@@ -32,15 +32,6 @@ from ..obs import NULL_OBS, AswDecayApplied
 __all__ = ["WindowEntry", "AdaptiveStreamingWindow", "inversion_count"]
 
 
-def _inversion_count_naive(sequence: np.ndarray) -> int:
-    """Reference O(k²) pair count — kept for property tests against the fast path."""
-    sequence = np.asarray(sequence)
-    count = 0
-    for i in range(len(sequence) - 1):  # repro: noqa[REP007] — reference implementation for fuzz tests
-        count += int((sequence[i] > sequence[i + 1:]).sum())
-    return count
-
-
 def _merge_count(sequence: list) -> tuple[list, int]:
     """Merge-sort ``sequence`` ascending, returning (sorted, inversions)."""
     n = len(sequence)
@@ -71,8 +62,8 @@ def inversion_count(sequence: np.ndarray) -> int:
     """Number of out-of-order pairs, ``|{(i, j): i < j and s_i > s_j}|`` (Eq. 11).
 
     Counted during an O(k log k) merge sort; being integer arithmetic the
-    result is exactly the naive pair count (property-tested against
-    :func:`_inversion_count_naive` in ``tests/test_asw.py``).
+    result is exactly the naive pair count (property-tested against an
+    O(k²) reference in ``tests/test_asw.py``).
     """
     values = np.asarray(sequence).tolist()
     if len(values) < 2:

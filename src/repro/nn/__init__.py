@@ -9,9 +9,12 @@ evaluation environment is offline and has no ``torch``).  It provides:
 - optimizers (:class:`SGD`, :class:`Adam`) plus the :class:`FOBOS` and
   :class:`RDA` online-learning updates used by the Alink baseline,
 - checkpoint serialization utilities used by the historical-knowledge store.
+
+The float-op sequences the define-by-run, stacked and captured-plan paths
+share live once, in :mod:`repro.nn.kernels`.
 """
 
-from . import functional, init, plan, serialization, stacked
+from . import functional, init, kernels, plan, serialization, stacked
 from .modules import (
     Conv2d,
     Dropout,
@@ -48,6 +51,7 @@ __all__ = [
     "is_grad_enabled",
     "functional",
     "init",
+    "kernels",
     "plan",
     "serialization",
     "Module",

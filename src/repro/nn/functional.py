@@ -5,6 +5,11 @@ fully differentiable.  They cover the needs of the streaming models used in
 the FreewayML reproduction: linear layers, the usual activations, softmax /
 cross-entropy losses, and 2-D convolution + max pooling for the CNN
 experiments in the paper's appendix.
+
+``fused_linear``, ``dropout``, ``cross_entropy`` and the inference
+``softmax`` are single autograd nodes that run the shared kernels of
+:mod:`repro.nn.kernels` on fresh buffers; ``linear``, ``log_softmax`` and
+``nll_loss`` are the general op chains those kernels stand for.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ import functools
 
 import numpy as np
 
-from ..perf.config import config as _perf_config
+from . import kernels as K
 from . import record as _record
-from .tensor import Tensor
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "linear",
@@ -57,73 +62,61 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
-_FUSED_ACTIVATIONS = ("relu", "tanh", "sigmoid")
-
-
 def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                  activation: str | None = None) -> Tensor:
     """Affine map (optionally + activation) as a *single* autograd node.
 
-    Numerically this is bitwise-identical to ``linear(x, weight, bias)``
-    followed by the activation: the forward replays the exact float
-    expressions of the unfused op chain, and the backward replays the
-    gemm calls the chain's matmul/transpose closures would have issued
-    (``grad_W = (x.T @ g).T``, ``grad_x = g @ W``, bias unbroadcast by
-    the delivery path).  What it saves is graph overhead: one node and
-    one closure instead of three to five per layer — which dominates at
-    streaming batch sizes (see ``docs/PERF.md``).
+    The float operations of ``linear(x, weight, bias)`` followed by the
+    ``Tensor`` activation (``"relu"``, ``"tanh"`` or ``"sigmoid"``), run
+    by the kernels :func:`~repro.nn.kernels.linear_forward` and
+    :func:`~repro.nn.kernels.activation_forward`.  What it saves is graph
+    overhead: one node and one closure instead of three to five per layer
+    — which dominates at streaming batch sizes (see ``docs/PERF.md``).
+    With a leading model axis on ``x``, ``weight`` and ``bias`` (how
+    :class:`~repro.nn.stacked.ModelStack` runs), each model slice is
+    computed as its own 2-D call would be.
 
-    Falls back to the unfused chain for non-2D inputs.
+    Other input ranks fall back to the unfused chain.
     """
     x = _as_tensor(x)
-    xd = x.data
-    if xd.ndim != 2 or weight.data.ndim != 2:
+    xd, wd = x.data, weight.data
+    if xd.ndim != wd.ndim or wd.ndim not in (2, 3):
         out = linear(x, weight, bias)
-        if activation == "relu":
-            return out.relu()
-        if activation == "tanh":
-            return out.tanh()
-        if activation == "sigmoid":
-            return out.sigmoid()
-        return out
-    if activation is not None and activation not in _FUSED_ACTIVATIONS:
-        raise ValueError(f"unsupported fused activation: {activation!r}")
+        return out if activation is None else getattr(out, activation)()
     rec = _record.current() if _record.ACTIVE else None
     if rec is not None:
         rec.begin()
-    wd = weight.data
-    out = xd @ wd.T
-    if bias is not None:
-        # The product buffer is private (fresh from the gemm), so the bias
-        # add can land in place — same ufunc, same bits, one less alloc.
-        np.add(out, bias.data, out=out)
-    # act_state is what the activation's backward needs: the relu mask, or
-    # the activation output itself for tanh/sigmoid.
-    act_state = None
-    if activation == "relu":
-        act_state = out > 0
-        out = np.maximum(out, 0.0)
-    elif activation == "tanh":
-        out = np.tanh(out)
-        act_state = out
-    elif activation == "sigmoid":
-        out = 1.0 / (1.0 + np.exp(-np.clip(out, -60.0, 60.0)))
-        act_state = out
+    out = np.empty(xd.shape[:-1] + wd.shape[-2:-1],
+                   dtype=np.result_type(xd, wd))
+    K.linear_forward(xd, wd, None if bias is None else bias.data, out)
+    mask = None
+    if activation is not None:
+        if activation == "relu" and is_grad_enabled():
+            mask = np.empty(out.shape, dtype=bool)
+        K.activation_forward(activation, out, out, mask)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    # A data input (every first layer's) takes no gradient, and
+    # Tensor._deliver would discard one: skip its gemm.
+    input_grad = x.requires_grad
 
     def backward(g: np.ndarray):
-        if activation == "relu":
-            g = g * act_state
-        elif activation == "tanh":
-            g = g * (1.0 - act_state * act_state)
-        elif activation == "sigmoid":
-            g = g * act_state * (1.0 - act_state)
-        grad_x = g @ wd
-        grad_weight = (xd.T @ g).T
+        if activation is not None:
+            g_act = K.empty_result(g, out)
+            scratch = None if activation == "relu" else np.empty_like(out)
+            K.activation_backward(activation, g, out, mask, g_act, scratch)
+            g = g_act
+        dtype = np.result_type(g, wd)
+        grad_x = np.empty(xd.shape, dtype=dtype) if input_grad else None
+        grad_weight = np.empty(wd.shape, dtype=dtype)
+        grad_bias = (None if bias is None
+                     else np.empty(bias.data.shape, dtype=g.dtype))
+        K.linear_backward(xd, wd, g, grad_x,
+                          np.empty(np.swapaxes(wd, -1, -2).shape, dtype=dtype),
+                          grad_weight, grad_bias)
         if bias is None:
             return grad_x, grad_weight
-        return grad_x, grad_weight, g
+        return grad_x, grad_weight, grad_bias
 
     out_t = Tensor._make(out, parents, backward)
     if rec is not None:
@@ -164,21 +157,26 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``."""
+    """Softmax along ``axis``.
+
+    Without a gradient to carry it builds no graph: the kernel
+    :func:`~repro.nn.kernels.softmax_forward` runs the ``log_softmax(x)
+    .exp()`` chain's ufuncs on raw arrays.
+    """
     x = _as_tensor(x)
     rec = _record.current() if _record.ACTIVE else None
     if rec is not None:
         rec.begin()
-    if _perf_config.fused_loss and not x.requires_grad:
-        # Inference fast path: no gradient can flow, so skip graph
-        # construction and run the identical ufunc sequence on raw
-        # arrays (max → sub → exp → sum → log → sub → exp).
-        data = x.data
-        shifted = data - data.max(axis=axis, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out = Tensor(np.exp(shifted - log_norm))
-    else:
+    if x.requires_grad:
         out = log_softmax(x, axis=axis).exp()
+    else:
+        data = x.data
+        norm_shape = list(data.shape)
+        norm_shape[axis] = 1
+        probabilities = np.empty_like(data)
+        K.softmax_forward(data, axis, probabilities, np.empty_like(data),
+                          np.empty(norm_shape, dtype=data.dtype))
+        out = Tensor(probabilities)
     if rec is not None:
         rec.end(("softmax", axis, x, out))
     return out
@@ -205,61 +203,56 @@ def nll_loss(log_probs: Tensor, labels: np.ndarray) -> Tensor:
     return -picked.mean()
 
 
-def _fused_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """``nll_loss(log_softmax(logits))`` as one autograd node.
+def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Softmax cross-entropy of ``(…, rows, classes)`` logits as one node.
 
-    Bitwise-identical to the unfused chain: the forward replays its exact
-    ufunc sequence, and the backward replays — in the same order — every
-    float operation the chain's ten node closures would have run (the
-    broadcast copies, the ``(-g).sum`` unbroadcast of the log-norm grad,
-    and the two-consumer pair addition at the shifted logits).  What it
-    saves is ten Tensor allocations and closure round-trips per loss
-    evaluation.
+    ``labels`` is an int64 array of shape ``(…, rows)``.  The loss is 0-d
+    for 2-D logits, and one per model with a leading model axis (seed
+    ``backward`` with ones to mirror each model's own scalar backward).
+    The kernels :func:`~repro.nn.kernels.cross_entropy_forward` and
+    ``cross_entropy_backward`` replay ``nll_loss(log_softmax(logits))``
+    and its ten backward closures, float op for float op.
     """
-    x = logits.data
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    mask = one_hot(labels, x.shape[-1])
-    shifted = x - x.max(axis=-1, keepdims=True)
-    exp_shifted = np.exp(shifted)
-    norm = exp_shifted.sum(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(norm)
-    picked = (log_probs * mask).sum(axis=-1)
-    inv_count = 1.0 / picked.size
-    loss = -(picked.sum() * inv_count)
-    rows, cols = x.shape
-
-    def backward(g: np.ndarray):
-        # Broadcast *views* stand in for the chain's materialized copies:
-        # the consumers below are elementwise, so the products come out
-        # bit-for-bit the same without the intermediate allocations.
-        g_picked = np.broadcast_to(-g * inv_count, (rows,))
-        g_log_probs = np.broadcast_to(
-            np.expand_dims(g_picked, -1), (rows, cols)
-        )
-        g_masked = g_log_probs * mask
-        g_log_norm = (-g_masked).sum(axis=(1,), keepdims=True)
-        g_exp = np.broadcast_to(g_log_norm / norm, (rows, cols))
-        return (g_masked + g_exp * exp_shifted,)
-
-    return Tensor._make(loss, (logits,), backward)
-
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Softmax cross-entropy between ``logits`` and integer ``labels``."""
-    logits = _as_tensor(logits)
     rec = _record.current() if _record.ACTIVE else None
     if rec is not None:
         rec.begin()
-    if _perf_config.fused_loss and logits.data.ndim == 2:
-        out = _fused_cross_entropy(logits, labels)
-    else:
-        out = nll_loss(log_softmax(logits, axis=-1), labels)
+    x = logits.data
+    shape = x.shape
+    mask = np.empty(shape)
+    shifted = np.empty_like(x)
+    expb = np.empty_like(x)
+    prod = K.empty_result(shifted, mask)
+    norm = np.empty(shape[:-1] + (1,))
+    lognorm = np.empty(shape[:-1] + (1,))
+    loss = np.empty(shape[:-2], dtype=prod.dtype)
+    K.cross_entropy_forward(x, labels, K.label_index(shape), mask, shifted,
+                            expb, prod, norm, lognorm,
+                            np.empty(shape[:-1], dtype=prod.dtype), loss)
+    inv_count = 1.0 / shape[-2]
+
+    def backward(g: np.ndarray):
+        grad = np.empty(shape, dtype=prod.dtype)
+        K.cross_entropy_backward((-g * inv_count)[..., None, None], mask,
+                                 expb, norm, grad, prod, lognorm)
+        return (grad,)
+
+    out = Tensor._make(loss, (logits,), backward)
     if rec is not None:
-        # One descriptor for both paths: the fused node replays the
-        # unfused chain's exact float ops, so one replay kernel serves
-        # either (the capture-time verify holds it to that).
         rec.end(("ce", logits, out))
     return out
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Softmax cross-entropy between ``logits`` and integer ``labels``.
+
+    2-D logits run as one autograd node over the shared kernels; other
+    shapes take the general ``nll_loss(log_softmax(logits))`` chain.
+    """
+    logits = _as_tensor(logits)
+    if logits.data.ndim == 2:
+        return _cross_entropy(
+            logits, np.asarray(labels, dtype=np.int64).reshape(-1))
+    return nll_loss(log_softmax(logits, axis=-1), labels)
 
 
 def mse_loss(prediction: Tensor, target) -> Tensor:
@@ -280,8 +273,12 @@ def binary_cross_entropy_with_logits(logits: Tensor, target) -> Tensor:
     return (max_part - x * target_t + log_part).mean()
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero activations with probability ``p`` in training."""
+def dropout(x: Tensor, p: float, training: bool, rng) -> Tensor:
+    """Inverted dropout: zero activations with probability ``p`` in training.
+
+    ``rng`` is the layer's ``np.random.Generator``; with a leading model
+    axis it is a sequence of generators, one per model row.
+    """
     if not training or p <= 0.0:
         return x
     if not 0.0 <= p < 1.0:
@@ -289,11 +286,21 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     rec = _record.current() if _record.ACTIVE else None
     if rec is not None:
         rec.begin()
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    out = x * Tensor(mask)
+    data = x.data
+    mask = np.empty(data.shape, dtype=data.dtype)
+    draw = mask if mask.dtype == np.float64 else np.empty(data.shape)
+    out = K.empty_result(data, mask)
+    K.dropout_forward(data, p, rng, draw, mask, out)
+
+    def backward(g: np.ndarray):
+        grad = K.empty_result(g, mask)
+        K.dropout_backward(g, mask, grad)
+        return (grad,)
+
+    out_t = Tensor._make(out, (x,), backward)
     if rec is not None:
-        rec.end(("dropout", p, rng, x, out))
-    return out
+        rec.end(("dropout", p, rng, x, out_t))
+    return out_t
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,275 @@
+"""The float-op sequences every execution path shares, written once.
+
+Linear with its fused activation, the standalone activations, the Dropout
+mask, softmax cross-entropy and the inference softmax each have exactly
+one implementation: a forward (and backward) kernel here.  Three kinds of
+caller run them:
+
+- the define-by-run nodes (``F.fused_linear``, ``F.dropout``,
+  ``F.cross_entropy``, ``F.softmax`` and the ``Tensor`` activations),
+  with fresh buffers on every call;
+- :class:`~repro.nn.stacked.ModelStack`, which runs those same nodes on
+  tensors with a leading model axis;
+- the plan kernels of :mod:`repro.nn.plan`, with buffers from their
+  arena.
+
+So the three paths agree bit for bit by construction, not by keeping
+copies in step.  Every kernel writes into buffers its caller owns and
+allocates nothing; the ``@replay_kernel`` marker lets lint rule REP012
+check that.  Every kernel accepts an optional leading model axis: a
+batched ``matmul`` computes each model slice with the gemm of the 2-D
+call, and the elementwise ufuncs and last-axis reductions are
+slice-identical, so slice ``m`` of a stacked run equals a 2-D run of
+model ``m``.
+
+Each kernel replays the float operations of the general ``Tensor`` op
+chain it stands for, in the same order and with the same operand order.
+Where both operands of an op are NaN, which payload survives is up to
+numpy's loop (vectorized, scalar tail, or in place), so only NaN
+payloads may differ.  The reductions additionally depend on the memory
+layout they sum over; :func:`empty_result` gives a fresh-buffer caller
+the layout numpy would have returned.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = [
+    "replay_kernel",
+    "empty_result",
+    "label_index",
+    "activation_forward",
+    "activation_backward",
+    "linear_forward",
+    "linear_backward",
+    "dropout_forward",
+    "dropout_backward",
+    "cross_entropy_forward",
+    "cross_entropy_backward",
+    "softmax_forward",
+]
+
+
+def replay_kernel(fn):
+    """Mark ``fn`` as a kernel: it must only write into buffers it is given.
+
+    The marker is what lint rule REP012 keys on — a ``Tensor`` or
+    ``np.zeros``/``np.empty`` allocation inside a kernel would run on
+    every replayed batch and defeat the plan engine's arena.
+    """
+    fn.__replay_kernel__ = True
+    return fn
+
+
+# -- buffers for fresh-buffer callers -----------------------------------------
+
+
+def empty_result(*operands: np.ndarray) -> np.ndarray:
+    """A fresh buffer laid out as an elementwise ufunc over ``operands``
+    (all of one shape) lays out its result, so a reduction or gemm
+    downstream rounds the same.
+
+    C-contiguous operands give a C-ordered buffer; otherwise numpy's
+    iterator picks the order, exactly as the ufunc would.
+    """
+    dtype = np.result_type(*operands)
+    if all(operand.flags.c_contiguous for operand in operands):
+        return np.empty(operands[0].shape, dtype=dtype)
+    iterator = np.nditer(
+        [*operands, None], flags=["zerosize_ok"],
+        op_flags=[["readonly"]] * len(operands) + [["writeonly",
+                                                    "allocate"]],
+        op_dtypes=[operand.dtype for operand in operands] + [dtype],
+        order="K")
+    return iterator.operands[-1]
+
+
+def label_index(shape: tuple) -> tuple:
+    """Index arrays addressing every row of a ``(…, rows, classes)`` array;
+    append a label array to address each row's label column."""
+    return np.ix_(*(np.arange(count) for count in shape[:-1]))
+
+
+# -- activations --------------------------------------------------------------
+
+
+@replay_kernel
+def activation_forward(name: str, x, out, mask) -> None:
+    """``out = name(x)`` for ``"relu"``, ``"tanh"`` or ``"sigmoid"``.
+
+    ``out`` may be ``x`` itself.  ReLU also records ``x > 0`` in the
+    boolean ``mask`` for its backward (skipped when ``mask`` is None).
+    Its output is ``fmax(x + 0.0, 0.0)``: adding 0.0 turns -0.0 into +0.0
+    and quiets signalling NaNs, then ``fmax`` maps NaNs and negatives to
+    +0.0 — the bits of ``np.where(x > 0, x, 0.0)``.
+    """
+    if name == "relu":
+        if mask is not None:
+            np.greater(x, 0.0, out=mask)
+        np.add(x, 0.0, out=out)
+        np.fmax(out, 0.0, out=out)
+    elif name == "tanh":
+        np.tanh(x, out=out)
+    elif name == "sigmoid":
+        # 1.0 / (1.0 + exp(-clip(x, -60, 60))), one ufunc at a time.
+        np.clip(x, -60.0, 60.0, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        np.add(out, 1.0, out=out)
+        np.divide(1.0, out, out=out)
+    else:
+        raise ValueError(f"unsupported activation: {name!r}")
+
+
+@replay_kernel
+def activation_backward(name: str, g, out, mask, gx, scratch) -> None:
+    """``gx = g * name'(…)`` from the forward's ``out`` (tanh, sigmoid) or
+    ``mask`` (ReLU).
+
+    ``gx`` may be ``g`` itself; tanh and sigmoid also need a ``scratch``
+    buffer that aliases neither.
+    """
+    if name == "relu":
+        np.multiply(g, mask, out=gx)
+    elif name == "tanh":
+        # g * (1.0 - out * out)
+        np.multiply(out, out, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        np.multiply(g, scratch, out=gx)
+    else:
+        # g * out * (1.0 - out)
+        np.subtract(1.0, out, out=scratch)
+        np.multiply(g, out, out=gx)
+        np.multiply(gx, scratch, out=gx)
+
+
+# -- linear -------------------------------------------------------------------
+
+
+@replay_kernel
+def linear_forward(x, w, b, out) -> None:
+    """``out = x @ w.T + b`` with ``(out, in)`` weights; ``b`` may be None."""
+    np.matmul(x, np.swapaxes(w, -1, -2), out=out)
+    if b is not None:
+        np.add(out, b[..., None, :], out=out)
+
+
+@replay_kernel
+def linear_backward(x, w, g, gx, wt, gw, gb) -> None:
+    """Gradients of :func:`linear_forward` for the output gradient ``g``.
+
+    ``gx = g @ w`` (skipped when ``gx`` is None), ``gw = (x.T @ g).T``
+    through the transposed buffer ``wt``, and ``gb`` sums ``g`` over the
+    rows (skipped when None) — the gemms the ``matmul``/``transpose``
+    nodes of ``x @ w.T + b`` issue.
+    """
+    if gx is not None:
+        np.matmul(g, w, out=gx)
+    np.matmul(np.swapaxes(x, -1, -2), g, out=wt)
+    np.copyto(gw, np.swapaxes(wt, -1, -2))
+    if gb is not None:
+        np.add.reduce(g, axis=-2, out=gb)
+
+
+# -- dropout ------------------------------------------------------------------
+
+
+@replay_kernel
+def dropout_forward(x, p: float, rng, draw, mask, out) -> None:
+    """Inverted dropout: ``mask = (U >= p) / (1 - p)``, ``out = x * mask``.
+
+    ``U`` is drawn into the float64 buffer ``draw`` from ``rng``, a
+    ``Generator``; with a leading model axis ``rng`` is a sequence of
+    generators and row ``m`` draws from ``rng[m]``, so each model's
+    stream advances exactly as its own serial forward would.  ``draw``
+    may be ``mask`` when ``mask`` is float64.
+    """
+    if isinstance(rng, np.random.Generator):
+        rng.random(out=draw)
+    else:
+        for row, generator in enumerate(rng):
+            generator.random(out=draw[row])
+    np.greater_equal(draw, p, out=mask)
+    np.divide(mask, 1.0 - p, out=mask)
+    np.multiply(x, mask, out=out)
+
+
+@replay_kernel
+def dropout_backward(g, mask, gx) -> None:
+    """``gx = g * mask``."""
+    np.multiply(g, mask, out=gx)
+
+
+# -- softmax cross-entropy ----------------------------------------------------
+
+
+@replay_kernel
+def cross_entropy_forward(x, labels, index, mask, shifted, expb, prod, norm,
+                          lognorm, picked, loss) -> None:
+    """``loss = -mean(log_softmax(x)[label])`` over the rows of
+    ``(…, rows, classes)`` logits: a 0-d loss, or one per model.
+
+    Replays ``nll_loss(log_softmax(x))``: ``mask`` becomes the one-hot
+    labels (addressed through ``index`` from :func:`label_index`),
+    ``shifted`` ends as the log-probabilities and ``prod`` as their
+    masked product; ``mask``, ``expb`` and ``norm`` are what
+    :func:`cross_entropy_backward` reads.
+    """
+    classes = x.shape[-1]
+    if labels.shape != picked.shape:
+        raise ValueError(
+            f"labels must have shape {picked.shape}; got {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ValueError(
+            f"labels must lie in [0, {classes}); got range "
+            f"[{labels.min()}, {labels.max()}]")
+    mask.fill(0.0)
+    mask[index + (labels,)] = 1.0
+    # ``ufunc.reduce`` is what np.max/np.sum call, minus their wrapper.
+    np.maximum.reduce(x, axis=-1, keepdims=True, out=lognorm)
+    np.subtract(x, lognorm, out=shifted)
+    np.exp(shifted, out=expb)
+    np.add.reduce(expb, axis=-1, keepdims=True, out=norm)
+    np.log(norm, out=lognorm)
+    np.subtract(shifted, lognorm, out=shifted)
+    np.multiply(shifted, mask, out=prod)
+    np.add.reduce(prod, axis=-1, out=picked)
+    np.add.reduce(picked, axis=-1, out=loss)
+    np.multiply(loss, 1.0 / picked.shape[-1], out=loss)
+    np.negative(loss, out=loss)
+
+
+@replay_kernel
+def cross_entropy_backward(coef, mask, expb, norm, gx, scratch,
+                           gnorm) -> None:
+    """Logit gradient of :func:`cross_entropy_forward`.
+
+    ``coef`` is ``-g / rows`` for the upstream gradient ``g``, shaped to
+    broadcast over ``(…, rows, classes)``.  ``scratch`` (shaped like the
+    logits) and ``gnorm`` (``(…, rows, 1)``) are overwritten; the
+    forward's ``prod`` and ``lognorm`` buffers can serve.
+    """
+    np.multiply(coef, mask, out=gx)
+    np.negative(gx, out=scratch)
+    np.add.reduce(scratch, axis=-1, keepdims=True, out=gnorm)
+    np.divide(gnorm, norm, out=gnorm)
+    np.multiply(gnorm, expb, out=scratch)
+    np.add(gx, scratch, out=gx)
+
+
+# -- inference softmax --------------------------------------------------------
+
+
+@replay_kernel
+def softmax_forward(x, axis: int, out, shifted, lognorm) -> None:
+    """``out = exp(log_softmax(x))`` along ``axis``, the ufunc chain
+    max → sub → exp → sum → log → sub → exp; ``lognorm`` has ``x``'s shape
+    with ``axis`` reduced to 1."""
+    np.maximum.reduce(x, axis=axis, keepdims=True, out=lognorm)
+    np.subtract(x, lognorm, out=shifted)
+    np.exp(shifted, out=out)
+    np.add.reduce(out, axis=axis, keepdims=True, out=lognorm)
+    np.log(lognorm, out=lognorm)
+    np.subtract(shifted, lognorm, out=shifted)
+    np.exp(shifted, out=out)

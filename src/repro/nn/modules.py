@@ -15,7 +15,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ..perf.config import config as _perf_config
 from . import functional as F
 from . import init
 from . import record as _record
@@ -180,9 +179,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        if _perf_config.fused_linear:
-            return F.fused_linear(x, self.weight, self.bias)
-        return F.linear(x, self.weight, self.bias)
+        return F.fused_linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return (
@@ -289,18 +286,20 @@ class Flatten(Module):
         return out
 
 
-#: Activation modules Sequential can fold into a preceding Linear
-#: (exact types only — a subclass may override forward arbitrarily).
-_FUSABLE_ACTIVATIONS = {ReLU: "relu", Tanh: "tanh", Sigmoid: "sigmoid"}
+#: The activation modules and the kernel each runs.  Sequential folds
+#: one into a preceding Linear, and the stacked engine folds the same
+#: pairs (exact types only — a subclass may override forward arbitrarily).
+_ACTIVATION_NAMES = {ReLU: "relu", Tanh: "tanh", Sigmoid: "sigmoid"}
 
 
 class Sequential(Module):
     """Run child modules in order.
 
-    With :data:`repro.perf.config.fused_linear` on, a ``Linear`` directly
-    followed by a ``ReLU``/``Tanh``/``Sigmoid`` executes as one fused
-    autograd node (:func:`repro.nn.functional.fused_linear`) — the values
-    are bitwise-identical, only the graph is smaller.
+    A ``Linear`` directly followed by a ``ReLU``/``Tanh``/``Sigmoid``
+    executes as one fused autograd node
+    (:func:`repro.nn.functional.fused_linear`) — the values are those of
+    running the two layers one after the other, only the graph is
+    smaller.
     """
 
     def __init__(self, *layers: Module):
@@ -310,20 +309,13 @@ class Sequential(Module):
             setattr(self, f"layer{index}", layer)
 
     def forward(self, x: Tensor) -> Tensor:
-        if _perf_config.fused_linear:
-            return self._forward_fused(x)
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def _forward_fused(self, x: Tensor) -> Tensor:
         layers = self.layers
         count = len(layers)
         index = 0
         while index < count:
             layer = layers[index]
             if type(layer) is Linear and index + 1 < count:
-                activation = _FUSABLE_ACTIVATIONS.get(type(layers[index + 1]))
+                activation = _ACTIVATION_NAMES.get(type(layers[index + 1]))
                 if activation is not None:
                     x = F.fused_linear(x, layer.weight, layer.bias,
                                        activation=activation)

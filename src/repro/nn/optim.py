@@ -5,15 +5,17 @@ the streaming models.  :class:`FOBOS` and :class:`RDA` implement the
 regularized online-learning updates the Alink baseline integrates with
 logistic regression (see the paper's appendix, "Details of baseline").
 
-Hot path: with :data:`repro.perf.config.inplace_optim` on, ``SGD`` and
-``Adam`` update a single preflattened float64 buffer in place — each
-parameter's ``.data`` becomes a reshaped view into it, in the spirit of
-``state_spec``/``flatten_state`` from :mod:`repro.distributed.backends`.
-Every update is elementwise, and the in-place kernels issue the exact
-same per-element float operations as the legacy per-parameter loop, so
-results stay bitwise-identical (asserted in ``tests/test_perf.py``).
-External code that replaces ``parameter.data`` (``load_state_dict``,
-checkpoint restore) is re-adopted into the flat buffer on the next step.
+Hot path: ``SGD`` and ``Adam`` update a single preflattened float64
+buffer in place — each parameter's ``.data`` becomes a reshaped view into
+it, in the spirit of ``state_spec``/``flatten_state`` from
+:mod:`repro.distributed.backends`.  Every update is elementwise, and the
+in-place step issues the exact same per-element float operations as the
+per-parameter loop, so results stay bitwise-identical (asserted in
+``tests/test_perf.py``).  The loop still runs whatever the flat step
+cannot: parameters that are not all float64, or a step where some
+parameter has no gradient.  External code that replaces
+``parameter.data`` (``load_state_dict``, checkpoint restore) is
+re-adopted into the flat buffer on the next step.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ..perf.config import config as _perf_config
 from . import record as _record
 from .tensor import Tensor
 
@@ -160,7 +161,7 @@ class SGD(Optimizer):
     def step(self) -> None:
         if _record.ACTIVE:
             _record.note_step(self)
-        if _perf_config.inplace_optim and self._flat_step():
+        if self._flat_step():
             return
         self._export_flat_state()
         for index, parameter, grad in self._grads():
@@ -241,7 +242,7 @@ class Adam(Optimizer):
         if _record.ACTIVE:
             _record.note_step(self)
         self._step_count += 1
-        if _perf_config.inplace_optim and self._flat_step():
+        if self._flat_step():
             return
         self._export_flat_state()
         t = self._step_count

@@ -5,9 +5,11 @@ define-by-run engine rebuilds Tensor wrappers, backward closures, and
 intermediate arrays each time.  This module removes that fixed cost the
 way CUDA graphs do: the first ``fit``/``predict_proba`` for a signature
 runs the normal path under the :mod:`repro.nn.record` tracer, the trace
-is compiled into a flat list of *replay kernels* — ``out=``-style numpy
-calls into a preallocated buffer arena — and subsequent batches replay
-the kernels with zero graph construction.
+is compiled into a flat list of *plan kernels* — each holding one op's
+buffers in a preallocated arena and running the shared ``out=`` kernels
+of :mod:`repro.nn.kernels` on them, the same kernels the define-by-run
+nodes run — and subsequent batches replay the plan kernels with zero
+graph construction.
 
 **Safety model.**  Capture is self-verifying: the reference run and a
 trial replay are compared — parameters, optimizer state, Dropout RNG
@@ -17,15 +19,16 @@ the signature unsupported and the model keeps using the reference path.
 Capture therefore never changes results, only speed.
 
 **Sharing.**  A plan holds no model: it records the *positions* of the
-parameters and Dropout layers it reads, and each replay binds it to the
-calling model's (or stack's) parameters, optimizer, and Dropout
-generators.  Kernels fetch ``parameter.data``, optimizer state, and RNG
-state at call time, so a plan serves every model with the same
-structure — class, ``architecture_key``, optimizer class — and
-checkpoint restores or pickling never leave it stale.  Plans live in one
-cache per thread, bounded by the bytes their arenas hold; the stacked
-arenas of :mod:`repro.nn.stacked` share it and its budget.  The whole
-engine sits behind the ``plan_capture`` flag in :mod:`repro.perf.config`.
+parameters and Dropout generators it reads, and each replay binds it to
+the calling model's (or stack's) parameters, optimizer, and generators.
+Kernels fetch ``parameter.data``, optimizer state, and RNG state at call
+time, so a plan serves every model with the same structure — class,
+``architecture_key``, optimizer class — and checkpoint restores or
+pickling never leave it stale.  Single-model and stacked fits share one
+capture-and-verify routine.  Plans live in one cache per thread, bounded
+by the bytes their arenas hold; the stacked arenas of
+:mod:`repro.nn.stacked` share it and its budget.  The whole engine sits
+behind the ``plan_capture`` flag in :mod:`repro.perf.config`.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..perf.config import config as _perf_config
+from . import kernels as K
 from . import record as _record
+from .kernels import replay_kernel
 from .modules import Dropout
 from .optim import Adam, Optimizer, SGD
 
@@ -69,17 +73,6 @@ _PLAN_CACHE_BYTES = 16 << 20
 
 class PlanUnsupported(Exception):
     """The trace contains something the plan compiler cannot replay."""
-
-
-def replay_kernel(fn):
-    """Mark ``fn`` as a replay kernel: it must only write into the arena.
-
-    The marker is what lint rule REP012 keys on — per-batch ``Tensor``
-    / ``np.zeros`` / ``np.empty`` allocation inside a replay kernel
-    defeats the engine's whole point, so the analyzer flags it.
-    """
-    fn.__replay_kernel__ = True
-    return fn
 
 
 # -- events ------------------------------------------------------------------
@@ -224,300 +217,187 @@ def _arena_bytes(parts) -> int:
     return sum(buffers.values())
 
 
-# -- replay kernels ----------------------------------------------------------
+# -- plan kernels ------------------------------------------------------------
 #
-# Each kernel replays one recorded op's exact float operations into
-# preallocated buffers.  ``forward``/``backward``/``step`` are marked
-# with @replay_kernel: they must not allocate (lint rule REP012).
-# Kernels hold positions, never parameters: ``params`` and ``dropouts``
-# are the calling model's, passed in on every replay, and parameter
-# arrays are fetched via ``.data`` at call time so checkpoint restores
-# and flat-state re-adoption can never leave a kernel stale.
+# Each plan kernel holds one recorded op's arena buffers and runs the
+# shared kernels of repro.nn.kernels on them; ``forward``/``backward``/
+# ``step`` are marked @replay_kernel, so they must not allocate (lint rule
+# REP012).  Kernels hold positions, never parameters: ``params`` and
+# ``rngs`` are the calling model's (or stack's), passed in on every
+# replay, and parameter arrays are fetched via ``.data`` at call time so
+# checkpoint restores and flat-state re-adoption can never leave a kernel
+# stale.
 
 
 class _LinearKernel:
-    """``x @ W.T + b`` (+ fused activation) — mirrors ``fused_linear``."""
+    """``x @ W.T + b`` and its fused activation.
 
-    __slots__ = ("windex", "bindex", "activation", "stacked", "x", "out",
-                 "mask", "scratch", "g_out", "g_in", "w_scratch", "gw", "gb")
+    Without ``grads`` (an inference plan) it holds no backward buffers.
+    """
+
+    __slots__ = ("windex", "bindex", "activation", "x", "out", "mask",
+                 "scratch", "g_out", "g_in", "wt", "gw", "gb")
 
     def __init__(self, x_buf, out_ref, weight_ref, bias_ref, windex, bindex,
-                 activation, stacked):
+                 activation, grads=True):
         self.windex = windex
         self.bindex = bindex    # -1 without a bias
         self.activation = activation
-        self.stacked = stacked
         self.x = x_buf
         self.out = _buffer_like(out_ref)
-        self.mask = (np.empty(out_ref.shape, dtype=bool)
-                     if activation == "relu" else None)
-        self.scratch = (_buffer_like(out_ref)
-                        if activation in ("tanh", "sigmoid") else None)
-        self.w_scratch = np.empty(np.swapaxes(weight_ref, -1, -2).shape)
-        self.gw = np.empty(weight_ref.shape)
-        self.gb = np.empty(bias_ref.shape) if bias_ref is not None else None
+        self.mask = self.scratch = self.wt = self.gw = self.gb = None
+        if grads:
+            if activation == "relu":
+                self.mask = np.empty(out_ref.shape, dtype=bool)
+            elif activation is not None:
+                self.scratch = _buffer_like(out_ref)
+            self.wt = np.empty(np.swapaxes(weight_ref, -1, -2).shape)
+            self.gw = np.empty(weight_ref.shape)
+            if bias_ref is not None:
+                self.gb = np.empty(bias_ref.shape)
         self.g_out = None   # wired by the compiler (grad w.r.t. self.out)
         self.g_in = None    # grad w.r.t. self.x; None for the first layer
 
     @replay_kernel
-    def forward(self, params, dropouts) -> None:
-        w = params[self.windex].data
-        np.matmul(self.x, np.swapaxes(w, -1, -2), out=self.out)
-        if self.bindex >= 0:
-            b = params[self.bindex].data
-            np.add(self.out, b[:, None, :] if self.stacked else b,
-                   out=self.out)
-        if self.activation == "relu":
-            np.greater(self.out, 0.0, out=self.mask)
-            np.maximum(self.out, 0.0, out=self.out)
-        elif self.activation == "tanh":
-            np.tanh(self.out, out=self.out)
-        elif self.activation == "sigmoid":
-            np.clip(self.out, -60.0, 60.0, out=self.scratch)
-            np.negative(self.scratch, out=self.scratch)
-            np.exp(self.scratch, out=self.scratch)
-            np.add(self.scratch, 1.0, out=self.scratch)
-            np.divide(1.0, self.scratch, out=self.out)
+    def forward(self, params, rngs) -> None:
+        bias = params[self.bindex].data if self.bindex >= 0 else None
+        K.linear_forward(self.x, params[self.windex].data, bias, self.out)
+        if self.activation is not None:
+            K.activation_forward(self.activation, self.out, self.out,
+                                 self.mask)
 
     @replay_kernel
     def backward(self, params) -> None:
         g = self.g_out
-        if self.activation == "relu":
-            np.multiply(g, self.mask, out=g)
-        elif self.activation == "tanh":
-            np.multiply(self.out, self.out, out=self.scratch)
-            np.subtract(1.0, self.scratch, out=self.scratch)
-            np.multiply(g, self.scratch, out=g)
-        elif self.activation == "sigmoid":
-            np.subtract(1.0, self.out, out=self.scratch)
-            np.multiply(g, self.out, out=g)
-            np.multiply(g, self.scratch, out=g)
-        if self.g_in is not None:
-            np.matmul(g, params[self.windex].data, out=self.g_in)
-        # grad_W = (x.T @ g).T — matmul with the same operand layout as
-        # the reference closure, then a float-op-free transposed copy.
-        np.matmul(np.swapaxes(self.x, -1, -2), g, out=self.w_scratch)
-        self.gw[...] = np.swapaxes(self.w_scratch, -1, -2)
-        if self.gb is not None:
-            np.sum(g, axis=-2, out=self.gb)
+        if self.activation is not None:
+            K.activation_backward(self.activation, g, self.out, self.mask, g,
+                                  self.scratch)
+        K.linear_backward(self.x, params[self.windex].data, g, self.g_in,
+                          self.wt, self.gw, self.gb)
 
 
 class _ActKernel:
-    """A standalone activation — mirrors the ``Tensor`` method ops."""
+    """A standalone activation."""
 
     __slots__ = ("name", "x", "out", "mask", "scratch", "g_out", "g_in")
 
-    def __init__(self, name, x_buf, out_ref):
+    def __init__(self, name, x_buf, out_ref, grads=True):
         self.name = name
         self.x = x_buf
         self.out = _buffer_like(out_ref)
-        self.mask = (np.empty(out_ref.shape, dtype=bool)
-                     if name == "relu" else None)
-        self.scratch = (_buffer_like(out_ref)
-                        if name in ("tanh", "sigmoid") else None)
+        self.mask = self.scratch = None
+        if grads:
+            if name == "relu":
+                self.mask = np.empty(out_ref.shape, dtype=bool)
+            else:
+                self.scratch = _buffer_like(out_ref)
         self.g_out = None
         self.g_in = None
 
     @replay_kernel
-    def forward(self, params, dropouts) -> None:
-        if self.name == "relu":
-            # Tensor.relu computes fmax(x + 0.0, 0.0), whose bits are the
-            # selection np.where(x > 0, x, 0.0) on every input (NaN and
-            # -0.0 give +0.0): replayed as fill + masked copy.
-            np.greater(self.x, 0.0, out=self.mask)
-            self.out.fill(0.0)
-            np.copyto(self.out, self.x, where=self.mask)
-        elif self.name == "tanh":
-            np.tanh(self.x, out=self.out)
-        elif self.name == "sigmoid":
-            np.clip(self.x, -60.0, 60.0, out=self.scratch)
-            np.negative(self.scratch, out=self.scratch)
-            np.exp(self.scratch, out=self.scratch)
-            np.add(self.scratch, 1.0, out=self.scratch)
-            np.divide(1.0, self.scratch, out=self.out)
+    def forward(self, params, rngs) -> None:
+        K.activation_forward(self.name, self.x, self.out, self.mask)
 
     @replay_kernel
     def backward(self, params) -> None:
-        g = self.g_out
-        if self.name == "relu":
-            np.multiply(g, self.mask, out=g)
-        elif self.name == "tanh":
-            np.multiply(self.out, self.out, out=self.scratch)
-            np.subtract(1.0, self.scratch, out=self.scratch)
-            np.multiply(g, self.scratch, out=g)
-        elif self.name == "sigmoid":
-            np.subtract(1.0, self.out, out=self.scratch)
-            np.multiply(g, self.out, out=g)
-            np.multiply(g, self.scratch, out=g)
         if self.g_in is not None:
-            np.copyto(self.g_in, g)
+            K.activation_backward(self.name, self.g_out, self.out, self.mask,
+                                  self.g_in, self.scratch)
 
 
 class _DropoutKernel:
-    """Inverted dropout drawing from the live generator(s) each replay.
+    """Inverted dropout drawing from the bound generator(s) each replay.
 
-    ``dropouts[index]`` is the bound model's Dropout layer, or for a
-    stacked plan the list of per-model layers of one stacked op.
+    ``rngs[index]`` is the bound model's Dropout generator, or for a
+    stacked plan the list of per-model generators of one stacked op.
     """
 
-    __slots__ = ("p", "index", "stacked", "x", "out", "rand", "maskb",
-                 "maskf", "g_out", "g_in")
+    __slots__ = ("p", "index", "x", "out", "mask", "g_out", "g_in")
 
-    def __init__(self, p, index, stacked, x_buf, out_ref):
+    def __init__(self, p, index, x_buf, out_ref):
         self.p = p
         self.index = index
-        self.stacked = stacked
         self.x = x_buf
         self.out = _buffer_like(out_ref)
-        self.rand = np.empty(out_ref.shape)
-        self.maskb = np.empty(out_ref.shape, dtype=bool)
-        self.maskf = np.empty(out_ref.shape)
+        self.mask = np.empty(out_ref.shape)
         self.g_out = None
         self.g_in = None
 
     @replay_kernel
-    def forward(self, params, dropouts) -> None:
-        if self.stacked:
-            for model, layer in enumerate(dropouts[self.index]):
-                layer.rng.random(out=self.rand[model])
-        else:
-            dropouts[self.index].rng.random(out=self.rand)
-        np.greater_equal(self.rand, self.p, out=self.maskb)
-        np.copyto(self.maskf, self.maskb)
-        np.divide(self.maskf, 1.0 - self.p, out=self.maskf)
-        np.multiply(self.x, self.maskf, out=self.out)
+    def forward(self, params, rngs) -> None:
+        K.dropout_forward(self.x, self.p, rngs[self.index], self.mask,
+                          self.mask, self.out)
 
     @replay_kernel
     def backward(self, params) -> None:
         if self.g_in is not None:
-            np.multiply(self.g_out, self.maskf, out=self.g_in)
+            K.dropout_backward(self.g_out, self.mask, self.g_in)
 
 
 class _CrossEntropyKernel:
-    """Fused softmax cross-entropy, 2-D or stacked — exact ufunc replay."""
+    """Softmax cross-entropy, 2-D or stacked (one loss per model)."""
 
-    __slots__ = ("stacked", "logits", "rows", "cols", "models", "mask",
-                 "mx", "shifted", "expb", "norm", "logp", "scratch",
-                 "picked", "loss_vec", "gln", "g_logits", "row_idx",
-                 "model_idx", "inv_count", "neg_inv")
+    __slots__ = ("logits", "index", "mask", "shifted", "expb", "prod",
+                 "norm", "lognorm", "picked", "loss", "coef", "g_logits")
 
-    def __init__(self, logits_buf, logits_ref, stacked):
-        self.stacked = stacked
-        self.logits = logits_buf
+    def __init__(self, logits_buf, logits_ref):
         shape = logits_ref.shape
-        if stacked:
-            self.models, self.rows, self.cols = shape
-            self.model_idx = np.arange(self.models)[:, None]
-            self.row_idx = np.arange(self.rows)[None, :]
-            self.picked = np.empty((self.models, self.rows))
-            self.loss_vec = np.empty(self.models)
-            self.gln = np.empty((self.models, self.rows, 1))
-            norm_shape = (self.models, self.rows, 1)
-        else:
-            self.models = 1
-            self.rows, self.cols = shape
-            self.model_idx = None
-            self.row_idx = np.arange(self.rows)
-            self.picked = np.empty(self.rows)
-            self.loss_vec = None
-            self.gln = np.empty((self.rows, 1))
-            norm_shape = (self.rows, 1)
+        self.logits = logits_buf
+        self.index = K.label_index(shape)
         self.mask = np.empty(shape)
-        self.mx = np.empty(norm_shape)
         self.shifted = np.empty(shape)
         self.expb = np.empty(shape)
-        self.norm = np.empty(norm_shape)
-        self.logp = np.empty(shape)
-        self.scratch = np.empty(shape)
+        self.prod = np.empty(shape)
+        self.norm = np.empty(shape[:-1] + (1,))
+        self.lognorm = np.empty(shape[:-1] + (1,))
+        self.picked = np.empty(shape[:-1])
+        self.loss = np.empty(shape[:-2])
+        # The backward seed is 1.0 per model: -g / rows.
+        self.coef = -1.0 * (1.0 / shape[-2])
         self.g_logits = np.empty(shape)
-        self.inv_count = 1.0 / self.rows
-        # backward seed is 1.0 per model; (-1.0) * inv_count is exact.
-        self.neg_inv = -self.inv_count
 
     @replay_kernel
-    def forward(self, labels: np.ndarray):
-        if self.stacked:
-            if labels.shape != (self.models, self.rows):
-                raise ValueError(
-                    f"labels must have shape {(self.models, self.rows)}; "
-                    f"got {labels.shape}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.cols):
-            raise ValueError(
-                f"labels must lie in [0, {self.cols}); got range "
-                f"[{labels.min()}, {labels.max()}]")
-        self.mask.fill(0.0)
-        if self.stacked:
-            self.mask[self.model_idx, self.row_idx, labels] = 1.0
-        else:
-            self.mask[self.row_idx, labels] = 1.0
-        np.max(self.logits, axis=-1, keepdims=True, out=self.mx)
-        np.subtract(self.logits, self.mx, out=self.shifted)
-        np.exp(self.shifted, out=self.expb)
-        np.sum(self.expb, axis=-1, keepdims=True, out=self.norm)
-        np.log(self.norm, out=self.mx)
-        np.subtract(self.shifted, self.mx, out=self.logp)
-        np.multiply(self.logp, self.mask, out=self.scratch)
-        np.sum(self.scratch, axis=-1, out=self.picked)
-        if self.stacked:
-            np.sum(self.picked, axis=-1, out=self.loss_vec)
-            np.multiply(self.loss_vec, self.inv_count, out=self.loss_vec)
-            np.negative(self.loss_vec, out=self.loss_vec)
-            return self.loss_vec
-        return -(self.picked.sum() * self.inv_count)
+    def forward(self, labels: np.ndarray) -> np.ndarray:
+        K.cross_entropy_forward(self.logits, labels, self.index, self.mask,
+                                self.shifted, self.expb, self.prod,
+                                self.norm, self.lognorm, self.picked,
+                                self.loss)
+        return self.loss
 
     @replay_kernel
     def backward(self) -> None:
-        np.multiply(self.mask, self.neg_inv, out=self.g_logits)
-        np.negative(self.g_logits, out=self.scratch)
-        np.sum(self.scratch, axis=-1, keepdims=True, out=self.gln)
-        np.divide(self.gln, self.norm, out=self.gln)
-        np.multiply(self.expb, self.gln, out=self.scratch)
-        np.add(self.g_logits, self.scratch, out=self.g_logits)
+        K.cross_entropy_backward(self.coef, self.mask, self.expb, self.norm,
+                                 self.g_logits, self.prod, self.lognorm)
 
 
 class _SoftmaxKernel:
-    """The inference softmax chain (max → sub → exp → sum → log → sub → exp)."""
+    """The inference softmax."""
 
-    __slots__ = ("x", "out", "mx", "shifted")
+    __slots__ = ("x", "out", "shifted", "lognorm")
 
     def __init__(self, x_buf, out_ref):
         self.x = x_buf
         self.out = _buffer_like(out_ref)
-        self.mx = np.empty(out_ref.shape[:-1] + (1,))
         self.shifted = np.empty(out_ref.shape)
+        self.lognorm = np.empty(out_ref.shape[:-1] + (1,))
 
     @replay_kernel
     def forward(self) -> None:
-        np.max(self.x, axis=-1, keepdims=True, out=self.mx)
-        np.subtract(self.x, self.mx, out=self.shifted)
-        np.exp(self.shifted, out=self.out)
-        np.sum(self.out, axis=-1, keepdims=True, out=self.mx)
-        np.log(self.mx, out=self.mx)
-        np.subtract(self.shifted, self.mx, out=self.shifted)
-        np.exp(self.shifted, out=self.out)
+        K.softmax_forward(self.x, -1, self.out, self.shifted, self.lognorm)
 
 
 class _StepKernel:
-    """One optimizer step from plan gradient buffers, reference-exact."""
+    """One optimizer step from plan gradient buffers."""
 
-    __slots__ = ("grads", "is_adam")
+    __slots__ = ("grads",)
 
-    def __init__(self, grads, is_adam):
+    def __init__(self, grads):
         self.grads = grads  # one buffer per optimizer parameter, in order
-        self.is_adam = is_adam
 
     @replay_kernel
     def step(self, opt) -> None:
         for parameter, grad in zip(opt.parameters, self.grads):
             parameter.grad = grad
-        if self.is_adam:
-            opt._step_count += 1
-            if _perf_config.inplace_optim and opt._flat_step():
-                return
-            opt._step_count -= 1  # opt.step() re-bumps below
-        else:
-            if _perf_config.inplace_optim and opt._flat_step():
-                return
         opt.step()
 
 
@@ -526,21 +406,17 @@ class _StepKernel:
 
 def _op_input(op):
     kind = op[0]
-    if kind in ("linear", "slinear", "flatten"):
-        return op[1]
-    if kind == "act":
+    if kind in ("act", "softmax"):
         return op[2]
-    if kind in ("dropout", "sdropout"):
+    if kind == "dropout":
         return op[3]
-    if kind == "softmax":
-        return op[2]
-    return op[1]  # ce / sce: the logits tensor
+    return op[1]  # linear, flatten, ce
 
 
 def _op_struct(op) -> tuple:
     """Structural key: two ops with equal keys compile to the same kernel."""
     kind = op[0]
-    if kind in ("linear", "slinear"):
+    if kind == "linear":
         _, x_t, weight, bias, activation, out_t = op
         return (kind, id(weight), id(bias) if bias is not None else None,
                 activation, x_t.data.shape, out_t.data.shape)
@@ -548,12 +424,9 @@ def _op_struct(op) -> tuple:
         return (kind, op[1], op[2].data.shape)
     if kind == "dropout":
         return (kind, op[1], id(op[2]), op[3].data.shape)
-    if kind == "sdropout":
-        return (kind, op[1], tuple(id(layer) for layer in op[2]),
-                op[3].data.shape)
     if kind == "flatten":
         return (kind, op[1].data.shape, op[2].data.shape)
-    if kind in ("ce", "sce"):
+    if kind == "ce":
         return (kind, op[1].data.shape)
     if kind == "softmax":
         return (kind, op[1], op[2].data.shape)
@@ -576,13 +449,14 @@ def _position(items, target, what: str) -> int:
     raise PlanUnsupported(f"{what} outside the plan's binding")
 
 
-def _compile_forward(ops, x_shape, params, dropouts):
+def _compile_forward(ops, x_shape, params, rngs, grads=True):
     """Kernels + buffer arena for a forward op chain starting at ``x_shape``.
 
-    ``params``/``dropouts`` are the capturing model's binding; kernels
-    keep only positions in them.  Also returns each kernel's ``(input,
-    output)`` tensor ids for :func:`_wire_backward` — the trace's
-    tensors themselves must not outlive compilation.
+    ``params``/``rngs`` are the capturing model's binding; kernels keep
+    only positions in them.  ``grads`` gives the kernels their backward
+    buffers.  Also returns each kernel's ``(input, output)`` tensor ids
+    for :func:`_wire_backward` — the trace's tensors themselves must not
+    outlive compilation.
     """
     if not ops:
         raise PlanUnsupported("empty forward trace")
@@ -609,29 +483,21 @@ def _compile_forward(ops, x_shape, params, dropouts):
             buf_of[id(out_t)] = x_b
             alias[id(out_t)] = id(x_t)
             continue
-        if kind in ("linear", "slinear"):
+        if kind == "linear":
             _, _x, weight, bias, activation, _o = op
-            if activation not in (None, "relu", "tanh", "sigmoid"):
-                raise PlanUnsupported(f"activation {activation!r}")
             windex = _position(params, weight, "linear parameter")
             bindex = (_position(params, bias, "linear parameter")
                       if bias is not None else -1)
             kernel = _LinearKernel(
                 x_b, out_t.data, weight.data,
                 bias.data if bias is not None else None, windex, bindex,
-                activation, stacked=(kind == "slinear"))
+                activation, grads)
         elif kind == "act":
-            name = op[1]
-            if name not in ("relu", "tanh", "sigmoid"):
-                raise PlanUnsupported(f"activation {name!r}")
-            kernel = _ActKernel(name, x_b, out_t.data)
+            kernel = _ActKernel(op[1], x_b, out_t.data, grads)
         elif kind == "dropout":
-            index = _position([layer.rng for layer in dropouts], op[2],
-                              "dropout generator")
-            kernel = _DropoutKernel(op[1], index, False, x_b, out_t.data)
-        elif kind == "sdropout":
-            index = _position(dropouts, op[2], "dropout layers")
-            kernel = _DropoutKernel(op[1], index, True, x_b, out_t.data)
+            kernel = _DropoutKernel(
+                op[1], _position(rngs, op[2], "dropout generator"), x_b,
+                out_t.data)
         else:
             raise PlanUnsupported(f"unsupported op {kind!r}")
         buf_of[id(out_t)] = kernel.out
@@ -672,14 +538,18 @@ class _FitPlan:
         self.sgd_steps = sgd_steps
         self.nbytes = _arena_bytes([self, loss_kernel, *kernels])
 
-    def replay(self, optimizer, dropouts, xr: np.ndarray, labels: np.ndarray):
-        """Train the model or stack that ``optimizer`` updates on a batch."""
+    def replay(self, optimizer, rngs, xr: np.ndarray, labels: np.ndarray):
+        """Train the model or stack that ``optimizer`` updates on a batch.
+
+        Returns the loss buffer (0-d, or one loss per model), which the
+        next replay overwrites.
+        """
         params = optimizer.parameters
         np.copyto(self.x_buf, xr)
         loss = None
         for _ in range(self.sgd_steps):
             for kernel in self.kernels:
-                kernel.forward(params, dropouts)
+                kernel.forward(params, rngs)
             loss = self.loss.forward(labels)
             self.loss.backward()
             for kernel in reversed(self.kernels):
@@ -699,17 +569,16 @@ class _ProbaPlan:
         self.softmax = softmax_kernel
         self.nbytes = _arena_bytes([self, softmax_kernel, *kernels])
 
-    def replay(self, params, dropouts, xr: np.ndarray) -> np.ndarray:
+    def replay(self, params, rngs, xr: np.ndarray) -> np.ndarray:
         np.copyto(self.x_buf, xr)
         for kernel in self.kernels:
-            kernel.forward(params, dropouts)
+            kernel.forward(params, rngs)
         self.softmax.forward()
         # Callers cache the result; the arena is rewritten next call.
         return self.softmax.out.copy()
 
 
-def _compile_fit(trace, optimizer, dropouts, sgd_steps: int, x_shape,
-                 stacked: bool):
+def _compile_fit(trace, optimizer, rngs, sgd_steps: int, x_shape):
     """Compile a recorded ``fit`` trace into a :class:`_FitPlan`."""
     segments: list[list] = []
     segment: list = []
@@ -731,16 +600,15 @@ def _compile_fit(trace, optimizer, dropouts, sgd_steps: int, x_shape,
         if [_op_struct(op) for op in other] != structure:
             raise PlanUnsupported("sgd steps differ structurally")
     first = segments[0]
-    loss_kind = "sce" if stacked else "ce"
-    if not first or first[-1][0] != loss_kind:
+    if not first or first[-1][0] != "ce":
         raise PlanUnsupported("trace does not end in the expected loss")
     logits_t = first[-1][1]
     x_buf, kernels, edges, buf_of, alias = _compile_forward(
-        first[:-1], x_shape, optimizer.parameters, dropouts)
+        first[:-1], x_shape, optimizer.parameters, rngs)
     logits_buf = buf_of.get(id(logits_t))
     if logits_buf is None:
         raise PlanUnsupported("loss input not produced by the plan")
-    loss_kernel = _CrossEntropyKernel(logits_buf, logits_t.data, stacked)
+    loss_kernel = _CrossEntropyKernel(logits_buf, logits_t.data)
     _wire_backward(kernels, edges, x_buf, loss_kernel, id(logits_t), alias)
 
     grads = [None] * len(optimizer.parameters)
@@ -756,11 +624,11 @@ def _compile_fit(trace, optimizer, dropouts, sgd_steps: int, x_shape,
             grads[index] = grad
     if any(grad is None for grad in grads):
         raise PlanUnsupported("optimizer parameter without a gradient")
-    step_kernel = _StepKernel(grads, isinstance(optimizer, Adam))
-    return _FitPlan(x_buf, kernels, loss_kernel, step_kernel, sgd_steps)
+    return _FitPlan(x_buf, kernels, loss_kernel, _StepKernel(grads),
+                    sgd_steps)
 
 
-def _compile_proba(trace, params, dropouts, x_shape):
+def _compile_proba(trace, params, rngs, x_shape):
     """Compile a recorded inference trace into a :class:`_ProbaPlan`."""
     ops = trace.ops
     if not ops or ops[-1][0] != "softmax":
@@ -771,7 +639,7 @@ def _compile_proba(trace, params, dropouts, x_shape):
     if len(ops) == 1:
         raise PlanUnsupported("empty forward trace")
     x_buf, kernels, _edges, buf_of, _alias = _compile_forward(
-        ops[:-1], x_shape, params, dropouts)
+        ops[:-1], x_shape, params, rngs, grads=False)
     logits_buf = buf_of.get(id(sm_in))
     if logits_buf is None:
         raise PlanUnsupported("softmax input not produced by the plan")
@@ -851,7 +719,7 @@ class _Binding(NamedTuple):
 
     structure: tuple    # the model's ``_plan_structure()``
     params: list        # ``module.parameters()``, for proba plans
-    dropouts: list      # the module's Dropout layers, in module order
+    rngs: list          # the module's Dropout generators, in module order
 
 
 def _binding(model) -> _Binding | None:
@@ -868,18 +736,91 @@ def _binding(model) -> _Binding | None:
         else:
             module = model.module
             binding = _Binding(structure, module.parameters(),
-                               [m for m in module.modules()
+                               [m.rng for m in module.modules()
                                 if isinstance(m, Dropout)])
         model._plan_binding = binding
     return binding or None
 
 
-def _count_replay() -> None:
-    with _STATS_LOCK:
-        _STATS["replay"] += 1
+def _replayed(replay, *args):
+    """Run a cached plan's ``replay``, timing it while hooks listen."""
+    if not _HOOKS:
+        result = replay(*args)
+        with _STATS_LOCK:
+            _STATS["replay"] += 1
+        return result
+    start = perf_counter()
+    result = replay(*args)
+    _notify("replay", perf_counter() - start)
+    return result
+
+
+def _unsupported(cache, key, result):
+    """Mark ``key`` unsupported and hand back the reference ``result``."""
+    cache.put(key, _UNSUPPORTED)
+    _notify("unsupported")
+    return result
+
+
+def _generators(rngs) -> list:
+    """Every generator in a binding's ``rngs`` (a stacked op holds a list)."""
+    return [rng for entry in rngs
+            for rng in (entry if isinstance(entry, list) else (entry,))]
 
 
 # -- model-facing entry points ----------------------------------------------
+
+
+def _fit(key, optimizer, rngs, reference, xr, labels, sgd_steps):
+    """Train through the plan cached under ``key``, capturing it on a miss.
+
+    Returns the loss (0-d, or one per model; a plan's buffer, which its
+    next replay overwrites) — the reference run's on a capture that fails
+    — or None when ``key`` is marked unsupported and the caller must run
+    ``reference`` itself.
+    """
+    cache = _cache()
+    plan = cache.get(key)
+    if plan is _UNSUPPORTED:
+        return None
+    if plan is None:
+        return _capture_fit(cache, key, optimizer, rngs, reference, xr,
+                            labels, sgd_steps)
+    return _replayed(plan.replay, optimizer, rngs, xr, labels)
+
+
+def _capture_fit(cache, key, optimizer, rngs, reference, xr, labels,
+                 sgd_steps):
+    """Trace + compile + verify; always advances state exactly once."""
+    generators = _generators(rngs)
+    pre = _Snapshot(optimizer, generators)
+    trace = _record.Trace()
+    start = perf_counter()
+    with _record.capturing(trace):
+        loss_ref = reference()
+    if not trace.ok:
+        return _unsupported(cache, key, loss_ref)
+    post = _Snapshot(optimizer, generators)
+    try:
+        plan = _compile_fit(trace, optimizer, rngs, sgd_steps, xr.shape)
+    except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
+        return _unsupported(cache, key, loss_ref)
+    # Trial replay from the pre-capture state: it must land bit-for-bit
+    # on the reference run's post state before the plan may be cached.
+    pre.restore()
+    loss_plan = None
+    try:
+        loss_plan = plan.replay(optimizer, rngs, xr, labels)
+    except Exception:  # repro: noqa[REP004] — trial replay failure → plan rejected below
+        pass
+    now = _Snapshot(optimizer, generators)
+    if (loss_plan is None or not now.matches(post)
+            or loss_plan.tobytes() != np.asarray(loss_ref).tobytes()):
+        post.restore()
+        return _unsupported(cache, key, loss_ref)
+    cache.put(key, plan)
+    _notify("capture", perf_counter() - start)
+    return loss_plan
 
 
 def fit_with_plan(model, x, y):
@@ -901,64 +842,10 @@ def fit_with_plan(model, x, y):
     xr = np.asarray(x, dtype=float)
     key = ("fit", binding.structure, n, xr.size // n,
            bool(model.module.training), model.sgd_steps)
-    cache = _cache()
-    plan = cache.get(key)
-    if plan is _UNSUPPORTED:
-        return None
-    if plan is None:
-        return _capture_fit(model, binding, cache, key, x, y)
-    start = perf_counter() if _HOOKS else 0.0
-    loss = plan.replay(model.optimizer, binding.dropouts,
-                       xr.reshape(n, -1), y)
-    if _HOOKS:
-        _notify("replay", perf_counter() - start)
-    else:
-        _count_replay()
-    return float(loss)
-
-
-def _capture_fit(model, binding, cache, key, x, y):
-    """Trace + compile + verify; always advances state exactly once."""
-    optimizer = model.optimizer
-    dropouts = binding.dropouts
-    rngs = [layer.rng for layer in dropouts]
-    pre = _Snapshot(optimizer, rngs)
-    trace = _record.Trace()
-    start = perf_counter()
-    with _record.capturing(trace):
-        loss_ref = model._fit_steps(x, y)
-    if not trace.ok:
-        cache.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return loss_ref
-    post = _Snapshot(optimizer, rngs)
-    xr = np.asarray(x, dtype=float).reshape(len(x), -1)
-    try:
-        plan = _compile_fit(trace, optimizer, dropouts, model.sgd_steps,
-                            xr.shape, stacked=False)
-    except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
-        cache.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return loss_ref
-    # Trial replay from the pre-capture state: it must land bit-for-bit
-    # on the reference run's post state before the plan may be cached.
-    pre.restore()
-    loss_plan = None
-    try:
-        loss_plan = plan.replay(optimizer, dropouts, xr, y)
-    except Exception:  # repro: noqa[REP004] — trial replay failure → plan rejected below
-        pass
-    now = _Snapshot(optimizer, rngs)
-    if (loss_plan is None or not now.matches(post)
-            or np.float64(loss_plan).tobytes()
-            != np.float64(loss_ref).tobytes()):
-        post.restore()
-        cache.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return loss_ref
-    cache.put(key, plan)
-    _notify("capture", perf_counter() - start)
-    return float(loss_plan)
+    loss = _fit(key, model.optimizer, binding.rngs,
+                lambda: model._fit_steps(x, y), xr.reshape(n, -1), y,
+                model.sgd_steps)
+    return None if loss is None else float(loss)
 
 
 def proba_with_plan(model, x):
@@ -971,54 +858,41 @@ def proba_with_plan(model, x):
     n = len(x)
     if n == 0:
         return None
-    xr = np.asarray(x, dtype=float)
-    key = ("proba", binding.structure, n, xr.size // n)
+    xr = np.asarray(x, dtype=float).reshape(n, -1)
+    key = ("proba", binding.structure, n, xr.shape[1])
     cache = _cache()
     plan = cache.get(key)
     if plan is _UNSUPPORTED:
         return None
     if plan is None:
-        return _capture_proba(model, binding, cache, key, x)
-    start = perf_counter() if _HOOKS else 0.0
-    result = plan.replay(binding.params, binding.dropouts, xr.reshape(n, -1))
+        return _capture_proba(model, binding, cache, key, x, xr)
+    result = _replayed(plan.replay, binding.params, binding.rngs, xr)
     # The reference path leaves the module in train mode unconditionally.
     model.module.train()
-    if _HOOKS:
-        _notify("replay", perf_counter() - start)
-    else:
-        _count_replay()
     return result
 
 
-def _capture_proba(model, binding, cache, key, x):
-    params, dropouts = binding.params, binding.dropouts
+def _capture_proba(model, binding, cache, key, x, xr):
+    params, rngs = binding.params, binding.rngs
     trace = _record.Trace()
     start = perf_counter()
     with _record.capturing(trace):
         out_ref = model._forward_proba(x)
     if not trace.ok:
-        cache.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return out_ref
-    xr = np.asarray(x, dtype=float).reshape(len(x), -1)
+        return _unsupported(cache, key, out_ref)
     out_plan = None
     try:
-        plan = _compile_proba(trace, params, dropouts, xr.shape)
-        out_plan = plan.replay(params, dropouts, xr)
+        plan = _compile_proba(trace, params, rngs, xr.shape)
+        out_plan = plan.replay(params, rngs, xr)
         model.module.train()
     except Exception:  # repro: noqa[REP004] — compile/replay failure → plan rejected below
         pass
     if (out_plan is None or out_plan.shape != out_ref.shape
             or out_plan.tobytes() != out_ref.tobytes()):
-        cache.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return out_ref
+        return _unsupported(cache, key, out_ref)
     cache.put(key, plan)
     _notify("capture", perf_counter() - start)
     return out_plan
-
-
-# -- stacked (multi-tenant) plans --------------------------------------------
 
 
 def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference):
@@ -1035,57 +909,8 @@ def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference):
     kind = "adam" if isinstance(optimizer, Adam) else "sgd"
     key = (stack.key, stack.num_models, xs.shape, sgd_steps, kind,
            bool(stack.training))
-    cache = _cache()
-    plan = cache.get(key)
-    if plan is _UNSUPPORTED:
-        return None
-    dropouts = [op[2] for op in stack._plan
-                if op[0] == "dropout" and op[1] > 0.0]
-    if plan is None:
-        return _capture_stacked(stack, optimizer, dropouts, cache, key, xs,
-                                ys, sgd_steps, reference)
-    start = perf_counter() if _HOOKS else 0.0
-    losses = plan.replay(optimizer, dropouts, xs, ys)
-    if _HOOKS:
-        _notify("replay", perf_counter() - start)
-    else:
-        _count_replay()
-    return losses.copy()
-
-
-def _capture_stacked(stack, optimizer, dropouts, cache, key, xs, ys,
-                     sgd_steps, reference):
-    rngs = [layer.rng for layers in dropouts for layer in layers]
-    pre = _Snapshot(optimizer, rngs)
-    trace = _record.Trace()
-    start = perf_counter()
-    with _record.capturing(trace):
-        losses_ref = reference(stack, optimizer, xs, ys, sgd_steps)
-    if not trace.ok:
-        cache.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return losses_ref
-    post = _Snapshot(optimizer, rngs)
-    try:
-        plan = _compile_fit(trace, optimizer, dropouts, sgd_steps, xs.shape,
-                            stacked=True)
-    except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
-        cache.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return losses_ref
-    pre.restore()
-    losses_plan = None
-    try:
-        losses_plan = plan.replay(optimizer, dropouts, xs, ys)
-    except Exception:  # repro: noqa[REP004] — trial replay failure → plan rejected below
-        pass
-    now = _Snapshot(optimizer, rngs)
-    if (losses_plan is None or not now.matches(post)
-            or losses_plan.tobytes() != losses_ref.tobytes()):
-        post.restore()
-        cache.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return losses_ref
-    cache.put(key, plan)
-    _notify("capture", perf_counter() - start)
-    return losses_plan.copy()
+    rngs = [op[2] for op in stack._plan if op[0] == "dropout"]
+    losses = _fit(key, optimizer, rngs,
+                  lambda: reference(stack, optimizer, xs, ys, sgd_steps), xs,
+                  ys, sgd_steps)
+    return None if losses is None else losses.copy()

@@ -7,21 +7,24 @@ stacks N models' parameters along a leading model axis — the canonical
 per-model layout is exactly what ``state_spec``/``flatten_state`` in
 :mod:`repro.distributed.backends` flatten, here extended with a model
 axis — and :class:`ModelStack` runs one batched forward/backward for all
-N at once.  :class:`StackedSGD` / :class:`StackedAdam` extend the PR-5
-preflattened in-place optimizers over the stacked parameters and
-import/export per-model optimizer state, so a group of mid-training
-models can be stacked, stepped, and unstacked at any point.
+N at once.  It is not a second engine: it runs the define-by-run nodes of
+:mod:`repro.nn.functional` (``fused_linear``, ``dropout``, the
+activations, the cross-entropy node) on model-axis tensors, and those
+nodes run the shared kernels of :mod:`repro.nn.kernels`.
+:class:`StackedSGD` / :class:`StackedAdam` extend the preflattened
+in-place optimizers over the stacked parameters and import/export
+per-model optimizer state, so a group of mid-training models can be
+stacked, stepped, and unstacked at any point.
 
-**Equivalence contract.**  Every stacked operation replays, per model
-slice, the exact float operations of the serial per-model path: batched
-``np.matmul`` over a leading axis computes each slice with the same gemm
-as the 2-D call, elementwise ufuncs and per-row reductions are
-slice-identical, and Dropout draws each model's mask from that model's
-own generator in the serial order.  Predictions, losses, updated
-parameters, and optimizer state after :func:`unstack_models` are
-therefore **bitwise-identical** to running each model alone (asserted in
-``tests/test_stacked.py`` and gated in ``benchmarks/bench_hotpath.py
---stacked``).
+**Equivalence contract.**  Every kernel computes each model slice with
+the float operations of the serial per-model call: batched ``np.matmul``
+over a leading axis computes each slice with the same gemm as the 2-D
+call, elementwise ufuncs and per-row reductions are slice-identical, and
+Dropout draws each model's mask from that model's own generator in the
+serial order.  Predictions, losses, updated parameters, and optimizer
+state after :func:`unstack_models` are therefore **bitwise-identical** to
+running each model alone (asserted in ``tests/test_stacked.py`` and
+gated in ``benchmarks/bench_hotpath.py --stacked``).
 
 Only architectures built from ``Linear``, the fusable activations,
 ``Dropout``, ``Flatten``, and ``Sequential`` can stack; anything else
@@ -36,7 +39,9 @@ stacked parameter buffers, layer plan, and stacked optimizer with its
 flat state — and each round copies the members' parameters and
 optimizer state into the arena's rows and back, in place.  Arenas live
 in the per-thread plan cache of :mod:`repro.nn.plan` and share its byte
-budget; an evicted arena is rebuilt on its next use.
+budget; an evicted arena is rebuilt on its next use.  Arenas and
+:meth:`StackedSGD.from_optimizers`/:meth:`~StackedSGD.export_to` move
+optimizer state through the same two helpers.
 """
 
 from __future__ import annotations
@@ -48,15 +53,13 @@ from . import functional as F
 from . import plan as _plan
 from . import record as _record
 from .modules import (
+    _ACTIVATION_NAMES,
     Dropout,
     Flatten,
     Linear,
     Module,
     Parameter,
-    ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from .optim import SGD, Adam
 from .tensor import Tensor
@@ -80,9 +83,6 @@ __all__ = [
 
 class StackedModelError(ValueError):
     """A model set cannot be stacked (heterogeneous, unsupported, …)."""
-
-
-_ACTIVATION_NAMES = {ReLU: "relu", Tanh: "tanh", Sigmoid: "sigmoid"}
 
 
 def _flatten_layers(module: Module) -> list[Module]:
@@ -122,131 +122,20 @@ def architecture_key(module: Module) -> tuple:
     return (tuple(ops), spec)
 
 
-# -- fused stacked autograd nodes -------------------------------------------
-
-
-def _stacked_linear(x: Tensor, weight: Parameter, bias: Parameter | None,
-                    activation: str | None) -> Tensor:
-    """Batched affine map over ``(models, batch, features)`` input.
-
-    Mirrors :func:`repro.nn.functional.fused_linear` with a leading model
-    axis: batched gemms compute each model slice with the same float
-    operations as the per-model 2-D call, so values (and gradients) are
-    bitwise-identical per slice.
-    """
-    rec = _record.current() if _record.ACTIVE else None
-    if rec is not None:
-        rec.begin()
-    xd = x.data
-    wd = weight.data  # (models, out, in)
-    out = np.matmul(xd, np.swapaxes(wd, -1, -2))
-    if bias is not None:
-        np.add(out, bias.data[:, None, :], out=out)
-    act_state = None
-    if activation == "relu":
-        act_state = out > 0
-        out = np.maximum(out, 0.0)
-    elif activation == "tanh":
-        out = np.tanh(out)
-        act_state = out
-    elif activation == "sigmoid":
-        out = 1.0 / (1.0 + np.exp(-np.clip(out, -60.0, 60.0)))
-        act_state = out
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g: np.ndarray):
-        if activation == "relu":
-            g = g * act_state
-        elif activation == "tanh":
-            g = g * (1.0 - act_state * act_state)
-        elif activation == "sigmoid":
-            g = g * act_state * (1.0 - act_state)
-        grad_x = np.matmul(g, wd)
-        grad_weight = np.swapaxes(
-            np.matmul(np.swapaxes(xd, -1, -2), g), -1, -2)
-        if bias is None:
-            return grad_x, grad_weight
-        return grad_x, grad_weight, g.sum(axis=1)
-
-    out_t = Tensor._make(out, parents, backward)
-    if rec is not None:
-        rec.end(("slinear", x, weight, bias, activation, out_t))
-    return out_t
-
-
-def _stacked_dropout(x: Tensor, p: float,
-                     layers: list[Dropout]) -> Tensor:
-    """Inverted dropout drawing each model's mask from its own generator.
-
-    Model ``m``'s mask consumes exactly the draw the serial per-model
-    forward would have made from ``layers[m].rng``, so each model's RNG
-    stream advances identically whether it runs stacked or alone.
-    """
-    rec = _record.current() if _record.ACTIVE else None
-    if rec is not None:
-        rec.begin()
-    data = x.data
-    mask = np.empty(data.shape, dtype=data.dtype)
-    for index, layer in enumerate(layers):
-        mask[index] = (layer.rng.random(data.shape[1:]) >= p).astype(
-            data.dtype)
-    mask /= (1.0 - p)
-    out = x * Tensor(mask)
-    if rec is not None:
-        rec.end(("sdropout", p, layers, x, out))
-    return out
-
-
 def stacked_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Per-model softmax cross-entropy: ``(models,)`` losses in one node.
 
-    Replays :func:`repro.nn.functional._fused_cross_entropy`'s exact
-    ufunc sequence with a leading model axis — each model slice of the
-    forward and backward is bitwise-identical to the per-model fused (or
-    unfused) loss.  Seed ``backward`` with ``np.ones(models)`` to mirror
-    N independent scalar ``loss.backward()`` calls.
+    The cross-entropy node of :func:`repro.nn.functional.cross_entropy`
+    on ``(models, batch, classes)`` logits: each model slice of the
+    forward and backward is bitwise-identical to the per-model loss.
+    Seed ``backward`` with ``np.ones(models)`` to mirror N independent
+    scalar ``loss.backward()`` calls.
     """
-    rec = _record.current() if _record.ACTIVE else None
-    if rec is not None:
-        rec.begin()
-    x = logits.data
-    if x.ndim != 3:
+    if logits.data.ndim != 3:
         raise StackedModelError(
             f"stacked_cross_entropy expects (models, batch, classes) "
-            f"logits; got shape {x.shape}")
-    models, rows, cols = x.shape
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (models, rows):
-        raise ValueError(
-            f"labels must have shape {(models, rows)}; got {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= cols):
-        raise ValueError(
-            f"labels must lie in [0, {cols}); got range "
-            f"[{labels.min()}, {labels.max()}]")
-    mask = np.zeros(x.shape)
-    mask[np.arange(models)[:, None], np.arange(rows)[None, :], labels] = 1.0
-    shifted = x - x.max(axis=-1, keepdims=True)
-    exp_shifted = np.exp(shifted)
-    norm = exp_shifted.sum(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(norm)
-    picked = (log_probs * mask).sum(axis=-1)
-    inv_count = 1.0 / rows
-    loss = -(picked.sum(axis=-1) * inv_count)
-
-    def backward(g: np.ndarray):
-        g_picked = np.broadcast_to((-g * inv_count)[:, None], (models, rows))
-        g_log_probs = np.broadcast_to(
-            np.expand_dims(g_picked, -1), (models, rows, cols))
-        g_masked = g_log_probs * mask
-        g_log_norm = (-g_masked).sum(axis=(2,), keepdims=True)
-        g_exp = np.broadcast_to(g_log_norm / norm, (models, rows, cols))
-        return (g_masked + g_exp * exp_shifted,)
-
-    out_t = Tensor._make(loss, (logits,), backward)
-    if rec is not None:
-        rec.end(("sce", logits, out_t))
-    return out_t
+            f"logits; got shape {logits.data.shape}")
+    return F._cross_entropy(logits, np.asarray(labels, dtype=np.int64))
 
 
 # -- the stack ---------------------------------------------------------------
@@ -298,9 +187,8 @@ class ModelStack(Module):
         """Fold the lockstep layer sequences into stacked ops.
 
         A ``Linear`` directly followed by a fusable activation folds into
-        one node, mirroring ``Sequential._forward_fused`` (the folded and
-        unfolded forms are bitwise-identical, so the fold is safe in both
-        perf modes).
+        one node, as ``Sequential.forward`` folds it.  A Dropout op holds
+        one generator per model row (an arena rebinds them each round).
         """
         index_of = {id(parameter): position for position, parameter
                     in enumerate(self._source_params[0])}
@@ -326,7 +214,7 @@ class ModelStack(Module):
                 position += 1
             elif kind is Dropout:
                 plan.append(("dropout", layer.p,
-                             [seq[position] for seq in layer_seqs]))
+                             [seq[position].rng for seq in layer_seqs]))
                 position += 1
             elif kind is Flatten:
                 plan.append(("flatten",))
@@ -345,14 +233,11 @@ class ModelStack(Module):
         for op in self._plan:
             kind = op[0]
             if kind == "linear":
-                x = _stacked_linear(x, op[1], op[2], op[3])
+                x = F.fused_linear(x, op[1], op[2], op[3])
             elif kind == "act":
-                # The functional wrappers run the same Tensor method and
-                # additionally record the op for plan capture.
                 x = getattr(F, op[1])(x)
             elif kind == "dropout":
-                if self.training and op[1] > 0.0:
-                    x = _stacked_dropout(x, op[1], op[2])
+                x = F.dropout(x, op[1], self.training, op[2])
             else:  # flatten: keep the model axis, flatten the rest per row
                 rec = _record.current() if _record.ACTIVE else None
                 if rec is not None:
@@ -367,8 +252,8 @@ class ModelStack(Module):
         """Per-model class probabilities for ``(models, batch, …)`` input.
 
         Mirrors ``NeuralStreamingModel.predict_proba`` per slice: eval
-        mode, no-grad forward, then the softmax ufunc chain (max → sub →
-        exp → sum → log → sub → exp) with a leading model axis.
+        mode, no-grad forward, then the inference softmax with a leading
+        model axis.
         """
         from .tensor import no_grad
 
@@ -376,12 +261,9 @@ class ModelStack(Module):
         x = x.reshape(self.num_models, x.shape[1], -1)
         self.eval()
         with no_grad():
-            logits = self.forward(Tensor(x))
+            probabilities = F.softmax(self.forward(Tensor(x)))
         self.train()
-        data = logits.data
-        shifted = data - data.max(axis=-1, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        return np.exp(shifted - log_norm)
+        return probabilities.data
 
 
 def stack_models(modules: list[Module]) -> ModelStack:
@@ -471,26 +353,22 @@ def _shared_step_count(optimizers) -> int:
     return counts.pop()
 
 
-def _gather_state(optimizers, state_name, index, stacked_parameter):
-    """Stack one per-model optimizer-state entry; None when all absent.
+def _export_to(stacked, optimizers) -> None:
+    """Slice accumulated state back into the per-model optimizers.
 
-    Models that have not accumulated state yet contribute zeros — exactly
-    what their next serial step would have initialized.
+    :func:`unstack_models` hands each member fresh parameter arrays, so
+    the members' flat buffers are retired first and the state lands in
+    the per-parameter entries their next step adopts.
     """
-    entries = [getattr(optimizer, state_name).get(index)
-               for optimizer in optimizers]
-    if all(entry is None for entry in entries):
-        return None
-    shape = stacked_parameter.data.shape[1:]
-    return np.stack([
-        entry if entry is not None else np.zeros(shape)
-        for entry in entries])
+    for optimizer in optimizers:
+        optimizer._drop_flat_state()
+    _store_state(stacked, optimizers)
 
 
 class StackedSGD(SGD):
     """SGD over a :class:`ModelStack`'s stacked parameters.
 
-    Every update is elementwise, so the stacked step (including the PR-5
+    Every update is elementwise, so the stacked step (including the
     preflattened in-place fast path, which engages automatically on the
     float64 stacked buffers) is bitwise-identical per model slice to N
     independent ``SGD.step()`` calls.
@@ -516,21 +394,10 @@ class StackedSGD(SGD):
                                ("lr", "momentum", "weight_decay"),
                                stack.num_models)
         stacked = cls.like(stack, first)
-        for optimizer in optimizers:
-            optimizer._export_flat_state()
-        for index, parameter in enumerate(stacked.parameters):
-            velocity = _gather_state(optimizers, "_velocity", index,
-                                     parameter)
-            if velocity is not None:
-                stacked._velocity[index] = velocity
+        _load_state(stacked, optimizers)
         return stacked
 
-    def export_to(self, optimizers: list[SGD]) -> None:
-        """Slice accumulated state back into the per-model optimizers."""
-        self._export_flat_state()
-        for index, velocity in self._velocity.items():
-            for model, optimizer in enumerate(optimizers):
-                optimizer._velocity[index] = velocity[model].copy()
+    export_to = _export_to
 
 
 class StackedAdam(Adam):
@@ -563,28 +430,10 @@ class StackedAdam(Adam):
                                ("lr", "beta1", "beta2", "eps",
                                 "weight_decay"), stack.num_models)
         stacked = cls.like(stack, first)
-        stacked._step_count = _shared_step_count(optimizers)
-        for optimizer in optimizers:
-            optimizer._export_flat_state()
-        for index, parameter in enumerate(stacked.parameters):
-            for state_name, target in (("_m", stacked._m),
-                                       ("_v", stacked._v)):
-                entry = _gather_state(optimizers, state_name, index,
-                                      parameter)
-                if entry is not None:
-                    target[index] = entry
+        _load_state(stacked, optimizers)
         return stacked
 
-    def export_to(self, optimizers: list[Adam]) -> None:
-        """Slice accumulated state back into the per-model optimizers."""
-        self._export_flat_state()
-        for optimizer in optimizers:
-            optimizer._step_count = self._step_count
-        for state_name in ("_m", "_v"):
-            for index, entry in getattr(self, state_name).items():
-                for model, optimizer in enumerate(optimizers):
-                    getattr(optimizer, state_name)[index] = (
-                        entry[model].copy())
+    export_to = _export_to
 
 
 def make_stacked_optimizer(stack: ModelStack, optimizers):
@@ -688,6 +537,46 @@ def _state_slot(optimizer, name: str, index: int,
     return entry
 
 
+def _state_names(optimizer) -> tuple:
+    """The per-parameter state names ``optimizer``'s steps keep."""
+    if isinstance(optimizer, Adam):
+        return ("m", "v")
+    return ("velocity",) if optimizer.momentum else ()
+
+
+def _load_state(stacked, optimizers) -> None:
+    """Copy each member optimizer's state into its row of ``stacked``'s.
+
+    A member without state yet gets zeros, what its next serial step
+    would start from.  Adam members must share one step count.
+    """
+    if isinstance(stacked, Adam):
+        stacked._step_count = _shared_step_count(optimizers)
+    for name in _state_names(stacked):
+        for index, parameter in enumerate(stacked.parameters):
+            shape = parameter.data.shape
+            slot = _state_slot(stacked, name, index, shape)
+            for row, member in enumerate(optimizers):
+                state = _state_of(member, name, index, shape[1:])
+                slot[row] = 0.0 if state is None else state
+
+
+def _store_state(stacked, optimizers) -> None:
+    """Copy each row of ``stacked``'s optimizer state into its member's."""
+    for name in _state_names(stacked):
+        for index, parameter in enumerate(stacked.parameters):
+            shape = parameter.data.shape
+            state = _state_of(stacked, name, index, shape)
+            if state is None:
+                continue
+            for row, member in enumerate(optimizers):
+                np.copyto(_state_slot(member, name, index, shape[1:]),
+                          state[row])
+    if isinstance(stacked, Adam):
+        for member in optimizers:
+            member._step_count = stacked._step_count
+
+
 class StackedArena:
     """A stack kept for one group shape: parameters, plan and optimizer.
 
@@ -699,8 +588,7 @@ class StackedArena:
     were.
     """
 
-    __slots__ = ("group", "stack", "optimizer", "state_names", "dropouts",
-                 "nbytes")
+    __slots__ = ("group", "stack", "optimizer", "rngs", "nbytes")
 
     def __init__(self, models, group: tuple):
         stack = ModelStack([model.module for model in models])
@@ -713,28 +601,24 @@ class StackedArena:
         flat = optimizer._flat_state()
         if flat is None:
             raise StackedModelError("stacked arenas hold float64 parameters")
-        if kind is StackedAdam:
-            self.state_names = ("m", "v")
-        else:
-            self.state_names = ("velocity",) if optimizer.momentum else ()
-        for name in self.state_names:
+        state_names = _state_names(optimizer)
+        for name in state_names:
             flat.extra[name] = np.zeros_like(flat.flat)
         self.group = group
         self.stack = stack
         self.optimizer = optimizer
-        #: Per Dropout layer, the list the stacked program draws rows from.
-        self.dropouts = [op[2] for op in stack._plan if op[0] == "dropout"]
+        #: Per Dropout layer, the generators the stacked program draws
+        #: rows from.
+        self.rngs = [op[2] for op in stack._plan if op[0] == "dropout"]
         # Parameters, gradient and two scratch buffers, plus the state.
-        self.nbytes = flat.flat.nbytes * (4 + len(self.state_names))
+        self.nbytes = flat.flat.nbytes * (4 + len(state_names))
 
     def load(self, models, *, train: bool) -> None:
         """Copy each member into its row, in place.
 
-        Copies parameters and binds Dropout layers; with ``train`` also
-        the optimizer state (a member without state yet gets zeros, what
-        its next serial step would start from).  Raises
-        :class:`StackedModelError`, before writing any member, when a
-        member does not fit the arena.
+        Copies parameters and binds Dropout generators; with ``train``
+        also the optimizer state.  Raises :class:`StackedModelError`,
+        before writing any member, when a member does not fit the arena.
         """
         if len(models) != self.stack.num_models:
             raise StackedModelError(
@@ -755,20 +639,10 @@ class StackedArena:
                         f"{data.dtype} does not fit the arena's "
                         f"{target.shape[1:]} {target.dtype}")
                 target[row] = data
-            for layers, layer in zip(self.dropouts, binding.dropouts):
-                layers[row] = layer
-        if not train:
-            return
-        optimizers = [model.optimizer for model in models]
-        optimizer = self.optimizer
-        if isinstance(optimizer, Adam):
-            optimizer._step_count = _shared_step_count(optimizers)
-        for name in self.state_names:
-            for index, target in enumerate(rows):
-                slot = _state_slot(optimizer, name, index, target.shape)
-                for row, member in enumerate(optimizers):
-                    state = _state_of(member, name, index, target.shape[1:])
-                    slot[row] = 0.0 if state is None else state
+            for rngs, rng in zip(self.rngs, binding.rngs):
+                rngs[row] = rng
+        if train:
+            _load_state(self.optimizer, [model.optimizer for model in models])
 
     def store(self, models) -> None:
         """Copy every row back into its member's existing arrays."""
@@ -776,16 +650,7 @@ class StackedArena:
         for row, model in enumerate(models):
             for source, parameter in zip(rows, _plan._binding(model).params):
                 np.copyto(parameter.data, source[row])
-        optimizer = self.optimizer
-        for name in self.state_names:
-            for index, source in enumerate(rows):
-                state = _state_of(optimizer, name, index, source.shape)
-                for row, model in enumerate(models):
-                    np.copyto(_state_slot(model.optimizer, name, index,
-                                          source.shape[1:]), state[row])
-        if isinstance(optimizer, Adam):
-            for model in models:
-                model.optimizer._step_count = optimizer._step_count
+        _store_state(self.optimizer, [model.optimizer for model in models])
 
 
 def stacked_arena(models) -> StackedArena:

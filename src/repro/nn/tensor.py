@@ -15,16 +15,16 @@ The design mirrors PyTorch's eager autograd:
 - broadcasting is supported, with gradients summed back to the original
   operand shapes.
 
-Hot path (see ``docs/PERF.md``): when :data:`repro.perf.config.graph_tape`
-is on, nodes are also recorded on a per-thread *tape* in creation order —
-a creation order is already a valid topological order, so ``backward()``
-replays the tape slice in reverse instead of re-deriving the order with a
-DFS every step.  Graphs that span a tape boundary (nodes created before a
-previous ``backward`` cycled the tape) fall back to the DFS for the
-remainder, so the tape is a pure fast path, never a correctness
-assumption.  With :data:`~repro.perf.config.grad_ownership` on,
-``_accumulate`` adopts privately-owned gradient buffers instead of
-defensively copying them (see :func:`repro.perf.can_own`).
+Hot path (see ``docs/PERF.md``): nodes are also recorded on a per-thread
+*tape* in creation order — a creation order is already a valid
+topological order, so ``backward()`` replays the tape slice in reverse
+instead of re-deriving the order with a DFS every step.  Graphs that span
+a tape boundary (nodes created before a previous ``backward`` cycled the
+tape) fall back to the DFS for the remainder, so the tape is a pure fast
+path, never a correctness assumption.  ``_accumulate`` adopts
+privately-owned gradient buffers instead of defensively copying them (see
+:func:`repro.perf.can_own`).  The activations run the shared kernels of
+:mod:`repro.nn.kernels`.
 
 Only the operations needed by the streaming models in this repository are
 implemented, but each is implemented fully (correct broadcasting, correct
@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from ..perf import can_own as _can_own
-from ..perf.config import config as _perf_config
+from . import kernels as _kernels
 from . import record as _record
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones"]
@@ -161,11 +161,10 @@ class Tensor:
         if requires:
             out._parents = parents
             out._backward = backward
-            if _perf_config.graph_tape:
-                tape = _current_tape()
-                out._tape = tape
-                out._tape_pos = len(tape)
-                tape.append(out)
+            tape = _current_tape()
+            out._tape = tape
+            out._tape_pos = len(tape)
+            tape.append(out)
         return out
 
     # -- basic protocol ------------------------------------------------------
@@ -252,8 +251,7 @@ class Tensor:
         grad = np.asarray(_as_array(grad), dtype=self.data.dtype)
 
         tape = self._tape
-        if (tape is not None and self._backward is not None
-                and _perf_config.graph_tape):
+        if tape is not None and self._backward is not None:
             self._backward_tape(grad, tape)
         else:
             Tensor._run_dfs([(self, grad)])
@@ -332,8 +330,7 @@ class Tensor:
                 # A contribution transformed by asarray/_unbroadcast is a
                 # fresh local array; otherwise ask the aliasing oracle
                 # whether the closure's buffer is private.
-                own = _perf_config.grad_ownership and (
-                    contribution is not raw or _can_own(raw, grad))
+                own = contribution is not raw or _can_own(raw, grad)
                 parent._accumulate(contribution, own=own)
             else:
                 key = id(parent)
@@ -528,21 +525,30 @@ class Tensor:
         return Tensor._make(data, (self,), lambda g: (g / (2.0 * data),))
 
     def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-        return Tensor._make(data, (self,), lambda g: (g * (1.0 - data * data),))
+        return self._activation("tanh")
 
     def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-        return Tensor._make(data, (self,), lambda g: (g * data * (1.0 - data),))
+        return self._activation("sigmoid")
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        # The bits of np.where(mask, x, 0.0) without a masked select:
-        # adding 0.0 turns -0.0 into +0.0 and quiets signalling NaNs, then
-        # fmax maps every NaN and negative to 0.0.
-        data = self.data + 0.0
-        np.fmax(data, 0.0, out=data)
-        return Tensor._make(data, (self,), lambda g: (g * mask,))
+        return self._activation("relu")
+
+    def _activation(self, name: str) -> "Tensor":
+        """The shared activation kernel ``name`` as an autograd node."""
+        x = self.data
+        out = np.empty_like(x)
+        relu = name == "relu"
+        mask = (np.empty_like(x, dtype=bool) if relu and is_grad_enabled()
+                else None)
+        _kernels.activation_forward(name, x, out, mask)
+
+        def backward(g: np.ndarray):
+            grad = _kernels.empty_result(g, out)
+            scratch = None if relu else np.empty_like(out)
+            _kernels.activation_backward(name, g, out, mask, grad, scratch)
+            return (grad,)
+
+        return Tensor._make(out, (self,), backward)
 
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)

@@ -1,4 +1,4 @@
-"""The gradient-buffer aliasing oracle behind the ``grad_ownership`` flag.
+"""When a gradient buffer is private enough to adopt without a copy.
 
 :func:`can_own` is used by ``Tensor._deliver``: a freshly-computed
 gradient contribution is *private* — safe to adopt without a defensive

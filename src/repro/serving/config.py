@@ -67,9 +67,9 @@ class ServeConfig:
     #: Co-schedule same-architecture tenants' ready micro-batches through
     #: one stacked tensor program (:mod:`repro.nn.stacked`).  Requires
     #: stackable estimators (e.g. :class:`~repro.serving.ModelEstimator`);
-    #: everything else falls back to the serial per-tenant path.  Also
-    #: gated by the ``stacked_exec`` perf flag, and bitwise-equivalent to
-    #: serial execution per tenant (docs/SERVING.md, "Stacked execution").
+    #: everything else falls back to the serial per-tenant path.
+    #: Bitwise-equivalent to serial execution per tenant (docs/SERVING.md,
+    #: "Stacked execution").
     stacked_execution: bool = False
     #: Minimum same-key micro-batches worth stacking in one dispatch
     #: round; smaller groups run serially (stacking one model only adds

@@ -1,12 +1,11 @@
 """Stacked co-scheduling for the serving layer.
 
 The dispatcher normally serves one tenant's micro-batch at a time.  With
-:attr:`~repro.serving.ServeConfig.stacked_execution` on (and the
-``stacked_exec`` perf flag), micro-batches that are ready in the same
-dispatch round and share a *stacking key* — same model architecture, same
-optimizer configuration, same row count, same labeledness — execute as
-**one** batched tensor program through :mod:`repro.nn.stacked` instead of
-N serial per-model steps.  Everything else (heterogeneous estimators,
+:attr:`~repro.serving.ServeConfig.stacked_execution` on, micro-batches
+that are ready in the same dispatch round and share a *stacking key* —
+same model architecture, same optimizer configuration, same row count,
+same labeledness — execute as **one** batched tensor program through
+:mod:`repro.nn.stacked` instead of N serial per-model steps.  Everything else (heterogeneous estimators,
 mismatched row counts, labeled/unlabeled fences, unsupported
 architectures) falls back to the serial per-tenant path.
 

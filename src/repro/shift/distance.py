@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.config import config as _perf_config
-
 __all__ = ["shift_distance", "nearest_distance", "EmbeddingHistory"]
 
 
@@ -51,9 +49,10 @@ class EmbeddingHistory:
     history.  Appends are amortized O(d): eviction advances ``start``,
     and a compaction memmove runs once every ``capacity`` appends when
     the window reaches the buffer's end.  A squared norm per row is
-    cached alongside, so with :data:`repro.perf.config.cached_nearest`
-    on, :meth:`nearest` expands ``|h - c|² = |h|² − 2 h·c + |c|²`` into
-    one matrix-vector product instead of forming the difference matrix.
+    cached alongside, so :meth:`nearest` expands ``|h - c|² = |h|² −
+    2 h·c + |c|²`` into one matrix-vector product instead of forming the
+    difference matrix :func:`nearest_distance` takes the norm of.  The
+    two agree to rounding, not bit for bit.
     """
 
     def __init__(self, capacity: int = 256, exclude_recent: int = 1):
@@ -119,7 +118,7 @@ class EmbeddingHistory:
             return None
         current = np.asarray(embedding, dtype=float).reshape(-1)
         history = self._live(usable)
-        if _perf_config.cached_nearest and current.size == history.shape[1]:
+        if current.size == history.shape[1]:
             norms = self._norms[self._start:self._start + usable]
             squared = norms - 2.0 * (history @ current) + current @ current
             index = int(squared.argmin())

@@ -1,5 +1,7 @@
 """Shared fixtures for the FreewayML reproduction test suite."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,52 @@ def numeric_gradient(fn, array, eps=1e-6):
         array[index] = original
         grad[index] = (upper - lower) / (2.0 * eps)
     return grad
+
+
+@contextlib.contextmanager
+def reference_ops():
+    """Route every fast op to the general op it stands for, plans off.
+
+    ``Sequential`` runs its layers one by one, ``Linear`` through
+    ``F.linear``; cross-entropy is ``nll_loss(log_softmax(...))`` and
+    softmax ``log_softmax(...).exp()``; ``backward`` runs the DFS instead
+    of the tape; SGD and Adam take their per-parameter loop; and
+    ``EmbeddingHistory.nearest`` calls ``nearest_distance``.  What stays
+    is the fast path's only reference: a model run end to end under this
+    context must match the default run bit for bit.
+    """
+    from repro import nn
+    from repro.nn import functional as F
+    from repro.nn.tensor import Tensor
+    from repro.perf import configure
+    from repro.shift.distance import EmbeddingHistory, nearest_distance
+
+    def sequential_loop(self, x):
+        for layer in self.layers:
+            x = layer(x)
+        return x
+
+    def dfs_backward(self, grad=None):
+        if grad is None:
+            grad = np.ones_like(self.data)
+        Tensor._run_dfs([(self, np.asarray(grad, dtype=self.data.dtype))])
+
+    def nearest(self, embedding):
+        usable = len(self) - self.exclude_recent
+        if usable <= 0:
+            return None
+        return nearest_distance(embedding, self._live(usable))
+
+    with pytest.MonkeyPatch.context() as patch, configure(plan_capture=False):
+        patch.setattr(nn.Sequential, "forward", sequential_loop)
+        patch.setattr(nn.Linear, "forward",
+                      lambda self, x: F.linear(x, self.weight, self.bias))
+        patch.setattr(F, "cross_entropy", lambda logits, labels: F.nll_loss(
+            F.log_softmax(logits, axis=-1), labels))
+        patch.setattr(F, "softmax",
+                      lambda x, axis=-1: F.log_softmax(x, axis=axis).exp())
+        patch.setattr(Tensor, "backward", dfs_backward)
+        for optimizer in (nn.SGD, nn.Adam):
+            patch.setattr(optimizer, "_flat_step", lambda self: False)
+        patch.setattr(EmbeddingHistory, "nearest", nearest)
+        yield

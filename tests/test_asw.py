@@ -8,6 +8,15 @@ from hypothesis import strategies as st
 from repro.core import AdaptiveStreamingWindow, inversion_count
 
 
+def _inversion_count_naive(sequence: np.ndarray) -> int:
+    """Reference O(k²) pair count, one vectorized row per element."""
+    sequence = np.asarray(sequence)
+    count = 0
+    for i in range(len(sequence) - 1):
+        count += int((sequence[i] > sequence[i + 1:]).sum())
+    return count
+
+
 def brute_force_inversions(sequence):
     count = 0
     for i in range(len(sequence)):
@@ -190,7 +199,6 @@ class TestInversionCountImplementations:
     @given(st.lists(st.integers(-50, 50), min_size=0, max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_merge_sort_matches_naive(self, sequence):
-        from repro.core.asw import _inversion_count_naive
         arr = np.asarray(sequence, dtype=np.int64)
         assert inversion_count(arr) == _inversion_count_naive(arr)
 
@@ -198,6 +206,5 @@ class TestInversionCountImplementations:
                     max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_float_sequences_agree_too(self, sequence):
-        from repro.core.asw import _inversion_count_naive
         arr = np.asarray(sequence, dtype=float)
         assert inversion_count(arr) == _inversion_count_naive(arr)

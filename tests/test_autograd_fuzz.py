@@ -6,6 +6,8 @@ hypothesis builds random expression trees over a leaf tensor and we check
 the gradient of the scalarized output.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,20 @@ from hypothesis import strategies as st
 from repro.nn import Tensor
 
 from conftest import numeric_gradient
+
+
+@contextlib.contextmanager
+def _gradients_copied(copying: bool):
+    """With ``copying``, ``_accumulate`` copies every gradient it receives
+    instead of adopting the private ones."""
+    if not copying:
+        yield
+        return
+    accumulate = Tensor._accumulate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tensor, "_accumulate",
+                      lambda self, grad, own=False: accumulate(self, grad))
+        yield
 
 # Each op maps a Tensor to a Tensor and is smooth on the safe domain below.
 UNARY_OPS = {
@@ -113,7 +129,8 @@ class TestAliasedGradientOwnership:
     parent slots; expressions that fan one tensor into many consumers
     accumulate several contributions into one grad.  If ``_accumulate``
     ever adopted a buffer it does not privately own, one contribution
-    would overwrite another.  These cases pin the hazard.
+    would overwrite another.  These cases pin the hazard, against a
+    backward that copies every gradient it accumulates.
     """
 
     def _aliased_value(self, leaf: Tensor) -> Tensor:
@@ -133,12 +150,11 @@ class TestAliasedGradientOwnership:
         np.testing.assert_allclose(leaf.grad, numeric, rtol=1e-4, atol=1e-7)
 
     def test_ownership_flag_is_bitwise_neutral(self):
-        from repro.perf import configure
         rng = np.random.default_rng(6)
         data = rng.uniform(-0.7, 0.7, size=(8,))
         grads = []
-        for own in (True, False):
-            with configure(grad_ownership=own):
+        for copying in (False, True):
+            with _gradients_copied(copying):
                 leaf = Tensor(data.copy(), requires_grad=True)
                 self._aliased_value(leaf).backward()
                 grads.append(leaf.grad.tobytes())
@@ -147,8 +163,7 @@ class TestAliasedGradientOwnership:
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_fuzzed_self_references(self, seed):
-        """Random self-referencing chains: ownership on == ownership off."""
-        from repro.perf import configure
+        """Random self-referencing chains: adopting == copying gradients."""
         rng = np.random.default_rng(seed)
         data = rng.uniform(-0.9, 0.9, size=(3,))
 
@@ -160,9 +175,9 @@ class TestAliasedGradientOwnership:
 
         state = rng.bit_generator.state
         grads = []
-        for own in (True, False):
+        for copying in (False, True):
             rng.bit_generator.state = state
-            with configure(grad_ownership=own):
+            with _gradients_copied(copying):
                 leaf = Tensor(data.copy(), requires_grad=True)
                 build(leaf).backward()
                 grads.append(leaf.grad.tobytes())

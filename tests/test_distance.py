@@ -141,17 +141,14 @@ class TestEmbeddingHistoryIncrementalBuffer:
             )
 
     def test_cached_norms_match_reference_path(self):
-        from repro.perf import configure
-        from repro.shift.distance import EmbeddingHistory
+        from repro.shift.distance import EmbeddingHistory, nearest_distance
         rng = np.random.default_rng(10)
         history = EmbeddingHistory(capacity=8, exclude_recent=1)
         for _ in range(12):
             history.append(rng.normal(size=4))
         query = rng.normal(size=4)
-        with configure(cached_nearest=True):
-            fast = history.nearest(query)
-        with configure(cached_nearest=False):
-            slow = history.nearest(query)
+        fast = history.nearest(query)
+        slow = nearest_distance(query, history.as_array()[:-1])
         assert fast[1] == slow[1]
         np.testing.assert_allclose(fast[0], slow[0], rtol=1e-12, atol=1e-12)
 

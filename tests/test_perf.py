@@ -1,41 +1,41 @@
 """Tests for the hot-path performance layer (``repro.perf``).
 
-The contract of every optimization introduced by the perf pass is
-*bitwise* equivalence: with a flag on or off, the same stream must
-produce the same accuracy sequence and the same final parameters, down
-to the last float bit.  These tests hold that line — first per
-optimization (tape vs DFS, fused linear, fused loss, in-place
-optimizers), then end to end through ``Learner.process``.
+The contract of every fast path in the hot-path pass is *bitwise*
+equivalence with the general op it stands for.  No flag switches those
+general ops back on, so these tests call them directly, in the same
+process — first per op (tape vs DFS, fused linear, fused loss, inference
+softmax, in-place optimizers), then end to end through
+``Learner.process`` under :func:`conftest.reference_ops`.
 """
 
 import numpy as np
 import pytest
+from conftest import reference_ops
 
+import repro.perf
 from repro import nn
 from repro.core import Learner
 from repro.data.drift import (GaussianMixtureConcept, Segment,
                               stream_from_schedule)
 from repro.eval import model_factory_for
 from repro.nn import functional as F
+from repro.nn.tensor import Tensor
 from repro.obs import Observability
 from repro.perf import (HOT_PATH_HISTOGRAM, HotPathProfiler, PerfConfig,
-                        can_own, config, configure, optimizations_disabled,
-                        optimizations_enabled)
+                        can_own, config, configure, optimizations_disabled)
 
 
-# -- feature flags ------------------------------------------------------------
+# -- the plan-capture switch --------------------------------------------------
 
 
 class TestPerfConfig:
     def test_all_flags_on_by_default(self):
-        assert all(config.as_dict().values())
+        assert config.as_dict() == {"plan_capture": True}
 
     def test_configure_restores_on_exit(self):
         before = config.as_dict()
-        with configure(graph_tape=False, fused_loss=False):
-            assert not config.graph_tape
-            assert not config.fused_loss
-            assert config.fused_linear  # untouched flags stay on
+        with configure(plan_capture=False):
+            assert not config.plan_capture
         assert config.as_dict() == before
 
     def test_configure_rejects_unknown_flag(self):
@@ -43,16 +43,47 @@ class TestPerfConfig:
             with configure(warp_drive=True):
                 pass  # pragma: no cover
 
+    @pytest.mark.parametrize("name", [
+        "graph_tape", "fused_linear", "fused_loss", "grad_ownership",
+        "inplace_optim", "cached_nearest", "stacked_exec"])
+    def test_deleted_flags_are_rejected(self, name):
+        with pytest.raises(TypeError, match="unknown perf flags"):
+            with configure(**{name: False}):
+                pass  # pragma: no cover
+        assert not hasattr(repro.perf, "optimizations_enabled")
+
     def test_disabled_and_enabled_contexts(self):
         with optimizations_disabled():
-            assert not any(config.as_dict().values())
-            with optimizations_enabled():
-                assert all(config.as_dict().values())
-            assert not any(config.as_dict().values())
-        assert all(config.as_dict().values())
+            assert not config.plan_capture
+            with configure(plan_capture=True):
+                assert config.plan_capture
+            assert not config.plan_capture
+        assert config.plan_capture
 
     def test_fresh_instance_can_start_disabled(self):
         assert not any(PerfConfig(enabled=False).as_dict().values())
+
+    def test_serve_config_alone_selects_stacked_execution(self):
+        from repro.models import StreamingLR
+        from repro.serving import (MemoryCheckpointStore, ModelEstimator,
+                                   ServeConfig, SessionRegistry,
+                                   serve_requests)
+
+        def factory(_tenant=""):
+            return ModelEstimator(StreamingLR(num_features=4, num_classes=3,
+                                              seed=3))
+
+        x = np.full((16, 4), 0.5)
+        for stacked in (False, True):
+            registry = SessionRegistry(factory, capacity=8,
+                                       store=MemoryCheckpointStore())
+            config = ServeConfig(max_active_tenants=8, microbatch_size=16,
+                                 stacked_execution=stacked)
+            with optimizations_disabled():
+                results, service = serve_requests(
+                    config, registry, [("a", x), ("b", x)], window=2)
+            assert all(result.accepted for result in results)
+            assert service.batches_stacked == (2 if stacked else 0)
 
 
 # -- gradient-buffer ownership ----------------------------------------------
@@ -69,16 +100,37 @@ class TestCanOwn:
         assert not can_own(g[0], np.zeros(3))  # view: base still exposed
 
 
-# -- per-optimization bitwise equivalence -------------------------------------
+# -- each fast op against its general op ---------------------------------------
 
 
-def _grads(model, x, y):
+def _backward(loss):
+    loss.backward()
+
+
+def _dfs_backward(loss):
+    Tensor._run_dfs([(loss, np.ones_like(loss.data))])
+
+
+def _fused_forward(model, x):
+    return model(x)
+
+
+def _unfused_forward(model, x):
+    """``Sequential``'s layers one by one, each Linear as ``F.linear``."""
+    for layer in model.layers:
+        if type(layer) is nn.Linear:
+            x = F.linear(x, layer.weight, layer.bias)
+        else:
+            x = layer(x)
+    return x
+
+
+def _grads(model, x, y, forward=_fused_forward, backward=_backward):
     """Forward + backward one batch; returns (loss_bits, grad arrays)."""
     for p in model.parameters():
         p.grad = None
-    out = model(nn.Tensor(x))
-    loss = F.cross_entropy(out, y)
-    loss.backward()
+    loss = F.cross_entropy(forward(model, nn.Tensor(x)), y)
+    backward(loss)
     return (loss.data.tobytes(),
             [p.grad.copy() for p in model.parameters()])
 
@@ -100,10 +152,8 @@ class TestBitwiseEquivalence:
     def test_tape_matches_dfs_backward(self):
         x, y = _small_problem()
         model = _mlp()
-        with configure(graph_tape=True):
-            loss_tape, grads_tape = _grads(model, x, y)
-        with configure(graph_tape=False):
-            loss_dfs, grads_dfs = _grads(model, x, y)
+        loss_tape, grads_tape = _grads(model, x, y)
+        loss_dfs, grads_dfs = _grads(model, x, y, backward=_dfs_backward)
         assert loss_tape == loss_dfs
         for a, b in zip(grads_tape, grads_dfs):
             assert a.tobytes() == b.tobytes()
@@ -111,10 +161,8 @@ class TestBitwiseEquivalence:
     def test_fused_linear_matches_unfused(self):
         x, y = _small_problem(seed=5)
         model = _mlp()
-        with configure(fused_linear=True):
-            loss_f, grads_f = _grads(model, x, y)
-        with configure(fused_linear=False):
-            loss_u, grads_u = _grads(model, x, y)
+        loss_f, grads_f = _grads(model, x, y)
+        loss_u, grads_u = _grads(model, x, y, forward=_unfused_forward)
         assert loss_f == loss_u
         for a, b in zip(grads_f, grads_u):
             assert a.tobytes() == b.tobytes()
@@ -124,43 +172,43 @@ class TestBitwiseEquivalence:
         logits_data = rng.normal(scale=4.0, size=(64, 5))
         labels = rng.integers(0, 5, size=64)
         results = []
-        for fused in (True, False):
-            with configure(fused_loss=fused):
-                logits = nn.Tensor(logits_data.copy(), requires_grad=True)
-                loss = F.cross_entropy(logits, labels)
-                loss.backward()
-                results.append((loss.data.tobytes(),
-                                logits.grad.tobytes()))
+        for loss_fn in (F.cross_entropy, lambda logits, labels: F.nll_loss(
+                F.log_softmax(logits, axis=-1), labels)):
+            logits = nn.Tensor(logits_data.copy(), requires_grad=True)
+            loss = loss_fn(logits, labels)
+            loss.backward()
+            results.append((loss.data.tobytes(), logits.grad.tobytes()))
         assert results[0] == results[1]
 
     def test_inference_softmax_matches_graph_path(self):
         rng = np.random.default_rng(13)
         logits = nn.Tensor(rng.normal(scale=6.0, size=(40, 7)))
-        with configure(fused_loss=True):
-            fast = F.softmax(logits).data
-        with configure(fused_loss=False):
-            slow = F.softmax(logits).data
+        fast = F.softmax(logits).data
+        slow = F.log_softmax(logits).exp().data
         assert fast.tobytes() == slow.tobytes()
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-    def test_inplace_optimizer_matches_reference(self, optimizer):
+    def test_inplace_optimizer_matches_reference(self, optimizer,
+                                                 monkeypatch):
         x, y = _small_problem(seed=7)
 
-        def train(flag):
+        def train():
             model = _mlp()
             if optimizer == "sgd":
                 opt = nn.SGD(model.parameters(), lr=0.1, momentum=0.9)
             else:
                 opt = nn.Adam(model.parameters(), lr=0.01)
-            with configure(inplace_optim=flag):
-                for _ in range(5):
-                    opt.zero_grad()
-                    loss = F.cross_entropy(model(nn.Tensor(x)), y)
-                    loss.backward()
-                    opt.step()
+            for _ in range(5):
+                opt.zero_grad()
+                loss = F.cross_entropy(model(nn.Tensor(x)), y)
+                loss.backward()
+                opt.step()
             return [p.data.tobytes() for p in model.parameters()]
 
-        assert train(True) == train(False)
+        fast = train()
+        for kind in (nn.SGD, nn.Adam):  # the per-parameter loop
+            monkeypatch.setattr(kind, "_flat_step", lambda self: False)
+        assert fast == train()
 
 
 # -- end-to-end equivalence through the learner -------------------------------
@@ -176,30 +224,24 @@ def _probe_stream(num_batches=12, batch_size=64):
 
 
 class TestLearnerEquivalence:
-    @pytest.mark.parametrize("kind", ["lr", "mlp"])
+    @pytest.mark.parametrize("kind", ["lr", "mlp", "cnn"])
     def test_accuracy_sequence_and_params_bitwise_identical(self, kind):
         stream = _probe_stream()
 
-        def run(optimized):
+        def run():
             factory = model_factory_for(kind, 16, 4, lr=0.3, seed=0)
             learner = Learner(factory, seed=0)
-            accs = []
-            if optimized:
-                for batch in stream:
-                    accs.append(learner.process(batch).accuracy)
-            else:
-                with optimizations_disabled():
-                    for batch in stream:
-                        accs.append(learner.process(batch).accuracy)
+            accs = [learner.process(batch).accuracy for batch in stream]
             params = [np.asarray(value).tobytes()
                       for level in learner.ensemble.levels
                       for value in level.model.state_dict().values()]
             return accs, params
 
-        accs_on, params_on = run(True)
-        accs_off, params_off = run(False)
-        assert accs_on == accs_off
-        assert params_on == params_off
+        accs_fast, params_fast = run()
+        with reference_ops():
+            accs_ref, params_ref = run()
+        assert accs_fast == accs_ref
+        assert params_fast == params_ref
 
 
 # -- profiler -----------------------------------------------------------------
