@@ -22,11 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from ..analysis.checkpoint import check_state_dict
+from ..nn.serialization import atomic_write_bytes
 from ..obs import CheckpointRejected, CheckpointWritten
 from ..resilience.degrade import CircuitBreaker
 from .learner import Learner
 
-__all__ = ["save_learner", "load_learner", "learner_state", "restore_learner_state"]
+__all__ = ["save_learner", "load_learner", "learner_state",
+           "restore_learner_state", "write_checkpoint", "read_checkpoint"]
 
 _META_KEY = "__freewayml_meta__"
 
@@ -131,6 +133,31 @@ def learner_state(learner: Learner) -> tuple[dict, dict]:
     return arrays, meta
 
 
+def write_checkpoint(path: str | Path, arrays: dict, meta) -> int:
+    """Write one ``.npz`` checkpoint atomically; returns bytes written.
+
+    The archive holds ``arrays`` plus ``meta`` (anything JSON can encode)
+    under a reserved key.  The write goes through
+    :func:`~repro.nn.serialization.atomic_write_bytes`, so a crash
+    mid-write leaves the previous checkpoint at ``path`` whole.
+    """
+    arrays = dict(arrays)
+    arrays[_META_KEY] = np.frombuffer(
+        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+    )
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return atomic_write_bytes(path, buffer.getvalue())
+
+
+def read_checkpoint(path: str | Path) -> tuple[dict, object]:
+    """``(arrays, meta)`` from a checkpoint :func:`write_checkpoint` wrote."""
+    with np.load(Path(path), allow_pickle=False) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    meta = json.loads(bytes(arrays.pop(_META_KEY)).decode("utf-8"))
+    return arrays, meta
+
+
 def save_learner(learner: Learner, path: str | Path) -> int:
     """Write a learner checkpoint to ``path``; returns bytes written.
 
@@ -138,26 +165,16 @@ def save_learner(learner: Learner, path: str | Path) -> int:
     :class:`~repro.obs.CheckpointWritten` event records the durable write.
     """
     with learner.obs.tracer.span("persistence.save"):
-        arrays, meta = learner_state(learner)
-        buffer = io.BytesIO()
-        arrays = dict(arrays)
-        arrays[_META_KEY] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        )
-        np.savez(buffer, **arrays)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        blob = buffer.getvalue()
-        path.write_bytes(blob)
+        nbytes = write_checkpoint(path, *learner_state(learner))
     if learner.obs.enabled:
         learner.obs.emit(CheckpointWritten(
-            path=str(path), nbytes=len(blob),
+            path=str(path), nbytes=nbytes,
             batch=learner._batch_counter,
         ))
         learner.obs.registry.counter(
             "freeway_checkpoints_total", "learner checkpoints written",
         ).inc()
-    return len(blob)
+    return nbytes
 
 
 def restore_learner_state(learner: Learner, arrays: dict, meta: dict) -> Learner:
@@ -300,7 +317,4 @@ def load_learner(learner: Learner, path: str | Path) -> Learner:
     ``learner`` must be constructed with the same model factory and the
     same ``num_models``/``window_batches`` as the saved one.
     """
-    with np.load(Path(path), allow_pickle=False) as archive:
-        arrays = {key: archive[key] for key in archive.files}
-    meta = json.loads(bytes(arrays.pop(_META_KEY)).decode("utf-8"))
-    return restore_learner_state(learner, arrays, meta)
+    return restore_learner_state(learner, *read_checkpoint(path))

@@ -463,7 +463,7 @@ def max_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
     ]
     data = x.data
     # The running maximum keeps the input's memory order (a view, then
-    # np.where results), so its passes walk memory sequentially.  The
+    # select results), so its passes walk memory sequentially.  The
     # winning offsets are C-ordered, like the gradients they route.
     out = data[windows[0]]
     winner = np.zeros(out.shape, dtype=np.min_scalar_type(len(windows) - 1))
@@ -472,7 +472,10 @@ def max_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
         # ``<=`` is False when either side is NaN, so this takes strictly
         # larger values and NaNs, except over a maximum that is NaN.
         take = ~(candidate <= out) & (out == out)
-        out = np.where(take, candidate, out)
+        # In the input's dtype, byte order included: the select moves bits.
+        selected = K.empty_result(candidate, out).view(data.dtype)
+        K.select(take, candidate, out, selected)
+        out = selected
         # Offsets only grow, so each take raises its window's winner.
         np.maximum(winner, take * winner.dtype.type(offset), out=winner)
     # Hand back a fresh C-ordered array, as an im2col gather returns it:
@@ -491,8 +494,9 @@ def max_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
         if overlapping:
             g = g + 0.0
         grad = np.zeros(data.shape, dtype=data.dtype)
+        share = np.empty_like(g)
         for offset, window in enumerate(windows):
-            share = np.where(winner == offset, g, 0.0)
+            K.select(winner == offset, g, None, share)
             view = grad[window]
             view += share
             if overlapping:

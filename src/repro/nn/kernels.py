@@ -48,6 +48,7 @@ __all__ = [
     "cross_entropy_forward",
     "cross_entropy_backward",
     "softmax_forward",
+    "select",
 ]
 
 
@@ -273,3 +274,35 @@ def softmax_forward(x, axis: int, out, shifted, lognorm) -> None:
     np.log(lognorm, out=lognorm)
     np.subtract(shifted, lognorm, out=shifted)
     np.exp(shifted, out=out)
+
+
+# -- select -------------------------------------------------------------------
+
+
+@replay_kernel
+def select(mask, a, b, out) -> None:
+    """``out = np.where(mask, a, b)`` bit for bit, with no branch per cell.
+
+    ``b`` may be None for +0.0.  The select runs on the operands' unsigned
+    integer views as ``b ^ ((a ^ b) * mask)``: multiplying by the boolean
+    ``mask`` keeps all of ``a ^ b`` or none of it, so each cell gets
+    ``a``'s or ``b``'s exact bits — NaN payloads, signalling NaNs and
+    signed zeros included — where ``np.where`` branches on every cell.
+    ``a``, ``b`` and ``out`` share one float dtype, byte order included
+    (raw bits move, values are never converted), and may have any memory
+    layout; ``out`` may alias ``a`` but not ``b``.
+    """
+    if a.dtype != out.dtype or (b is not None and b.dtype != out.dtype):
+        raise TypeError(
+            f"select moves raw bits, so its operands need out's dtype "
+            f"{out.dtype.str}; got {a.dtype.str} and "
+            f"{'+0.0' if b is None else b.dtype.str}")
+    bits = np.dtype(f"u{out.itemsize}")
+    result = out.view(bits)
+    if b is None:
+        np.multiply(a.view(bits), mask, out=result)
+        return
+    b = b.view(bits)
+    np.bitwise_xor(a.view(bits), b, out=result)
+    np.multiply(result, mask, out=result)
+    np.bitwise_xor(result, b, out=result)

@@ -4,12 +4,17 @@ Historical-knowledge reuse in FreewayML stores model parameters keyed by
 data distribution (the paper's ``(d_i, k_i)`` pairs) and Table IV measures
 the resulting space overhead.  This module serializes ``state_dict``
 mappings to compact bytes (``numpy.savez``) so the knowledge store can both
-persist checkpoints and report their exact size.
+persist checkpoints and report their exact size.  Every checkpoint file in
+the package is written through :func:`atomic_write_bytes`, so a crash
+mid-write never truncates the previous good file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
+import secrets
 from collections import OrderedDict
 from pathlib import Path
 
@@ -21,6 +26,7 @@ __all__ = [
     "state_dict_nbytes",
     "save_state_dict",
     "load_state_dict",
+    "atomic_write_bytes",
 ]
 
 
@@ -48,13 +54,33 @@ def state_dict_nbytes(state: dict) -> int:
     return sum(np.asarray(value).nbytes for value in state.values())
 
 
-def save_state_dict(state: dict, path: str | Path) -> int:
-    """Write a checkpoint to ``path``; return bytes written."""
-    blob = state_dict_to_bytes(state)
+def atomic_write_bytes(path: str | Path, blob: bytes) -> int:
+    """Replace ``path`` with ``blob`` durably; return bytes written.
+
+    The bytes go to a temporary file in ``path``'s directory, which is
+    flushed, fsynced and renamed over ``path`` with ``os.replace`` (atomic
+    on POSIX and Windows).  A crash or an error mid-write leaves the
+    previous file whole, and on an error the temporary file is removed.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(blob)
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(temporary, "xb") as stream:
+            stream.write(blob)
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
     return len(blob)
+
+
+def save_state_dict(state: dict, path: str | Path) -> int:
+    """Write a checkpoint to ``path`` atomically; return bytes written."""
+    return atomic_write_bytes(path, state_dict_to_bytes(state))
 
 
 def load_state_dict(path: str | Path) -> "OrderedDict[str, np.ndarray]":

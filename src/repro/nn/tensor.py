@@ -536,9 +536,12 @@ class Tensor:
     def _activation(self, name: str) -> "Tensor":
         """The shared activation kernel ``name`` as an autograd node."""
         x = self.data
-        out = np.empty_like(x)
+        out = _kernels.empty_result(x)
         relu = name == "relu"
-        mask = (np.empty_like(x, dtype=bool) if relu and is_grad_enabled()
+        # The mask is C-ordered whatever ``x``'s layout: the gradient it
+        # multiplies arrives C-ordered (a pool's backward, a Linear's), and
+        # a multiply over two layouts runs several times slower.
+        mask = (np.empty(x.shape, dtype=bool) if relu and is_grad_enabled()
                 else None)
         _kernels.activation_forward(name, x, out, mask)
 

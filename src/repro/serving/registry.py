@@ -36,9 +36,9 @@ import numpy as np
 from ..core.learner import Learner
 from ..core.persistence import (
     learner_state,
-    load_learner,
+    read_checkpoint,
     restore_learner_state,
-    save_learner,
+    write_checkpoint,
 )
 from ..obs import NULL_OBS, TenantActivated, TenantEvicted
 
@@ -59,12 +59,12 @@ class CheckpointStore:
     freshly built estimator and returns True (False when the tenant has
     none); ``__contains__`` answers whether a checkpoint exists.  The
     bundled stores checkpoint :class:`~repro.core.learner.Learner` state
-    through :mod:`repro.core.persistence`
-    (:class:`MemoryCheckpointStore` additionally accepts any estimator
-    exposing ``state_dict()``/``load_state_dict()``) and raise
-    :class:`TypeError` for other estimator types — those need a custom
-    store (or :class:`NullCheckpointStore` when losing cold state is
-    acceptable).
+    through :mod:`repro.core.persistence`, and any other estimator
+    exposing ``state_dict()``/``load_state_dict()`` (e.g.
+    :class:`~repro.serving.ModelEstimator`) as its flat array mapping;
+    they raise :class:`TypeError` for other estimator types — those need
+    a custom store (or :class:`NullCheckpointStore` when losing cold
+    state is acceptable).
     """
 
     def save(self, tenant: str, estimator) -> int:  # pragma: no cover - interface
@@ -75,16 +75,6 @@ class CheckpointStore:
 
     def __contains__(self, tenant: str) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
-
-
-def _require_learner(estimator, store_name: str) -> Learner:
-    if not isinstance(estimator, Learner):
-        raise TypeError(
-            f"{store_name} checkpoints Learner state; got "
-            f"{type(estimator).__name__} (use a custom CheckpointStore "
-            f"or NullCheckpointStore for other estimators)"
-        )
-    return estimator
 
 
 def _check_checkpointable(estimator, store_name: str) -> None:
@@ -186,7 +176,14 @@ class MemoryCheckpointStore(CheckpointStore):
 
 
 class DirCheckpointStore(CheckpointStore):
-    """Durable store: one ``.npz`` checkpoint per tenant in a directory."""
+    """Durable store: one ``.npz`` checkpoint per tenant in a directory.
+
+    Takes what :class:`MemoryCheckpointStore` takes.  Each file holds the
+    estimator's arrays plus its JSON metadata, the layout
+    :func:`~repro.core.persistence.save_learner` writes, so a ``Learner``
+    checkpoint from either loads through the other.  Writes are atomic: a
+    crash mid-save leaves the tenant's previous checkpoint whole.
+    """
 
     def __init__(self, directory):
         self.directory = Path(directory)
@@ -200,15 +197,15 @@ class DirCheckpointStore(CheckpointStore):
         return self.directory / f"{safe}-{digest}.npz"
 
     def save(self, tenant: str, estimator) -> int:
-        learner = _require_learner(estimator, type(self).__name__)
-        return save_learner(learner, self._path(tenant))
+        arrays, meta = _checkpoint_state(estimator, type(self).__name__)
+        return write_checkpoint(self._path(tenant), arrays, meta)
 
     def load(self, tenant: str, estimator) -> bool:
-        learner = _require_learner(estimator, type(self).__name__)
+        _check_checkpointable(estimator, type(self).__name__)
         path = self._path(tenant)
         if not path.exists():
             return False
-        load_learner(learner, path)
+        _restore_state(estimator, *read_checkpoint(path))
         return True
 
     def __contains__(self, tenant: str) -> bool:

@@ -45,11 +45,16 @@ def reference_ops():
     ``Sequential`` runs its layers one by one, ``Linear`` through
     ``F.linear``; cross-entropy is ``nll_loss(log_softmax(...))`` and
     softmax ``log_softmax(...).exp()``; ``backward`` runs the DFS instead
-    of the tape; SGD and Adam take their per-parameter loop; and
-    ``EmbeddingHistory.nearest`` calls ``nearest_distance``.  What stays
+    of the tape; SGD and Adam take their per-parameter loop;
+    ``EmbeddingHistory.nearest`` calls ``nearest_distance``; and the CNN
+    kernels become the implementations they replaced
+    (``reference_kernels``): the im2col/``argmax`` max-pool and the
+    ``np.where`` ReLU with its mask in the input's layout.  What stays
     is the fast path's only reference: a model run end to end under this
     context must match the default run bit for bit.
     """
+    from reference_kernels import ref_max_pool2d, ref_relu
+
     from repro import nn
     from repro.nn import functional as F
     from repro.nn.tensor import Tensor
@@ -84,4 +89,6 @@ def reference_ops():
         for optimizer in (nn.SGD, nn.Adam):
             patch.setattr(optimizer, "_flat_step", lambda self: False)
         patch.setattr(EmbeddingHistory, "nearest", nearest)
+        patch.setattr(F, "max_pool2d", ref_max_pool2d)
+        patch.setattr(Tensor, "relu", ref_relu)
         yield

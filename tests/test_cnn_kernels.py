@@ -1,12 +1,14 @@
 """Bitwise references for the CNN kernels in ``repro.nn``.
 
 ``max_pool2d`` reads its windows through one strided view per kernel
-offset, ``conv2d`` skips the input gradient of an input that takes none,
-and ``Tensor.relu`` builds its output with ``fmax`` instead of a masked
-select.  Each rewrite promises the bits of the implementation it
-replaced, which lives on below as a reference: the im2col/``argmax``/
-``np.add.at`` pool and the ``np.where`` ReLU.  These tests are the guard
-against drift, because no flag switches the old kernels back on.
+offset and selects with :func:`repro.nn.kernels.select` instead of
+``np.where``, ``conv2d`` skips the input gradient of an input that takes
+none, and ``Tensor.relu`` builds its output with ``fmax`` instead of a
+masked select and keeps its mask C-ordered.  Each rewrite promises the
+bits of the implementation it replaced, which lives on in
+``reference_kernels.py``: the im2col/``argmax``/``np.add.at`` pool and
+the ``np.where`` ReLU.  These tests are the guard against drift, because
+no flag switches the old kernels back on.
 """
 
 import numpy as np
@@ -14,69 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference_kernels import ref_max_pool2d, ref_relu
 
 from repro.models import StreamingCNN
 from repro.nn import functional as F
+from repro.nn import kernels as K
 from repro.nn.tensor import Tensor
-
-
-# -- reference kernels --------------------------------------------------------
-
-
-def _ref_im2col_indices(x_shape, kernel_h, kernel_w, stride_h, stride_w):
-    _, channels, height, width = x_shape
-    out_h = (height - kernel_h) // stride_h + 1
-    out_w = (width - kernel_w) // stride_w + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError("pool output would be empty")
-    i0 = np.tile(np.repeat(np.arange(kernel_h), kernel_w), channels)
-    i1 = stride_h * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel_w), kernel_h * channels)
-    j1 = stride_w * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kernel_h * kernel_w).reshape(-1, 1)
-    return k, i, j, out_h, out_w
-
-
-def _ref_col2im(cols, x_shape, kernel_h, kernel_w, stride_h, stride_w):
-    k, i, j, _, _ = _ref_im2col_indices(x_shape, kernel_h, kernel_w,
-                                        stride_h, stride_w)
-    image = np.zeros(x_shape, dtype=cols.dtype)
-    np.add.at(image, (slice(None), k, i, j), cols)
-    return image
-
-
-def ref_max_pool2d(x, kernel_size, stride=None):
-    """The im2col pool: channels folded into the batch, ``argmax`` over
-    each window's column, ``np.add.at`` scatter back."""
-    kernel_h, kernel_w = F._pair(kernel_size)
-    stride_h, stride_w = F._pair(kernel_size if stride is None else stride)
-    batch, channels, height, width = x.shape
-    folded = x.data.reshape(batch * channels, 1, height, width)
-    k, i, j, out_h, out_w = _ref_im2col_indices(
-        folded.shape, kernel_h, kernel_w, stride_h, stride_w)
-    cols = folded[:, k, i, j]  # (batch*channels, kh*kw, positions)
-    argmax = cols.argmax(axis=1)
-    positions = np.arange(cols.shape[2])
-    rows = np.arange(cols.shape[0])[:, None]
-    out = cols[rows, argmax, positions].reshape(batch, channels, out_h, out_w)
-
-    def backward(g):
-        grad_cols = np.zeros_like(cols)
-        grad_cols[rows, argmax, positions] = g.reshape(batch * channels, -1)
-        grad = _ref_col2im(grad_cols, folded.shape, kernel_h, kernel_w,
-                           stride_h, stride_w)
-        return (grad.reshape(batch, channels, height, width),)
-
-    return Tensor._make(out, (x,), backward)
-
-
-def ref_relu(self):
-    """The masked-select ReLU forward (its backward is unchanged)."""
-    mask = self.data > 0
-    data = np.where(mask, self.data, 0.0)
-    return Tensor._make(data, (self,), lambda g: (g * mask,))
 
 
 def _bits(array):
@@ -129,6 +74,22 @@ def pool_cases(draw):
     elif layout == "batch-fastest":
         x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
     return x, g, kernel, stride
+
+
+_LAYOUTS = st.sampled_from(["C", "F", "batch-fastest"])
+_SHAPES_4D = st.tuples(st.integers(1, 4), st.integers(1, 3),
+                       st.integers(1, 3), st.integers(1, 5))
+
+
+def _in_layout(x, layout):
+    """``x``'s values in C, Fortran or batch-fastest memory order (the
+    order a conv layer's einsum returns)."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "batch-fastest":
+        return np.ascontiguousarray(np.moveaxis(x, 0, -1)).transpose(
+            3, 0, 1, 2)
+    return np.ascontiguousarray(x)
 
 
 def _pool_run(pool, x, g, kernel, stride):
@@ -193,6 +154,19 @@ class TestMaxPoolMatchesReference:
         with pytest.raises(ValueError):
             F.max_pool2d(Tensor(np.zeros((1, 1, 2, 2))), 3)
 
+    def test_big_endian_input_pools_by_value(self, rng):
+        # The select moves raw bits, so its buffer must keep the input's
+        # byte order; values and gradients match the native run.
+        x = rng.normal(size=(3, 2, 4, 6))
+        g = rng.normal(size=(3, 2, 2, 3))
+        runs = []
+        for data in (x, x.astype(">f8")):
+            leaf = Tensor(data, requires_grad=True)
+            out = F.max_pool2d(leaf, 2)
+            out.backward(g)
+            runs.append((out.data.tolist(), leaf.grad.tolist()))
+        assert runs[0] == runs[1]
+
 
 class TestReluMatchesReference:
     @given(st.lists(_VALUE, min_size=1, max_size=40), st.booleans())
@@ -221,6 +195,53 @@ class TestReluMatchesReference:
         expected[3] = 2.0
         with np.errstate(invalid="ignore"):
             assert Tensor(x).relu().data.tobytes() == expected.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_4d_layouts_with_a_c_ordered_gradient_are_bitwise(self, data):
+        # The conv path hands ReLU a batch-fastest input and, through the
+        # pool's backward, a C-ordered gradient.
+        x = _in_layout(data.draw(arrays(np.float64, _SHAPES_4D,
+                                        elements=_VALUE)),
+                       data.draw(_LAYOUTS))
+        g = data.draw(arrays(np.float64, x.shape, elements=_VALUE))
+        runs = []
+        for relu in (Tensor.relu, ref_relu):
+            leaf = Tensor(x.copy(order="K"), requires_grad=True)
+            with np.errstate(invalid="ignore"):  # inf * 0, signalling NaNs
+                out = relu(leaf)
+                out.backward(g)
+            runs.append((_bits(out.data), _bits(leaf.grad)))
+        assert runs[0] == runs[1]
+
+
+class TestSelectMatchesWhere:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bits_and_layout_match_np_where(self, data):
+        layout = data.draw(_LAYOUTS)
+        shape = data.draw(_SHAPES_4D)
+        mask = _in_layout(data.draw(arrays(bool, shape)), layout)
+        a = _in_layout(data.draw(arrays(np.float64, shape,
+                                        elements=_SPECIAL)), layout)
+        zero = data.draw(st.booleans())
+        b = None if zero else _in_layout(
+            data.draw(arrays(np.float64, shape, elements=_SPECIAL)), layout)
+        expected = np.where(mask, a, 0.0 if zero else b)
+        out = K.empty_result(a) if zero else K.empty_result(a, b)
+        K.select(mask, a, b, out)
+        assert _bits(out) == _bits(expected)
+        # ``out`` may alias ``a``.
+        K.select(mask, a, b, a)
+        assert a.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, ">f8"])
+    def test_rejects_an_operand_of_another_dtype(self, dtype):
+        mask = np.array([True, False])
+        with pytest.raises(TypeError, match="raw bits"):
+            K.select(mask, np.ones(2, dtype=dtype), None, np.empty(2))
+        with pytest.raises(TypeError, match="raw bits"):
+            K.select(mask, np.ones(2), np.ones(2, dtype=dtype), np.empty(2))
 
 
 # -- conv2d input gradient ----------------------------------------------------

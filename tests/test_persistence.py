@@ -1,11 +1,16 @@
 """Tests for learner checkpointing (repro.core.persistence)."""
 
+import builtins
+import errno
+import io
+
 import numpy as np
 import pytest
 
 from repro.core import Learner, load_learner, save_learner
 from repro.data import NSLKDDSimulator
 from repro.models import StreamingMLP
+from repro.nn.serialization import load_state_dict, save_state_dict
 
 
 def factory():
@@ -182,3 +187,69 @@ class TestValidation:
         restored = load_learner(make_learner(), path)
         assert restored._batch_counter == 0
         assert len(restored.knowledge) == 0
+
+
+class _FullDisk:
+    """A file that takes half of each write, then fails as a full disk
+    does."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, data):
+        self._stream.write(bytes(data)[:len(data) // 2])
+        self._stream.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._stream.close()
+
+
+class TestAtomicWrites:
+    @pytest.fixture
+    def full_disk(self, monkeypatch):
+        """Make every file opened for writing fail part-way through."""
+        real_open = io.open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            stream = real_open(file, mode, *args, **kwargs)
+            writes = any(flag in mode for flag in "wxa+")
+            return _FullDisk(stream) if writes else stream
+
+        def fail():
+            for module in (builtins, io):
+                monkeypatch.setattr(module, "open", failing_open)
+        return fail
+
+    def test_failed_learner_save_keeps_the_old_checkpoint(
+            self, trained_learner, tmp_path, full_disk):
+        path = tmp_path / "checkpoint.npz"
+        save_learner(make_learner(), path)
+        before = path.read_bytes()
+        full_disk()
+        with pytest.raises(OSError, match="No space"):
+            save_learner(trained_learner, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        restored = load_learner(make_learner(), path)
+        assert restored._batch_counter == 0
+
+    def test_failed_state_dict_save_keeps_the_old_file(self, tmp_path,
+                                                      full_disk):
+        path = tmp_path / "spill" / "entry.npz"
+        old = {"weight": np.arange(6.0).reshape(2, 3)}
+        save_state_dict(old, path)
+        before = path.read_bytes()
+        full_disk()
+        with pytest.raises(OSError, match="No space"):
+            save_state_dict({"weight": np.ones((40, 40))}, path)
+        assert path.read_bytes() == before
+        assert list(path.parent.iterdir()) == [path]
+        np.testing.assert_array_equal(load_state_dict(path)["weight"],
+                                      old["weight"])

@@ -118,6 +118,41 @@ class TestCheckpointStores:
         assert "a/b" in store and "a_b" in store
         assert len(list(tmp_path.glob("*.npz"))) == 2
 
+    def test_dir_store_takes_what_memory_store_takes(self, tmp_path):
+        # Two momentum-MLP tenants alternate through a capacity-1 registry,
+        # so every request after the first two rehydrates its tenant.
+        def factory(_tenant=""):
+            return ModelEstimator(StreamingMLP(
+                NUM_FEATURES, NUM_CLASSES, lr=0.3, momentum=0.9, seed=0))
+
+        def serve(store):
+            registry = SessionRegistry(factory, capacity=1, store=store)
+            answers = []
+            for step in range(10):
+                x, y = labeled_rows(8, seed=step)
+                with registry.session("ab"[step % 2]) as estimator:
+                    answers.append(estimator.model.predict_proba(x).tobytes())
+                    predict_and_update(estimator, x, y)
+            assert registry.rehydrations == 8
+            return answers
+
+        assert serve(DirCheckpointStore(tmp_path)) == serve(
+            MemoryCheckpointStore())
+        assert len(list(tmp_path.glob("*.npz"))) == 2
+
+    def test_dir_store_loads_save_learner_checkpoints(self, tmp_path):
+        from repro.core.persistence import save_learner
+
+        store = DirCheckpointStore(tmp_path)
+        trained = self.train_one()
+        save_learner(trained, store._path("t"))
+        fresh = make_learner()
+        assert store.load("t", fresh)
+        probe, _ = labeled_rows(16, seed=9)
+        np.testing.assert_array_equal(
+            predict_and_update(trained, probe),
+            predict_and_update(fresh, probe))
+
     def test_null_store_keeps_nothing(self):
         store = NullCheckpointStore()
         assert store.save("t", self.train_one()) == 0
