@@ -10,7 +10,6 @@ Absolute microseconds differ from the paper (numpy substrate vs the
 authors' testbed); the ordering and scaling are the reproduced shape.
 """
 
-import numpy as np
 import pytest
 
 from conftest import print_banner
@@ -134,11 +133,12 @@ def test_table3_stage_breakdown(benchmark):
     """Per-stage breakdown: where FreewayML's batch latency actually goes.
 
     Runs FreewayML with the observability tracer enabled and reports
-    mean/p50/p95 wall time per pipeline stage (shift assessment, strategy
-    routing, ensemble inference, level updates, CEC, knowledge reuse) —
-    Table III's totals, decomposed.
+    mean/p50/p95 wall time per span (the learner's six stages, shift
+    assessment, ensemble inference, level updates, CEC, knowledge reuse)
+    through :func:`repro.obs.span_latency`, the aggregation ``report`` and
+    ``run --profile`` use — Table III's totals, decomposed.
     """
-    from repro.obs import Observability
+    from repro.obs import Observability, span_latency
 
     def run():
         obs = Observability.in_memory()
@@ -148,31 +148,22 @@ def test_table3_stage_breakdown(benchmark):
         ), window_batches=4, seed=0, obs=obs)
         for batch in generator.stream(WARM_BATCHES + 24, 1024):
             learner.process(batch)
-        durations: dict[str, list[float]] = {}
-        for root in obs.tracer.finished:
-            for span in root.walk():
-                durations.setdefault(span.name, []).append(span.duration)
-        return {
-            name: {
-                "n": len(samples),
-                "mean_us": float(np.mean(samples)) * 1e6,
-                "p50_us": float(np.percentile(samples, 50)) * 1e6,
-                "p95_us": float(np.percentile(samples, 95)) * 1e6,
-            }
-            for name, samples in durations.items()
-        }
+        return span_latency(span.to_dict() for span in obs.tracer.finished)
 
     stages = benchmark.pedantic(run, rounds=1, iterations=1)
     print_banner("Table III addendum: FreewayML per-stage latency (µs)")
     print(f"{'stage':>26s}{'n':>6s}{'mean':>10s}{'p50':>10s}{'p95':>10s}")
     for name in sorted(stages):
         stats = stages[name]
-        print(f"{name:>26s}{stats['n']:>6d}{stats['mean_us']:>10.0f}"
-              f"{stats['p50_us']:>10.0f}{stats['p95_us']:>10.0f}")
-    # Every processed batch produces a predict and an update span, and the
-    # stages nested under predict cannot exceed their parent on average.
-    assert stages["learner.predict"]["n"] == WARM_BATCHES + 24
-    assert stages["learner.update"]["n"] == WARM_BATCHES + 24
+        print(f"{name:>26s}{stats['count']:>6d}{stats['mean'] * 1e6:>10.0f}"
+              f"{stats['p50'] * 1e6:>10.0f}{stats['p95'] * 1e6:>10.0f}")
+    # Every processed batch produces a predict and an update span, each
+    # with its three stage spans, and the stages nested under predict
+    # cannot exceed their parent on average.
+    batches = WARM_BATCHES + 24
+    for name in ("learner.predict", "learner.update", "learner.assess",
+                 "learner.select", "learner.infer", "learner.train",
+                 "learner.experience", "learner.preserve"):
+        assert stages[name]["count"] == batches, name
     assert "shift.assess" in stages
-    assert (stages["shift.assess"]["mean_us"]
-            < stages["learner.predict"]["mean_us"])
+    assert stages["shift.assess"]["mean"] < stages["learner.predict"]["mean"]

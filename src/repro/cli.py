@@ -15,7 +15,7 @@ G_acc / SI / throughput (``--json`` emits the result as one JSON object;
 prints the Prometheus-style metrics snapshot; ``--serve-telemetry [PORT]``
 exposes ``/metrics``, ``/health``, and ``/snapshot`` over HTTP during the
 run with an online SLO/alert engine, see ``docs/OBSERVABILITY.md``;
-``--profile`` prints the per-stage hot-path time breakdown, see
+``--profile`` prints the per-span hot-path time breakdown, see
 ``docs/PERF.md``); ``compare`` runs every framework of the chosen model
 group plus FreewayML and renders a Table-I-style block; ``serve`` drives
 the multi-tenant serving front end over a synthetic Zipf workload — every
@@ -41,11 +41,13 @@ from .baselines import BASELINES, LR_GROUP, MLP_GROUP
 from .data import IMAGE_REGISTRY, all_benchmark_datasets
 from .data.io import stream_from_csv
 from .eval import RunConfig, render_accuracy_table, run_framework, run_matrix
+from .nn.plan import PLAN_CACHE_COUNTER, add_plan_hook, remove_plan_hook
 from .obs import (
     CompositeSink,
     MemorySink,
     Observability,
     render_report,
+    span_latency,
     summarize_trace,
 )
 
@@ -94,7 +96,7 @@ def _generator(args):
 
 
 def _config(args, obs: Observability | None = None,
-            profiler=None, slo_engine=None) -> RunConfig:
+            slo_engine=None) -> RunConfig:
     return RunConfig(num_batches=args.batches, batch_size=args.batch_size,
                      model=args.model, lr=args.lr, seed=args.seed,
                      num_workers=getattr(args, "workers", 1),
@@ -102,11 +104,12 @@ def _config(args, obs: Observability | None = None,
                      sync_every=getattr(args, "sync_every", 1),
                      max_restarts=getattr(args, "max_restarts", 2),
                      degrade=getattr(args, "degrade", False), obs=obs,
-                     profiler=profiler, slo_engine=slo_engine)
+                     slo_engine=slo_engine)
 
 
-def _build_obs(args) -> Observability | None:
-    """Observability facade for a ``run`` invocation, if requested."""
+def _build_obs(args, profile: bool = False) -> Observability | None:
+    """Observability facade for a ``run`` invocation, if requested
+    (``run --profile`` needs one for its spans)."""
     serving = getattr(args, "serve_telemetry", None) is not None
     if getattr(args, "trace", None):
         # One run per file: truncate any previous trace so `report` never
@@ -118,7 +121,7 @@ def _build_obs(args) -> Observability | None:
         # recent events; tee into one alongside the JSONL file.
         extra = MemorySink() if serving else None
         return Observability.to_jsonl(args.trace, extra_sink=extra)
-    if getattr(args, "metrics", False) or serving:
+    if getattr(args, "metrics", False) or serving or profile:
         return Observability.in_memory()
     return None
 
@@ -165,33 +168,80 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _build_profiler(args, obs=None):
-    """Hot-path profiler for a ``run --profile`` invocation, if viable."""
+def _profiling(args) -> bool:
+    """Whether ``run --profile`` applies: single-process freewayml only."""
     if not getattr(args, "profile", False):
-        return None
+        return False
     if args.framework != "freewayml":
-        print(f"note: --profile instruments the freewayml serving loop; "
+        print(f"note: --profile times the freewayml learner's spans; "
               f"framework {args.framework!r} records nothing",
               file=sys.stderr)
-        return None
+        return False
     if getattr(args, "workers", 1) > 1 or (
             getattr(args, "backend", "serial") != "serial"):
         print("note: --profile is single-process only; distributed replicas "
-              "would interleave stage timings — skipping", file=sys.stderr)
-        return None
-    from .perf import HotPathProfiler
-    return HotPathProfiler(obs=obs)
+              "would interleave their spans — skipping", file=sys.stderr)
+        return False
+    return True
+
+
+def _plan_hook(registry, records: list[dict]):
+    """``run --profile``'s plan hook: each capture or replay becomes a
+    ``plan.<event>`` span record in ``records``, and every event bumps
+    ``freeway_plan_cache{event}``.  Plan hooks are process-global; a
+    profiled run is single-process, so it sees only that run's plans."""
+    counter = registry.counter(PLAN_CACHE_COUNTER, "Plan-cache events by type")
+
+    def hook(event: str, seconds: float) -> None:
+        if event in ("capture", "replay"):
+            records.append({"name": f"plan.{event}", "duration": seconds})
+        counter.labels(event=event).inc()
+
+    return hook
+
+
+def _hot_path(roots, plan_records: list[dict]) -> dict:
+    """``run --profile``'s rows: :func:`~repro.obs.span_latency` per span
+    name, each with its ``share`` of the root spans' total."""
+    records = [root.to_dict() for root in roots]
+    rows = span_latency(records + plan_records)
+    whole = sum(record["duration"] for record in records)
+    for stats in rows.values():
+        stats["share"] = stats["total"] / whole if whole else 0.0
+    return rows
+
+
+def _render_hot_path(rows: dict) -> str:
+    """Aligned text table, spans sorted by total time descending."""
+    if not rows:
+        return "hot path: no spans recorded"
+    width = max(len(name) for name in rows)
+    columns = ("total", "mean", "p50", "p95")
+    lines = [f"{'span'.ljust(width)}  {'count':>6}  "
+             + "".join(f"{column:>11}  " for column in columns)
+             + f"{'share':>6}"]
+    for name, stats in sorted(rows.items(), key=lambda kv: -kv[1]["total"]):
+        lines.append(
+            f"{name.ljust(width)}  {stats['count']:>6d}  "
+            + "".join(f"{stats[column] * 1e3:>9.3f}ms  "
+                      for column in columns)
+            + f"{stats['share']:>6.1%}")
+    return "\n".join(lines)
 
 
 def _cmd_run(args) -> int:
     generator = _generator(args)
-    obs = _build_obs(args)
+    profile = _profiling(args)
+    obs = _build_obs(args, profile)
     if obs is not None and args.framework != "freewayml":
         print(f"note: --trace/--metrics/--serve-telemetry instrument the "
               f"freewayml pipeline; framework {args.framework!r} records "
               f"nothing", file=sys.stderr)
-    profiler = _build_profiler(args, obs=obs)
     engine, server = _build_telemetry(args, obs)
+    plan_records: list[dict] = []
+    hook = _plan_hook(obs.registry, plan_records) if profile else None
+    if hook is not None:
+        add_plan_hook(hook)
     try:
         # --serve-telemetry starts a server thread before a process-backend
         # run forks its workers: a real fork-after-thread ordering.  It is
@@ -200,11 +250,14 @@ def _cmd_run(args) -> int:
         # naming the leaked threads so the combination stays visible.
         result = run_framework(  # repro: noqa[REP009]
             args.framework, generator,
-            _config(args, obs=obs, profiler=profiler, slo_engine=engine),
+            _config(args, obs=obs, slo_engine=engine),
         )
     finally:
+        if hook is not None:
+            remove_plan_hook(hook)
         if server is not None:
             server.stop()
+    hot_path = _hot_path(obs.tracer.finished, plan_records) if profile else None
     by_pattern = result.accuracy_by_pattern()
     if args.json:
         payload = {
@@ -221,8 +274,8 @@ def _cmd_run(args) -> int:
             payload["metrics"] = obs.registry.snapshot()
         if obs is not None and getattr(args, "trace", None):
             payload["trace"] = args.trace
-        if profiler is not None:
-            payload["hot_path"] = profiler.summary()
+        if hot_path is not None:
+            payload["hot_path"] = hot_path
         if engine is not None:
             payload["slo"] = engine.summary()
         print(json.dumps(payload, indent=2, default=float))
@@ -246,10 +299,10 @@ def _cmd_run(args) -> int:
             active = ", ".join(sorted(engine.active)) or "none"
             print(f"slo       : {engine.raised_total} raised / "
                   f"{engine.resolved_total} resolved (active: {active})")
-        if profiler is not None:
+        if hot_path is not None:
             print()
-            print("hot path (per-stage):")
-            print(profiler.render())
+            print("hot path (per span, share of predict + update):")
+            print(_render_hot_path(hot_path))
     if obs is not None:
         obs.close()
     return 0
@@ -501,9 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "switch the learner into degraded mode "
                                  "(with --serve-telemetry)")
     run_parser.add_argument("--profile", action="store_true",
-                            help="time each serving-loop stage and print "
-                                 "the hot-path breakdown after the run "
-                                 "(freewayml, single process)")
+                            help="print the learner's per-span hot-path "
+                                 "breakdown after the run (freewayml, "
+                                 "single process)")
     run_parser.add_argument("--json", action="store_true",
                             help="emit the result as a single JSON object")
     run_parser.set_defaults(handler=_cmd_run)

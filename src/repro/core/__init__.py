@@ -11,7 +11,6 @@ from .asw import AdaptiveStreamingWindow, WindowEntry, inversion_count
 from .cec import CECResult, CoherentExperienceClustering, ExperienceBuffer
 from .knowledge import KnowledgeEntry, KnowledgeMatch, KnowledgeStore
 from .learner import BatchReport, Learner, PredictionResult
-from .monitor import ServingMonitor
 from .multigranularity import (
     GranularityLevel,
     MultiGranularityEnsemble,
@@ -45,5 +44,4 @@ __all__ = [
     "Learner",
     "PredictionResult",
     "BatchReport",
-    "ServingMonitor",
 ]

@@ -19,7 +19,6 @@ Python parameters.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -28,8 +27,8 @@ import numpy as np
 from ..analysis.checkpoint import CheckpointIncompatibleError
 from ..api import BaseReport
 from ..data.stream import Batch
+from ..metrics.windows import FadingAccuracy, SlidingWindowAccuracy
 from ..models.base import StreamingModel
-from ..nn import plan as _nn_plan
 from ..obs import (
     NULL_OBS,
     CircuitOpened,
@@ -37,6 +36,7 @@ from ..obs import (
     KnowledgeReused,
     Observability,
     ShiftAssessed,
+    Span,
     StrategySelected,
 )
 from ..resilience.degrade import CircuitBreaker
@@ -52,21 +52,21 @@ __all__ = ["Learner", "PredictionResult", "BatchReport"]
 
 _UNSET = object()  # sentinel distinguishing "not passed" from None
 
+#: Stage spans opened under the ``learner.predict`` / ``learner.update``
+#: root spans, mapped to their ``freeway_hot_path_seconds{stage}`` label.
+_STAGES = {
+    "learner.assess": "assess",
+    "learner.select": "select",
+    "learner.infer": "infer",
+    "learner.train": "train",
+    "learner.experience": "experience",
+    "learner.preserve": "preserve",
+}
 
-class _NullStage:
-    """Zero-cost stand-in for :meth:`HotPathProfiler.stage` when profiling
-    is off — entering/exiting does nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_STAGE = _NullStage()
+#: Labeled batches in the ``freeway_rolling_accuracy`` window, and the
+#: fading factor of ``freeway_faded_accuracy``.
+_ROLLING_WINDOW = 50
+_FADING_ALPHA = 0.98
 
 
 @dataclass
@@ -186,14 +186,17 @@ class Learner:
         accumulates per-strategy latency histograms.  The default is the
         shared disabled facade, whose cost on the hot path is one attribute
         check per instrumentation site.
-    profiler:
-        Optional :class:`~repro.perf.HotPathProfiler`.  When set, the
-        serving loop's stages (``assess``, ``select``, ``infer``,
-        ``train``, ``experience``, ``preserve``) are timed individually;
-        ``python -m repro run --profile`` prints the breakdown, and with
-        an enabled ``obs`` each sample also feeds the
-        ``freeway_hot_path_seconds{stage}`` histogram.  ``None`` (the
-        default) costs one attribute check per stage.
+
+    ``predict`` and ``update`` each run inside one root span
+    (``learner.predict`` / ``learner.update``), the learner's only clock:
+    the tracer's span when ``obs.tracer`` is enabled, an unattached
+    :class:`~repro.obs.Span` otherwise.  Its stages (``learner.assess``,
+    ``learner.select``, ``learner.infer`` under predict;
+    ``learner.train``, ``learner.experience``, ``learner.preserve`` under
+    update) are child spans.  Report latencies, the
+    ``freeway_predict_seconds`` / ``freeway_update_seconds`` and
+    ``freeway_hot_path_seconds{stage}`` histograms, and
+    ``run --profile``'s table all read those spans.
     """
 
     def __init__(self, model_factory, *, num_models: int = 2,
@@ -212,8 +215,7 @@ class Learner:
                  degrade: bool = False, breaker_threshold: int = 3,
                  breaker_cooldown: int = 10,
                  spill_dir=None, seed: int = 0,
-                 obs: Observability | None = None,
-                 profiler=None):
+                 obs: Observability | None = None):
         if num_models < 1:
             raise ValueError(f"num_models must be >= 1; got {num_models}")
         template = model_factory()
@@ -224,12 +226,6 @@ class Learner:
             )
         self.num_classes = template.num_classes
         self.obs = obs if obs is not None else NULL_OBS
-        self.profiler = profiler
-        if profiler is not None:
-            # Plan-cache events (capture/replay spans, the
-            # freeway_plan_cache counter) flow through the profiler for
-            # the lifetime of this learner; close() unhooks.
-            _nn_plan.add_plan_hook(profiler.observe_plan_event)
 
         sizes = [1] + [window_batches * (4 ** i) for i in range(num_models - 1)]
         self.ensemble = MultiGranularityEnsemble(
@@ -276,6 +272,11 @@ class Learner:
         self._processed = 0
         self._strategy_counts: Counter = Counter()
         self._current_index: int | None = None  # stream position, if known
+        # Root-span durations of the latest predict()/update() call.
+        self._predict_seconds = 0.0
+        self._update_seconds = 0.0
+        self._rolling_accuracy = SlidingWindowAccuracy(window=_ROLLING_WINDOW)
+        self._faded_accuracy = FadingAccuracy(alpha=_FADING_ALPHA)
 
     # -- constructor matching the paper's interface ------------------------------
 
@@ -323,32 +324,45 @@ class Learner:
 
     # -- inference ----------------------------------------------------------------
 
-    def _stage(self, name: str):
-        """Profiler span for one hot-path stage (no-op without a profiler)."""
-        profiler = self.profiler
-        return _NULL_STAGE if profiler is None else profiler.stage(name)
+    def _root_span(self, name: str) -> Span:
+        """The span timing one ``predict``/``update`` call: the tracer's
+        when tracing, else an unattached span (two clock reads)."""
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            return tracer.span(name, batch=self._event_index())
+        return Span(name)
+
+    def _observe_stages(self, root: Span) -> None:
+        """Feed ``freeway_hot_path_seconds{stage}`` from ``root``'s closed
+        stage spans (none unless the tracer is enabled)."""
+        histogram = self.obs.registry.histogram(
+            "freeway_hot_path_seconds", "Learner stage latency (seconds)")
+        for child in root.children:
+            stage = _STAGES.get(child.name)
+            if stage is not None:
+                histogram.labels(stage=stage).observe(child.duration)
 
     def predict(self, x: np.ndarray) -> PredictionResult:
         """Classify the shift, select one strategy, and answer with it."""
-        with self.obs.tracer.span("learner.predict",
-                                  batch=self._event_index()) as span:
+        tracer = self.obs.tracer
+        with self._root_span("learner.predict") as span:
             # A reuse match is only valid for the batch it was found on; drop
             # any leftover from a predict whose labels never arrived.
             self._pending_reuse = None
             if self.degrade:
                 x = self._sanitize_input(x)
-            with self._stage("assess"):
+            with tracer.span("learner.assess"):
                 assessment = self.classifier.assess(self._shift_view(x))
                 raw_pattern = assessment.pattern
                 assessment = self._apply_confidence_channel(x, assessment)
-            with self._stage("select"):
+            with tracer.span("learner.select"):
                 decision = self.selector.select(
                     assessment,
                     knowledge_available=len(self.knowledge) > 0,
                     experience_available=len(self.experience) > 0,
                     ensemble_trained=self.ensemble.trained,
                 )
-            with self._stage("infer"):
+            with tracer.span("learner.infer"):
                 if self.degrade:
                     result, decision = self._dispatch_degraded(
                         x, assessment, decision
@@ -357,8 +371,10 @@ class Learner:
                     result, decision = self._dispatch(x, assessment, decision)
             span.set(strategy=decision.strategy.value,
                      pattern=assessment.pattern.value)
-        if self.obs.enabled:
-            self._emit_routing_events(assessment, decision, raw_pattern)
+            if self.obs.enabled:
+                self._emit_routing_events(assessment, decision, raw_pattern)
+                self._observe_stages(span)
+        self._predict_seconds = span.duration
         return result
 
     def _dispatch(self, x, assessment, decision):
@@ -669,8 +685,8 @@ class Learner:
         supplied when the caller already assessed this batch (avoiding a
         second PCA projection); otherwise it is computed here.
         """
-        with self.obs.tracer.span("learner.update",
-                                  batch=self._event_index()):
+        tracer = self.obs.tracer
+        with self._root_span("learner.update") as span:
             if self.degrade:
                 x = self._sanitize_input(x)
             if embedding is None:
@@ -685,20 +701,23 @@ class Learner:
 
             self._verify_pending_reuse(x, y)
             self._observe_errors(x, y)
-            with self._stage("train"):
+            with tracer.span("learner.train"):
                 if self.degrade:
                     infos = self._update_degraded(x, y, embedding)
                 else:
                     infos = self.ensemble.update(x, y, embedding)
-            with self._stage("experience"):
+            with tracer.span("learner.experience"):
                 self.experience.add(x, y)
             self._batch_counter += 1
-            if infos is None:  # degraded update skipped training
-                return None
-            with self._stage("preserve"):
-                self._maybe_preserve(infos, embedding)
-            short_info = infos[self._short_index()]
-            return short_info.get("loss")
+            loss = None
+            with tracer.span("learner.preserve"):
+                if infos is not None:  # None: degraded update skipped training
+                    self._maybe_preserve(infos, embedding)
+                    loss = infos[self._short_index()].get("loss")
+            if self.obs.enabled:
+                self._observe_stages(span)
+        self._update_seconds = span.duration
+        return loss
 
     def _update_degraded(self, x, y, embedding):
         """ASW training guarded by the breaker: ``None`` means skipped."""
@@ -803,7 +822,9 @@ class Learner:
 
         Unlabeled batches are inference-only.  When a rate adjuster is
         installed and throttling, inference is skipped for strided batches
-        (``skipped_inference=True`` in the report).
+        (``skipped_inference=True`` in the report).  The report's
+        latencies are the durations of the ``learner.predict`` and
+        ``learner.update`` root spans.
         """
         window_pressure = 0.0
         long_levels = self.ensemble.long_levels
@@ -814,15 +835,18 @@ class Learner:
             window_pressure = min(
                 (window.num_batches + 1) / window.max_batches, 1.0
             )
+        infer = True
         if self.adjuster is not None:
             self.adjuster.observe(len(batch), window_pressure)
             for level in long_levels:
                 if level.window is not None:
                     level.window.decay_boost = self.adjuster.decay_boost
-            if not self.adjuster.should_infer(batch.index):
-                return self._update_only(batch)
+            infer = self.adjuster.should_infer(batch.index)
 
         self._current_index = batch.index
+        prediction = None
+        loss = None
+        predict_seconds = update_seconds = 0.0
         try:
             if self.degrade and not np.isfinite(batch.x).all():
                 # Sanitize once for the whole prequential step, so predict
@@ -830,43 +854,47 @@ class Learner:
                 # DegradedMode event is emitted per dirty batch).
                 batch = Batch(self._sanitize_input(batch.x), batch.y,
                               index=batch.index, pattern=batch.pattern)
-            start = time.perf_counter()
-            prediction = self.predict(batch.x)
-            predict_seconds = time.perf_counter() - start
-
-            accuracy = None
+            if infer:
+                prediction = self.predict(batch.x)
+                predict_seconds = self._predict_seconds
             if batch.labeled:
-                accuracy = float((prediction.labels == batch.y).mean())
-
-            loss = None
-            update_seconds = 0.0
-            if batch.labeled:
-                start = time.perf_counter()
-                loss = self.update(batch.x, batch.y,
-                                   embedding=prediction.assessment.embedding)
-                update_seconds = time.perf_counter() - start
+                loss = self.update(
+                    batch.x, batch.y,
+                    embedding=(None if prediction is None
+                               else prediction.assessment.embedding))
+                update_seconds = self._update_seconds
         finally:
             self._current_index = None
 
-        report = BatchReport(
-            batch_index=batch.index,
-            num_items=len(batch),
-            pattern=prediction.assessment.pattern.value,
-            strategy=prediction.decision.strategy.value,
-            fallback=prediction.decision.fallback,
-            accuracy=accuracy,
-            loss=loss,
-            predict_seconds=predict_seconds,
-            update_seconds=update_seconds,
-            reused_batch=prediction.reused_batch,
-        )
+        if prediction is None:
+            report = BatchReport(
+                batch_index=batch.index, num_items=len(batch),
+                pattern=ShiftPattern.WARMUP.value,
+                strategy=Strategy.MULTI_GRANULARITY.value, loss=loss,
+                update_seconds=update_seconds, skipped_inference=True,
+            )
+        else:
+            report = BatchReport(
+                batch_index=batch.index,
+                num_items=len(batch),
+                pattern=prediction.assessment.pattern.value,
+                strategy=prediction.decision.strategy.value,
+                fallback=prediction.decision.fallback,
+                accuracy=(float((prediction.labels == batch.y).mean())
+                          if batch.labeled else None),
+                loss=loss,
+                predict_seconds=predict_seconds,
+                update_seconds=update_seconds,
+                reused_batch=prediction.reused_batch,
+            )
         self._processed += 1
         self._strategy_counts[report.strategy] += 1
         if self.obs.enabled:
-            self._record_batch_metrics(report)
+            self._record_batch_metrics(report, labeled=batch.labeled)
         return report
 
-    def _record_batch_metrics(self, report: BatchReport) -> None:
+    def _record_batch_metrics(self, report: BatchReport,
+                              labeled: bool) -> None:
         registry = self.obs.registry
         registry.counter(
             "freeway_batches_total", "batches processed",
@@ -874,41 +902,32 @@ class Learner:
         registry.counter(
             "freeway_items_total", "items processed",
         ).inc(report.num_items)
-        registry.histogram(
-            "freeway_predict_seconds", "per-batch inference latency",
-        ).labels(strategy=report.strategy).observe(report.predict_seconds)
-        if report.accuracy is not None:
+        if not report.skipped_inference:
+            registry.histogram(
+                "freeway_predict_seconds", "per-batch inference latency",
+            ).labels(strategy=report.strategy).observe(report.predict_seconds)
+        if labeled:
             registry.histogram(
                 "freeway_update_seconds", "per-batch training latency",
             ).observe(report.update_seconds)
+        if report.accuracy is not None:
             registry.gauge(
                 "freeway_last_batch_accuracy",
                 "prequential accuracy of the latest labeled batch",
             ).set(report.accuracy)
+            registry.gauge(
+                "freeway_rolling_accuracy",
+                f"mean accuracy of the last {_ROLLING_WINDOW} labeled "
+                f"batches",
+            ).set(self._rolling_accuracy.update(report.accuracy))
+            registry.gauge(
+                "freeway_faded_accuracy",
+                f"fading-factor accuracy (alpha={_FADING_ALPHA})",
+            ).set(self._faded_accuracy.update(report.accuracy))
         if report.fallback:
             registry.counter(
                 "freeway_fallbacks_total", "degraded routing decisions",
             ).inc()
-
-    def _update_only(self, batch: Batch) -> BatchReport:
-        loss = None
-        update_seconds = 0.0
-        if batch.labeled:
-            self._current_index = batch.index
-            try:
-                start = time.perf_counter()
-                loss = self.update(batch.x, batch.y)
-                update_seconds = time.perf_counter() - start
-            finally:
-                self._current_index = None
-        self._processed += 1
-        return BatchReport(
-            batch_index=batch.index, num_items=len(batch),
-            pattern=ShiftPattern.WARMUP.value,
-            strategy=Strategy.MULTI_GRANULARITY.value, fallback=False,
-            accuracy=None, loss=loss, predict_seconds=0.0,
-            update_seconds=update_seconds, skipped_inference=True,
-        )
 
     def run(self, stream, max_batches: int | None = None) -> list[BatchReport]:
         """Process a stream end to end, returning all batch reports."""
@@ -946,8 +965,6 @@ class Learner:
         DistributedLearner` overrides it to shut its worker pool down.
         Closing is idempotent.
         """
-        if self.profiler is not None:
-            _nn_plan.remove_plan_hook(self.profiler.observe_plan_event)
 
     def __enter__(self) -> "Learner":
         return self

@@ -62,11 +62,6 @@ class RunConfig:
     #: Observability facade attached to FreewayML learners, so benchmarks
     #: collect stage-level spans/events alongside the prequential result.
     obs: Observability | None = None
-    #: Optional :class:`~repro.perf.HotPathProfiler` attached to the
-    #: single-process FreewayML learner (``run --profile``).  Ignored for
-    #: distributed runs — per-stage timings from concurrent replicas would
-    #: interleave into one meaningless aggregate.
-    profiler: object | None = None
     #: Optional :class:`~repro.obs.SloEngine`.  Bound to the FreewayML
     #: learner (so pre-emptive degrade can reach it) and fed one
     #: ``observe_report`` per batch; wire it into ``obs``'s sink chain
@@ -166,8 +161,6 @@ def run_framework(framework: str, generator, config: RunConfig,
         if config.num_workers > 1 or config.backend != "serial":
             return _run_freewayml_distributed(factory, stream, config,
                                               on_report, learner_kwargs)
-        if config.profiler is not None:
-            learner_kwargs.setdefault("profiler", config.profiler)
         learner = Learner(factory, seed=config.seed, obs=config.obs,
                           **learner_kwargs)
         if config.slo_engine is not None:

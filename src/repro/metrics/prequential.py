@@ -16,11 +16,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.learner import Learner
 from ..models.base import StreamingModel
 from .accuracy import AccuracyTracker
 
 if TYPE_CHECKING:  # circular at runtime; used in annotations only
+    from ..core.learner import Learner
     from ..distributed.workers import DistributedLearner
 
 __all__ = ["PrequentialResult", "evaluate_model", "evaluate_learner"]

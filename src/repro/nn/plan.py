@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 #: Metric name for plan-cache events (capture / replay / unsupported /
-#: invalidate), exported by :class:`repro.perf.HotPathProfiler`.
+#: invalidate), fed by the plan hook ``run --profile`` registers.
 PLAN_CACHE_COUNTER = "freeway_plan_cache"
 
 #: Arena bytes one thread's plan cache may hold — plans and stacked

@@ -68,7 +68,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .report import TraceSummary, render_report, summarize_trace
+from .report import TraceSummary, render_report, span_latency, summarize_trace
 from .trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -121,5 +121,6 @@ __all__ = [
     "parse_prometheus_text",
     "TraceSummary",
     "summarize_trace",
+    "span_latency",
     "render_report",
 ]

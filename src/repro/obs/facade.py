@@ -34,7 +34,8 @@ class Observability:
     ----------
     tracer:
         A :class:`~repro.obs.trace.Tracer` (or the shared null tracer).
-        ``None`` builds a real tracer wired to ``sink``.
+        ``None`` builds a real tracer wired to ``sink`` when ``enabled``,
+        and means :data:`~repro.obs.trace.NULL_TRACER` otherwise.
     registry:
         Metrics registry; ``None`` builds a fresh one.
     sink:
@@ -51,7 +52,9 @@ class Observability:
         self.enabled = enabled
         self.sink = sink if sink is not None else MemorySink()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(sink=self.sink)
+        if tracer is None:
+            tracer = Tracer(sink=self.sink) if enabled else NULL_TRACER
+        self.tracer = tracer
 
     # -- constructors ---------------------------------------------------------
 

@@ -32,7 +32,7 @@ from .events import (
     read_records,
 )
 
-__all__ = ["TraceSummary", "summarize_trace", "render_report"]
+__all__ = ["TraceSummary", "summarize_trace", "span_latency", "render_report"]
 
 
 @dataclass
@@ -46,9 +46,10 @@ class TraceSummary:
     pattern_counts: dict[str, int]
     strategy_counts: dict[str, int]
     fallback_counts: dict[str, int]          # reason → count
-    #: strategy → {"count", "p50", "p95", "mean"} predict latency (seconds)
+    #: strategy → {"count", "total", "mean", "p50", "p95"} predict latency
+    #: (seconds)
     strategy_latency: dict[str, dict[str, float]]
-    #: span name → {"count", "p50", "p95", "mean"} over all spans
+    #: span name → the same stats over all spans (:func:`span_latency`)
     span_latency: dict[str, dict[str, float]]
     reuse_attempts: int
     reuse_hits: int
@@ -71,6 +72,7 @@ def _percentiles(samples: list[float]) -> dict[str, float]:
     values = np.asarray(samples, dtype=float)
     return {
         "count": int(values.size),
+        "total": float(values.sum()),
         "mean": float(values.mean()),
         "p50": float(np.percentile(values, 50)),
         "p95": float(np.percentile(values, 95)),
@@ -81,6 +83,17 @@ def _walk_spans(record: dict):
     yield record
     for child in record.get("children", ()):
         yield from _walk_spans(child)
+
+
+def span_latency(spans) -> dict[str, dict[str, float]]:
+    """Per span name ``{count, total, mean, p50, p95}`` (seconds) over
+    span records (``Span.to_dict()`` form) and all their descendants."""
+    by_name: dict[str, list[float]] = {}
+    for root in spans:
+        for record in _walk_spans(root):
+            by_name.setdefault(record["name"], []).append(record["duration"])
+    return {name: _percentiles(samples)
+            for name, samples in sorted(by_name.items())}
 
 
 def _load_records(path: str | Path):
@@ -150,10 +163,8 @@ def summarize_trace(path: str | Path) -> TraceSummary:
             vote_margins.append(event.vote_margin)
 
     by_strategy: dict[str, list[float]] = {}
-    by_name: dict[str, list[float]] = {}
     for root in spans:
         for record in _walk_spans(root):
-            by_name.setdefault(record["name"], []).append(record["duration"])
             if record["name"] == "learner.predict":
                 strategy = record.get("attributes", {}).get("strategy")
                 if strategy:
@@ -171,8 +182,7 @@ def summarize_trace(path: str | Path) -> TraceSummary:
         fallback_counts=dict(sorted(fallback_counts.items())),
         strategy_latency={name: _percentiles(samples)
                           for name, samples in sorted(by_strategy.items())},
-        span_latency={name: _percentiles(samples)
-                      for name, samples in sorted(by_name.items())},
+        span_latency=span_latency(spans),
         reuse_attempts=reuse_hits + reuse_failures,
         reuse_hits=reuse_hits,
         decay_timeline=decay_timeline,

@@ -1,8 +1,8 @@
-"""Hot-path performance layer: the plan-capture switch and the stage profiler.
+"""Hot-path performance layer: the plan-capture switch and buffer ownership.
 
 ``repro.perf`` is deliberately a *leaf* package: it imports nothing from
 :mod:`repro.nn`, :mod:`repro.core`, or :mod:`repro.shift` so those modules
-can consult it without cycles.  It bundles three things:
+can consult it without cycles.  It bundles two things:
 
 - :data:`config` — the one hot-path switch, ``plan_capture``, which lets
   models replay captured step plans (:mod:`repro.nn.plan`);
@@ -10,17 +10,12 @@ can consult it without cycles.  It bundles three things:
   path that plans are verified against.
 - :func:`can_own` — the aliasing oracle that lets ``Tensor._deliver``
   adopt a private gradient buffer instead of copying it.
-- :class:`HotPathProfiler` — per-stage wall-clock aggregation for
-  :meth:`Learner.process`, feeding the ``freeway_hot_path_seconds{stage}``
-  histogram when an :class:`~repro.obs.Observability` facade is attached
-  (see ``run --profile``).
 
 See ``docs/PERF.md`` for the design notes and the benchmark workflow.
 """
 
 from .config import PerfConfig, config, configure, optimizations_disabled
 from .ownership import can_own
-from .profile import HOT_PATH_HISTOGRAM, PLAN_CACHE_COUNTER, HotPathProfiler
 
 __all__ = [
     "PerfConfig",
@@ -28,7 +23,4 @@ __all__ = [
     "configure",
     "optimizations_disabled",
     "can_own",
-    "HotPathProfiler",
-    "HOT_PATH_HISTOGRAM",
-    "PLAN_CACHE_COUNTER",
 ]

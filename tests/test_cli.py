@@ -1,9 +1,15 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.nn.plan import clear_plans
+
+STAGE_SPANS = ("learner.assess", "learner.select", "learner.infer",
+               "learner.train", "learner.experience", "learner.preserve")
 
 
 class TestParser:
@@ -75,3 +81,43 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mine" in out
         assert "G_acc" in out
+
+
+class TestProfile:
+    """``run --profile``: the learner's spans, one row per span name."""
+
+    ARGS = ["run", "--dataset", "electricity", "--model", "mlp",
+            "--batches", "12", "--batch-size", "64", "--profile"]
+
+    @pytest.fixture(autouse=True)
+    def cold_plan_cache(self):
+        # Plans are shared per thread; start cold so this run captures.
+        clear_plans()
+        yield
+        clear_plans()
+
+    def test_table_has_a_row_per_span(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        table = out.split("hot path (per span")[1].splitlines()[2:]
+        rows = {line.split()[0]: line.split() for line in table}
+        for name in STAGE_SPANS:
+            assert rows[name][1] == "12", name
+        assert {"learner.predict", "learner.update", "plan.capture",
+                "plan.replay"} <= set(rows)
+
+    def test_json_shares_are_of_the_root_spans(self, capsys):
+        assert main([*self.ARGS, "--json", "--metrics"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        hot_path = payload["hot_path"]
+        for name in STAGE_SPANS:
+            assert hot_path[name]["count"] == 12, name
+        plan_cache = {series["labels"]["event"]: series["value"] for series
+                      in payload["metrics"]["freeway_plan_cache"]["series"]}
+        for event in ("capture", "replay"):
+            assert hot_path[f"plan.{event}"]["count"] == plan_cache[event] > 0
+        roots = (hot_path["learner.predict"]["total"]
+                 + hot_path["learner.update"]["total"])
+        for stats in hot_path.values():
+            assert stats["share"] == pytest.approx(stats["total"] / roots)
+        assert sum(hot_path[name]["share"] for name in STAGE_SPANS) <= 1.0

@@ -5,14 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import Learner
-from repro.core.monitor import ServingMonitor
+from repro.core import Learner, RateAwareAdjuster
 from repro.data import (
     Batch,
+    ElectricitySimulator,
     GaussianMixtureConcept,
     Segment,
     stream_from_schedule,
 )
+from repro.metrics import fading_series, sliding_series
 from repro.models import StreamingLR
 from repro.obs import (
     EVENT_TYPES,
@@ -438,11 +439,22 @@ class TestLearnerIntegration:
     def test_disabled_obs_records_nothing(self):
         rng = np.random.default_rng(7)
         learner = Learner(lr_factory, window_batches=4, seed=0)
-        for batch in drifting_stream(rng):
-            learner.process(batch)
+        reports = [learner.process(batch) for batch in drifting_stream(rng)]
         assert learner.obs is NULL_OBS
         assert len(learner.obs.registry) == 0
         assert learner.obs.tracer.finished == []
+        # The root spans still time every call, unattached.
+        assert all(report.predict_seconds > 0 and report.update_seconds > 0
+                   for report in reports)
+
+    def test_disabled_facade_does_not_trace(self):
+        obs = Observability(enabled=False)
+        assert obs.tracer is NULL_TRACER
+        learner = Learner(lr_factory, window_batches=4, seed=0, obs=obs)
+        for batch in ElectricitySimulator(seed=0).stream(6, 64):
+            learner.process(batch)
+        assert obs.tracer.finished == []
+        assert obs.sink.records == []
 
     def test_jsonl_trace_and_report_summary(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -460,6 +472,97 @@ class TestLearnerIntegration:
         assert "learner.predict" in summary.span_latency
 
 
+STAGES = {
+    "learner.predict": ["learner.assess", "learner.select", "learner.infer"],
+    "learner.update": ["learner.train", "learner.experience",
+                       "learner.preserve"],
+}
+
+
+def series_of(obs, name):
+    return obs.registry.snapshot()[name]["series"]
+
+
+class TestLearnerClock:
+    """The root spans are the learner's only clock: report fields,
+    histograms and stage counts are views over them."""
+
+    @pytest.fixture
+    def clocked_run(self):
+        rng = np.random.default_rng(7)
+        obs = Observability.in_memory()
+        learner = Learner(lr_factory, window_batches=4, seed=0, obs=obs)
+        reports = [learner.process(batch) for batch in drifting_stream(rng)]
+        return obs, reports
+
+    def test_reports_are_the_root_span_durations(self, clocked_run):
+        obs, reports = clocked_run
+        roots = {name: [span for span in obs.tracer.finished
+                        if span.name == name] for name in STAGES}
+        assert ([report.predict_seconds for report in reports]
+                == [span.duration for span in roots["learner.predict"]])
+        assert ([report.update_seconds for report in reports]
+                == [span.duration for span in roots["learner.update"]])
+        for family, name in (("freeway_predict_seconds", "learner.predict"),
+                             ("freeway_update_seconds", "learner.update")):
+            recorded = sum(series["sum"] for series in series_of(obs, family))
+            assert recorded == pytest.approx(
+                sum(span.duration for span in roots[name]), rel=1e-12)
+
+    def test_stage_spans_once_per_batch_under_their_root(self, clocked_run):
+        obs, _ = clocked_run
+        assert len(obs.tracer.finished) == 2 * 26
+        for root in obs.tracer.finished:
+            assert [child.name for child in root.children] == STAGES[root.name]
+
+    def test_hot_path_histogram_counts_equal_span_counts(self, clocked_run):
+        obs, _ = clocked_run
+        spans = [span.name for root in obs.tracer.finished
+                 for span in root.walk()]
+        counts = {series["labels"]["stage"]: series["count"]
+                  for series in series_of(obs, "freeway_hot_path_seconds")}
+        assert counts == {name.split(".")[1]: spans.count(name)
+                          for names in STAGES.values() for name in names}
+        assert set(counts.values()) == {26}
+
+    def test_accuracy_gauges_follow_the_labeled_batches(self):
+        obs = Observability.in_memory()
+        learner = Learner(lr_factory, window_batches=4, seed=0, obs=obs)
+        accuracies = []
+        for batch in ElectricitySimulator(seed=0).stream(60, 32):
+            unlabeled = batch.index % 7 == 3
+            report = learner.process(batch.without_labels() if unlabeled
+                                     else batch)
+            if report.accuracy is not None:
+                accuracies.append(report.accuracy)
+        assert 50 < len(accuracies) < 60
+        snapshot = obs.registry.snapshot()
+        rolling = snapshot["freeway_rolling_accuracy"]["series"][0]["value"]
+        faded = snapshot["freeway_faded_accuracy"]["series"][0]["value"]
+        assert rolling == sliding_series(accuracies, 50)[-1]
+        assert faded == fading_series(accuracies, 0.98)[-1]
+
+    def test_throttled_batches_reach_the_metrics(self):
+        obs = Observability.in_memory()
+        learner = Learner(
+            lr_factory, window_batches=4, seed=0, obs=obs,
+            adjuster=RateAwareAdjuster(high_rate=1.0, high_pressure=-1.0),
+        )
+        reports = [learner.process(batch) for batch
+                   in ElectricitySimulator(seed=0).stream(20, 64)]
+        skipped = sum(report.skipped_inference for report in reports)
+        assert 0 < skipped < 20
+        summary = learner.summary()
+        batches = sum(series["value"]
+                      for series in series_of(obs, "freeway_batches_total"))
+        assert batches == summary["batches_processed"] == 20
+        assert sum(summary["strategies"].values()) == 20
+        update = series_of(obs, "freeway_update_seconds")
+        assert sum(series["count"] for series in update) == 20
+        predict = series_of(obs, "freeway_predict_seconds")
+        assert sum(series["count"] for series in predict) == 20 - skipped
+
+
 class TestKnowledgeEviction:
     def test_overflow_emits_evicted_events(self, rng):
         obs = Observability.in_memory()
@@ -474,43 +577,6 @@ class TestKnowledgeEviction:
             assert event.count >= 1
             assert not event.spilled  # no spill dir configured
             assert 0 <= event.store_size <= 2
-
-
-class TestMonitorEventMode:
-    def test_consumes_events_and_spans(self):
-        monitor = ServingMonitor(consume_events=True)
-        rng = np.random.default_rng(7)
-        obs = Observability(sink=monitor)
-        learner = Learner(lr_factory, window_batches=4, seed=0, obs=obs)
-        for batch in drifting_stream(rng):
-            learner.process(batch)
-        assert monitor.batches == 26
-        assert sum(monitor.pattern_counts.values()) == 26
-        assert monitor.reuse_events >= 1
-        latency = monitor.latency_percentiles()
-        assert latency["predict"]["p50"] > 0.0
-        assert latency["update"]["p50"] > 0.0
-        snapshot = monitor.snapshot()
-        assert snapshot["batches"] == 26
-        assert snapshot["rolling_accuracy"] is None  # labels never arrive
-        json.dumps(snapshot)
-        assert "predict p50=" in monitor.summary()
-
-    def test_feed_mode_guards(self, rng):
-        event_monitor = ServingMonitor(consume_events=True)
-        with pytest.raises(RuntimeError):
-            event_monitor.observe(object())
-        report_monitor = ServingMonitor()
-        with pytest.raises(RuntimeError):
-            report_monitor.observe_event(SAMPLE_EVENTS[0])
-
-    def test_emit_accepts_wire_dicts(self):
-        monitor = ServingMonitor(consume_events=True)
-        monitor.emit(StrategySelected(batch=0, strategy="cec",
-                                      pattern="sudden").to_dict())
-        monitor.emit({"kind": "event", "type": "unknown_future_type"})
-        assert monitor.batches == 1
-        assert monitor.strategy_counts["cec"] == 1
 
 
 class TestFacade:

@@ -20,9 +20,8 @@ from repro.data.drift import (GaussianMixtureConcept, Segment,
 from repro.eval import model_factory_for
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
-from repro.obs import Observability
-from repro.perf import (HOT_PATH_HISTOGRAM, HotPathProfiler, PerfConfig,
-                        can_own, config, configure, optimizations_disabled)
+from repro.perf import (PerfConfig, can_own, config, configure,
+                        optimizations_disabled)
 
 
 # -- the plan-capture switch --------------------------------------------------
@@ -242,68 +241,3 @@ class TestLearnerEquivalence:
             accs_ref, params_ref = run()
         assert accs_fast == accs_ref
         assert params_fast == params_ref
-
-
-# -- profiler -----------------------------------------------------------------
-
-
-class TestHotPathProfiler:
-    def test_stage_spans_aggregate(self):
-        profiler = HotPathProfiler()
-        for _ in range(3):
-            with profiler.stage("train"):
-                pass
-        with profiler.stage("assess"):
-            pass
-        summary = profiler.summary()
-        assert summary["train"]["count"] == 3
-        assert summary["assess"]["count"] == 1
-        for stats in summary.values():
-            assert stats["total_s"] >= 0.0
-            assert stats["max_s"] >= stats["p50_s"] >= 0.0
-
-    def test_render_lists_stages_by_total(self):
-        profiler = HotPathProfiler()
-        profiler.record("train", 0.5)
-        profiler.record("assess", 0.1)
-        table = profiler.render()
-        lines = table.splitlines()
-        assert "stage" in lines[0]
-        assert lines[1].startswith("train")
-        assert lines[2].startswith("assess")
-
-    def test_render_empty(self):
-        assert "no samples" in HotPathProfiler().render()
-
-    def test_reset_drops_samples(self):
-        profiler = HotPathProfiler()
-        profiler.record("train", 0.1)
-        profiler.reset()
-        assert profiler.summary() == {}
-
-    def test_feeds_histogram_when_obs_enabled(self):
-        obs = Observability()
-        profiler = HotPathProfiler(obs=obs)
-        profiler.record("train", 0.002)
-        snapshot = obs.registry.snapshot()
-        assert HOT_PATH_HISTOGRAM in snapshot
-        series = snapshot[HOT_PATH_HISTOGRAM]["series"]
-        assert any(entry["labels"].get("stage") == "train"
-                   for entry in series)
-
-    def test_learner_wires_all_stages(self):
-        profiler = HotPathProfiler()
-        factory = model_factory_for("lr", 16, 4, lr=0.3, seed=0)
-        learner = Learner(factory, seed=0, profiler=profiler)
-        for batch in _probe_stream(num_batches=6):
-            learner.process(batch)
-        summary = profiler.summary()
-        for stage in ("assess", "select", "infer", "train", "experience"):
-            assert stage in summary, f"stage {stage!r} never recorded"
-            assert summary[stage]["count"] == 6
-
-    def test_learner_without_profiler_records_nothing(self):
-        factory = model_factory_for("lr", 16, 4, lr=0.3, seed=0)
-        learner = Learner(factory, seed=0)
-        assert learner.profiler is None
-        learner.process(_probe_stream(num_batches=1)[0])

@@ -22,8 +22,7 @@ from repro.models.base import NeuralStreamingModel
 from repro.models.logistic import StreamingLR
 from repro.models.mlp import StreamingMLP
 from repro.nn import plan as nn_plan
-from repro.obs import Observability
-from repro.perf import HotPathProfiler, configure
+from repro.perf import configure
 
 
 @pytest.fixture(autouse=True)
@@ -517,26 +516,6 @@ class TestStackedPlans:
 
 
 class TestPlanTelemetry:
-    def test_profiler_hook_records_events_and_counter(self):
-        obs = Observability(enabled=True)
-        profiler = HotPathProfiler(obs=obs)
-        nn_plan.add_plan_hook(profiler.observe_plan_event)
-        try:
-            model = StreamingLR(num_features=4, num_classes=2, seed=0)
-            batches = make_batches(4, 8, 4, 2)
-            run_stream(model, batches, plans_on=True)
-        finally:
-            nn_plan.remove_plan_hook(profiler.observe_plan_event)
-        summary = profiler.summary()
-        assert "plan.capture" in summary
-        assert "plan.replay" in summary
-        assert summary["plan.replay"]["count"] >= 3
-        counter = obs.registry.counter(nn_plan.PLAN_CACHE_COUNTER)
-        events = {child._labels: child.value
-                  for child in counter._children.values()}
-        assert events[(("event", "capture"),)] >= 1
-        assert events[(("event", "replay"),)] >= 3
-
     def test_stats_count_replays_without_hooks(self):
         before = nn_plan.plan_cache_stats().get("replay", 0)
         model = StreamingLR(num_features=4, num_classes=2, seed=0)
