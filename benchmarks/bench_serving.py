@@ -9,7 +9,10 @@ request latency, activation/rehydration/eviction counts, and the shed
 rate — then asserts the serving-equivalence contract: a sample of
 tenants' served predictions must be byte-identical to a serial replay of
 their accepted requests through a fresh estimator with the same
-micro-batch groupings.
+micro-batch groupings.  The ``--stacked`` tier leaves every other request
+unlabeled, so its replay gate covers both kinds of stacked round: an
+unlabeled one, which only predicts, and a labeled one, which predicts
+and trains.
 
 As a pytest benchmark (``pytest benchmarks/bench_serving.py``) it runs
 the 1k-tenant tier once.  As a script it scales further::
@@ -103,7 +106,9 @@ def assert_serving_equivalence(requests, results, service, sample,
             chunk = entries[cursor:cursor + group]
             cursor += group
             x = np.vstack([entry[0] for entry in chunk])
-            y = np.concatenate([entry[1] for entry in chunk])
+            # A micro-batch is labeled or unlabeled as a whole.
+            y = (np.concatenate([entry[1] for entry in chunk])
+                 if chunk[0][1] is not None else None)
             replayed.append(predict_and_update(replica, x, y))
         np.testing.assert_array_equal(
             served, np.concatenate(replayed),
@@ -130,6 +135,10 @@ def run_serving(num_tenants, num_requests, capacity, *,
     requests = make_requests(arrivals, rows_per_request=ROWS_PER_REQUEST,
                              num_features=NUM_FEATURES,
                              num_classes=NUM_CLASSES, seed=SEED)
+    if stacked:
+        # Unlabeled requests make prediction-only stacked rounds.
+        requests = [(tenant, x, y if index % 2 == 0 else None)
+                    for index, (tenant, x, y) in enumerate(requests)]
     started = time.perf_counter()
     results, service = serve_requests(config, registry, requests,
                                       window=window)

@@ -13,10 +13,10 @@ graph construction.
 
 **Safety model.**  Capture is self-verifying: the reference run and a
 trial replay are compared — parameters, optimizer state, Dropout RNG
-states, and loss bytes must be **bitwise identical** — before a plan is
-cached.  Any mismatch (or any op the compiler does not recognize) marks
-the signature unsupported and the model keeps using the reference path.
-Capture therefore never changes results, only speed.
+states, loss bytes and any probabilities must be **bitwise identical** —
+before a plan is cached.  Any mismatch (or any op the compiler does not
+recognize) marks the signature unsupported and the model keeps using the
+reference path.  Capture therefore never changes results, only speed.
 
 **Sharing.**  A plan holds no model: it records the *positions* of the
 parameters and Dropout generators it reads, and each replay binds it to
@@ -25,10 +25,14 @@ Kernels fetch ``parameter.data``, optimizer state, and RNG state at call
 time, so a plan serves every model with the same structure — class,
 ``architecture_key``, optimizer class — and checkpoint restores or
 pickling never leave it stale.  Single-model and stacked fits share one
-capture-and-verify routine.  Plans live in one cache per thread, bounded
-by the bytes their arenas hold; the stacked arenas of
-:mod:`repro.nn.stacked` share it and its budget.  The whole engine sits
-behind the ``plan_capture`` flag in :mod:`repro.perf.config`.
+capture-and-verify routine, and so do single-model and stacked inference
+passes.  A stacked fit may also carry the inference softmax on its first
+forward's logits — a predict-and-train plan, whose probabilities capture
+verifies against the stack's ``predict_proba`` on the pre-step state.
+Plans live in one cache per thread, bounded by the bytes their arenas
+hold; the stacked arenas of :mod:`repro.nn.stacked` share it and its
+budget.  The whole engine sits behind the ``plan_capture`` flag in
+:mod:`repro.perf.config`.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ __all__ = [
     "plan_cache_stats",
     "fit_with_plan",
     "proba_with_plan",
+    "stacked_proba_with_plan",
     "stacked_fit_with_plan",
     "clear_plans",
     "PLAN_CACHE_COUNTER",
@@ -526,36 +531,51 @@ def _wire_backward(kernels, edges, x_buf, loss_kernel, logits_id,
 
 
 class _FitPlan:
-    """A compiled train step: forward, loss, backward, optimizer update."""
+    """A compiled train step: forward, loss, backward, optimizer update.
 
-    __slots__ = ("x_buf", "kernels", "loss", "step", "sgd_steps", "nbytes")
+    A predict-and-train plan also holds the inference ``softmax`` kernel,
+    run on the logits of the first step's forward: without Dropout the
+    train and eval forwards run the same kernels on the same weights, so
+    that forward is also the prediction from the pre-step weights.
+    """
 
-    def __init__(self, x_buf, kernels, loss_kernel, step_kernel, sgd_steps):
+    __slots__ = ("x_buf", "kernels", "loss", "step", "sgd_steps", "softmax",
+                 "nbytes")
+
+    def __init__(self, x_buf, kernels, loss_kernel, step_kernel, sgd_steps,
+                 softmax_kernel=None):
         self.x_buf = x_buf
         self.kernels = kernels
         self.loss = loss_kernel
         self.step = step_kernel
         self.sgd_steps = sgd_steps
-        self.nbytes = _arena_bytes([self, loss_kernel, *kernels])
+        self.softmax = softmax_kernel
+        parts = [self, loss_kernel, *kernels]
+        if softmax_kernel is not None:
+            parts.append(softmax_kernel)
+        self.nbytes = _arena_bytes(parts)
 
     def replay(self, optimizer, rngs, xr: np.ndarray, labels: np.ndarray):
         """Train the model or stack that ``optimizer`` updates on a batch.
 
-        Returns the loss buffer (0-d, or one loss per model), which the
-        next replay overwrites.
+        Returns ``(loss, probabilities)``: the loss buffer (0-d, or one
+        loss per model) and, for a predict-and-train plan, the softmax
+        buffer (else None), both overwritten by the next replay.
         """
         params = optimizer.parameters
         np.copyto(self.x_buf, xr)
         loss = None
-        for _ in range(self.sgd_steps):
+        for step in range(self.sgd_steps):
             for kernel in self.kernels:
                 kernel.forward(params, rngs)
+            if step == 0 and self.softmax is not None:
+                self.softmax.forward()
             loss = self.loss.forward(labels)
             self.loss.backward()
             for kernel in reversed(self.kernels):
                 kernel.backward(params)
             self.step.step(optimizer)
-        return loss
+        return loss, None if self.softmax is None else self.softmax.out
 
 
 class _ProbaPlan:
@@ -578,8 +598,10 @@ class _ProbaPlan:
         return self.softmax.out.copy()
 
 
-def _compile_fit(trace, optimizer, rngs, sgd_steps: int, x_shape):
-    """Compile a recorded ``fit`` trace into a :class:`_FitPlan`."""
+def _compile_fit(trace, optimizer, rngs, sgd_steps: int, x_shape,
+                 predict: bool = False):
+    """Compile a recorded ``fit`` trace into a :class:`_FitPlan`; with
+    ``predict``, a predict-and-train plan."""
     segments: list[list] = []
     segment: list = []
     for op in trace.ops:
@@ -624,8 +646,9 @@ def _compile_fit(trace, optimizer, rngs, sgd_steps: int, x_shape):
             grads[index] = grad
     if any(grad is None for grad in grads):
         raise PlanUnsupported("optimizer parameter without a gradient")
+    softmax = _SoftmaxKernel(logits_buf, logits_t.data) if predict else None
     return _FitPlan(x_buf, kernels, loss_kernel, _StepKernel(grads),
-                    sgd_steps)
+                    sgd_steps, softmax)
 
 
 def _compile_proba(trace, params, rngs, x_shape):
@@ -771,13 +794,20 @@ def _generators(rngs) -> list:
 # -- model-facing entry points ----------------------------------------------
 
 
-def _fit(key, optimizer, rngs, reference, xr, labels, sgd_steps):
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _fit(key, optimizer, rngs, reference, xr, labels, sgd_steps,
+         predict=None):
     """Train through the plan cached under ``key``, capturing it on a miss.
 
-    Returns the loss (0-d, or one per model; a plan's buffer, which its
-    next replay overwrites) — the reference run's on a capture that fails
-    — or None when ``key`` is marked unsupported and the caller must run
-    ``reference`` itself.
+    Returns ``(loss, probabilities)``: the loss (0-d, or one per model)
+    and, given the ``predict`` reference, the probabilities from the
+    pre-step weights (else None) — plan buffers, which the next replay
+    overwrites, or the reference runs' results on a capture that fails.
+    Returns None when ``key`` is marked unsupported and the caller must
+    run its references itself.
     """
     cache = _cache()
     plan = cache.get(key)
@@ -785,42 +815,90 @@ def _fit(key, optimizer, rngs, reference, xr, labels, sgd_steps):
         return None
     if plan is None:
         return _capture_fit(cache, key, optimizer, rngs, reference, xr,
-                            labels, sgd_steps)
+                            labels, sgd_steps, predict)
     return _replayed(plan.replay, optimizer, rngs, xr, labels)
 
 
 def _capture_fit(cache, key, optimizer, rngs, reference, xr, labels,
-                 sgd_steps):
-    """Trace + compile + verify; always advances state exactly once."""
+                 sgd_steps, predict=None):
+    """Trace + compile + verify; always advances state exactly once.
+
+    With ``predict``, the reference inference pass, the plan is a
+    predict-and-train plan: ``predict`` runs on the pre-step state, and
+    the trial replay's probabilities must match its bytes too.
+    """
     generators = _generators(rngs)
     pre = _Snapshot(optimizer, generators)
-    trace = _record.Trace()
     start = perf_counter()
+    proba_ref = None if predict is None else predict()
+    trace = _record.Trace()
     with _record.capturing(trace):
         loss_ref = reference()
+    ref = (loss_ref, proba_ref)
     if not trace.ok:
-        return _unsupported(cache, key, loss_ref)
+        return _unsupported(cache, key, ref)
     post = _Snapshot(optimizer, generators)
     try:
-        plan = _compile_fit(trace, optimizer, rngs, sgd_steps, xr.shape)
+        plan = _compile_fit(trace, optimizer, rngs, sgd_steps, xr.shape,
+                            predict is not None)
     except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
-        return _unsupported(cache, key, loss_ref)
+        return _unsupported(cache, key, ref)
     # Trial replay from the pre-capture state: it must land bit-for-bit
     # on the reference run's post state before the plan may be cached.
     pre.restore()
-    loss_plan = None
+    result = None
     try:
-        loss_plan = plan.replay(optimizer, rngs, xr, labels)
+        result = plan.replay(optimizer, rngs, xr, labels)
     except Exception:  # repro: noqa[REP004] — trial replay failure → plan rejected below
         pass
     now = _Snapshot(optimizer, generators)
-    if (loss_plan is None or not now.matches(post)
-            or loss_plan.tobytes() != np.asarray(loss_ref).tobytes()):
+    if (result is None or not now.matches(post)
+            or not _same_bytes(result[0], np.asarray(loss_ref))
+            or (predict is not None
+                and not _same_bytes(result[1], proba_ref))):
         post.restore()
-        return _unsupported(cache, key, loss_ref)
+        return _unsupported(cache, key, ref)
     cache.put(key, plan)
     _notify("capture", perf_counter() - start)
-    return loss_plan
+    return result
+
+
+def _proba(key, params, rngs, reference, xr):
+    """Probabilities through the plan cached under ``key``, capturing it
+    on a miss.
+
+    Returns a fresh array — the ``reference`` run's on a capture that
+    fails — or None when ``key`` is marked unsupported and the caller
+    must run ``reference`` itself.
+    """
+    cache = _cache()
+    plan = cache.get(key)
+    if plan is _UNSUPPORTED:
+        return None
+    if plan is None:
+        return _capture_proba(cache, key, params, rngs, reference, xr)
+    return _replayed(plan.replay, params, rngs, xr)
+
+
+def _capture_proba(cache, key, params, rngs, reference, xr):
+    """Trace + compile + verify an inference pass."""
+    trace = _record.Trace()
+    start = perf_counter()
+    with _record.capturing(trace):
+        out_ref = reference()
+    if not trace.ok:
+        return _unsupported(cache, key, out_ref)
+    out_plan = None
+    try:
+        plan = _compile_proba(trace, params, rngs, xr.shape)
+        out_plan = plan.replay(params, rngs, xr)
+    except Exception:  # repro: noqa[REP004] — compile/replay failure → plan rejected below
+        pass
+    if out_plan is None or not _same_bytes(out_plan, out_ref):
+        return _unsupported(cache, key, out_ref)
+    cache.put(key, plan)
+    _notify("capture", perf_counter() - start)
+    return out_plan
 
 
 def fit_with_plan(model, x, y):
@@ -842,10 +920,10 @@ def fit_with_plan(model, x, y):
     xr = np.asarray(x, dtype=float)
     key = ("fit", binding.structure, n, xr.size // n,
            bool(model.module.training), model.sgd_steps)
-    loss = _fit(key, model.optimizer, binding.rngs,
-                lambda: model._fit_steps(x, y), xr.reshape(n, -1), y,
-                model.sgd_steps)
-    return None if loss is None else float(loss)
+    result = _fit(key, model.optimizer, binding.rngs,
+                  lambda: model._fit_steps(x, y), xr.reshape(n, -1), y,
+                  model.sgd_steps)
+    return None if result is None else float(result[0])
 
 
 def proba_with_plan(model, x):
@@ -859,43 +937,32 @@ def proba_with_plan(model, x):
     if n == 0:
         return None
     xr = np.asarray(x, dtype=float).reshape(n, -1)
-    key = ("proba", binding.structure, n, xr.shape[1])
-    cache = _cache()
-    plan = cache.get(key)
-    if plan is _UNSUPPORTED:
-        return None
-    if plan is None:
-        return _capture_proba(model, binding, cache, key, x, xr)
-    result = _replayed(plan.replay, binding.params, binding.rngs, xr)
+    result = _proba(("proba", binding.structure, n, xr.shape[1]),
+                    binding.params, binding.rngs,
+                    lambda: model._forward_proba(x), xr)
     # The reference path leaves the module in train mode unconditionally.
     model.module.train()
     return result
 
 
-def _capture_proba(model, binding, cache, key, x, xr):
-    params, rngs = binding.params, binding.rngs
-    trace = _record.Trace()
-    start = perf_counter()
-    with _record.capturing(trace):
-        out_ref = model._forward_proba(x)
-    if not trace.ok:
-        return _unsupported(cache, key, out_ref)
-    out_plan = None
-    try:
-        plan = _compile_proba(trace, params, rngs, xr.shape)
-        out_plan = plan.replay(params, rngs, xr)
-        model.module.train()
-    except Exception:  # repro: noqa[REP004] — compile/replay failure → plan rejected below
-        pass
-    if (out_plan is None or out_plan.shape != out_ref.shape
-            or out_plan.tobytes() != out_ref.tobytes()):
-        return _unsupported(cache, key, out_ref)
-    cache.put(key, plan)
-    _notify("capture", perf_counter() - start)
-    return out_plan
+def stacked_proba_with_plan(stack, xs):
+    """``stack.predict_proba(xs)`` through the plan cache; ``None`` →
+    reference path.
+
+    ``xs`` arrives already reshaped to ``(models, batch, features)``.
+    Keyed like :func:`stacked_fit_with_plan`, by architecture and shape.
+    """
+    if _record.ACTIVE and _record.current() is not None:
+        return None
+    result = _proba(("stacked-proba", stack.key, xs.shape),
+                    stack.stacked_params, stack.rngs,
+                    lambda: stack.predict_proba(xs), xs)
+    stack.train()  # where the reference leaves the stack
+    return result
 
 
-def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference):
+def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference,
+                          predict=False):
     """``stacked_fit`` through the plan cache; ``None`` → reference path.
 
     ``xs``/``ys`` arrive already reshaped to ``(models, batch, features)``
@@ -903,14 +970,26 @@ def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference):
     passed in to keep this module import-cycle-free.  Keys cover
     architecture + shapes, not the stack, so every stack of one group
     shape — a rebuilt arena included — hits the same plan.
+
+    Returns fresh ``(losses, probabilities)``.  With ``predict`` the plan
+    is a predict-and-train plan, and ``probabilities`` is what
+    ``stack.predict_proba(xs)`` returns on the pre-step weights; else it
+    is None.  Only a stack without Dropout may predict from its training
+    forward; capture verifies that the two agree.
     """
     if _record.ACTIVE and _record.current() is not None:
         return None
+    if predict:
+        stack.train()  # where the reference's predict_proba leaves it
     kind = "adam" if isinstance(optimizer, Adam) else "sgd"
     key = (stack.key, stack.num_models, xs.shape, sgd_steps, kind,
-           bool(stack.training))
-    rngs = [op[2] for op in stack._plan if op[0] == "dropout"]
-    losses = _fit(key, optimizer, rngs,
+           bool(stack.training), predict)
+    result = _fit(key, optimizer, stack.rngs,
                   lambda: reference(stack, optimizer, xs, ys, sgd_steps), xs,
-                  ys, sgd_steps)
-    return None if losses is None else losses.copy()
+                  ys, sgd_steps,
+                  (lambda: stack.predict_proba(xs)) if predict else None)
+    if result is None:
+        return None
+    losses, probabilities = result
+    return (losses.copy(),
+            None if probabilities is None else probabilities.copy())

@@ -26,6 +26,11 @@ state after :func:`unstack_models` are therefore **bitwise-identical** to
 running each model alone (asserted in ``tests/test_stacked.py`` and
 gated in ``benchmarks/bench_hotpath.py --stacked``).
 
+With ``plan_capture`` on, :func:`stacked_fit`, :func:`stacked_predict_proba`
+and :func:`stacked_predict_fit` replay plans captured from
+:meth:`ModelStack.predict_proba` and the step loop, which stay the
+reference path (:mod:`repro.nn.plan`).
+
 Only architectures built from ``Linear``, the fusable activations,
 ``Dropout``, ``Flatten``, and ``Sequential`` can stack; anything else
 (e.g. ``Conv2d``) raises :class:`StackedModelError` and callers fall
@@ -72,6 +77,8 @@ __all__ = [
     "architecture_key",
     "stacked_cross_entropy",
     "stacked_fit",
+    "stacked_predict_proba",
+    "stacked_predict_fit",
     "StackedSGD",
     "StackedAdam",
     "make_stacked_optimizer",
@@ -182,6 +189,8 @@ class ModelStack(Module):
             stacked.append(parameter)
         self.stacked_params = stacked
         self._plan = self._build_plan(modules)
+        #: Per Dropout op, the generators its model rows draw from.
+        self.rngs = [op[2] for op in self._plan if op[0] == "dropout"]
 
     def _build_plan(self, modules: list[Module]) -> list[tuple]:
         """Fold the lockstep layer sequences into stacked ops.
@@ -257,8 +266,7 @@ class ModelStack(Module):
         """
         from .tensor import no_grad
 
-        x = np.asarray(x, dtype=float)
-        x = x.reshape(self.num_models, x.shape[1], -1)
+        x = _model_axis(self, x)
         self.eval()
         with no_grad():
             probabilities = F.softmax(self.forward(Tensor(x)))
@@ -294,16 +302,65 @@ def stacked_fit(stack: ModelStack, optimizer, xs: np.ndarray,
     front; ``backward`` is seeded with ``ones(models)`` so each model's
     gradient flow equals its own scalar ``loss.backward()``.
     """
-    xs = np.asarray(xs, dtype=float)
-    xs = xs.reshape(stack.num_models, xs.shape[1], -1)
+    xs = _model_axis(stack, xs)
     ys = np.asarray(ys, dtype=np.int64).reshape(stack.num_models, -1)
     if _perf_config.plan_capture and type(optimizer) in (StackedSGD,
                                                          StackedAdam):
-        losses = _plan.stacked_fit_with_plan(stack, optimizer, xs, ys,
+        result = _plan.stacked_fit_with_plan(stack, optimizer, xs, ys,
                                              sgd_steps, _stacked_fit_steps)
-        if losses is not None:
-            return losses
+        if result is not None:
+            return result[0]
     return _stacked_fit_steps(stack, optimizer, xs, ys, sgd_steps)
+
+
+def stacked_predict_proba(stack: ModelStack, xs: np.ndarray) -> np.ndarray:
+    """``stack.predict_proba(xs)``, replayed from a captured plan.
+
+    With ``plan_capture`` on, one inference plan per architecture and
+    input shape — compiled from ``predict_proba``'s trace and matched to
+    its bytes at capture — serves every stack; what the engine cannot
+    replay runs ``predict_proba`` itself.
+    """
+    xs = _model_axis(stack, xs)
+    if _perf_config.plan_capture:
+        probabilities = _plan.stacked_proba_with_plan(stack, xs)
+        if probabilities is not None:
+            return probabilities
+    return stack.predict_proba(xs)
+
+
+def stacked_predict_fit(stack: ModelStack, optimizer, xs: np.ndarray,
+                        ys: np.ndarray, sgd_steps: int = 1
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Predict from the pre-step weights, then train.
+
+    Returns ``(probabilities, losses)``, bitwise what
+    ``stack.predict_proba(xs)`` and then :func:`stacked_fit` return.
+    With ``plan_capture`` on, a stack without Dropout runs both as one
+    predict-and-train plan: its train and eval forwards run the same
+    kernels on the same weights, so the first training forward's logits
+    give the prediction.  A stack with Dropout, whose training forward
+    draws masks, predicts through :func:`stacked_predict_proba` and
+    trains through :func:`stacked_fit`.
+    """
+    xs = _model_axis(stack, xs)
+    ys = np.asarray(ys, dtype=np.int64).reshape(stack.num_models, -1)
+    if (_perf_config.plan_capture and not stack.rngs
+            and type(optimizer) in (StackedSGD, StackedAdam)):
+        result = _plan.stacked_fit_with_plan(stack, optimizer, xs, ys,
+                                             sgd_steps, _stacked_fit_steps,
+                                             predict=True)
+        if result is not None:
+            losses, probabilities = result
+            return probabilities, losses
+    probabilities = stacked_predict_proba(stack, xs)
+    return probabilities, stacked_fit(stack, optimizer, xs, ys, sgd_steps)
+
+
+def _model_axis(stack: ModelStack, xs) -> np.ndarray:
+    """``xs`` as float ``(models, batch, features)``."""
+    xs = np.asarray(xs, dtype=float)
+    return xs.reshape(stack.num_models, xs.shape[1], -1)
 
 
 def _stacked_fit_steps(stack: ModelStack, optimizer, xs: np.ndarray,
@@ -588,7 +645,7 @@ class StackedArena:
     were.
     """
 
-    __slots__ = ("group", "stack", "optimizer", "rngs", "nbytes")
+    __slots__ = ("group", "stack", "optimizer", "nbytes")
 
     def __init__(self, models, group: tuple):
         stack = ModelStack([model.module for model in models])
@@ -607,9 +664,6 @@ class StackedArena:
         self.group = group
         self.stack = stack
         self.optimizer = optimizer
-        #: Per Dropout layer, the generators the stacked program draws
-        #: rows from.
-        self.rngs = [op[2] for op in stack._plan if op[0] == "dropout"]
         # Parameters, gradient and two scratch buffers, plus the state.
         self.nbytes = flat.flat.nbytes * (4 + len(state_names))
 
@@ -639,7 +693,7 @@ class StackedArena:
                         f"{data.dtype} does not fit the arena's "
                         f"{target.shape[1:]} {target.dtype}")
                 target[row] = data
-            for rngs, rng in zip(self.rngs, binding.rngs):
+            for rngs, rng in zip(self.stack.rngs, binding.rngs):
                 rngs[row] = rng
         if train:
             _load_state(self.optimizer, [model.optimizer for model in models])

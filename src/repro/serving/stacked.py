@@ -20,9 +20,10 @@ copies the tenants' parameters and optimizer state into the arena's rows
 and back, in place, instead of rebuilding a stack and a stacked
 optimizer.  Co-scheduling composes with the captured-plan engine: with
 the ``plan_capture`` flag on, a recurring tenant-group signature runs the
-stacked step through a replayed plan (:mod:`repro.nn.plan`), stacking
-the amortization wins — one tensor program for N tenants, compiled once
-and replayed allocation-free.
+stacked round through replayed plans (:mod:`repro.nn.plan`) — an
+inference plan for an unlabeled round, one predict-and-train plan for a
+labeled one — stacking the amortization wins: one tensor program for N
+tenants, compiled once and replayed allocation-free.
 
 :class:`ModelEstimator` adapts a bare
 :class:`~repro.models.base.NeuralStreamingModel` to the
@@ -40,7 +41,8 @@ import numpy as np
 
 from ..api import BaseReport
 from ..nn import Adam, SGD
-from ..nn.stacked import stacked_arena, stacked_fit, stacking_group
+from ..nn.stacked import (stacked_arena, stacked_predict_fit,
+                          stacked_predict_proba, stacking_group)
 
 __all__ = ["ModelEstimator", "StackedGroupPlan", "stacking_key",
            "plan_stacked_groups", "execute_stacked"]
@@ -216,7 +218,11 @@ def execute_stacked(estimators, xs, ys) -> np.ndarray:
     Mirrors :func:`~repro.serving.service.predict_and_update` per model:
     predict from the pre-update weights, then (for labeled batches) run
     ``sgd_steps`` training steps — all through one stacked program in the
-    thread's arena for this group.  Returns the ``(models, rows)``
+    thread's arena for this group.  With plan capture on, an unlabeled
+    round replays a stacked inference plan, and a labeled one a
+    predict-and-train plan whose first training forward gives the
+    prediction (:func:`~repro.nn.stacked.stacked_predict_fit`), so no
+    round builds a Tensor graph.  Returns the ``(models, rows)``
     predicted labels; each estimator's model ends bitwise-identical to
     having served its batch alone.  Raises
     :class:`~repro.nn.stacked.StackedModelError`, leaving every model as
@@ -228,14 +234,15 @@ def execute_stacked(estimators, xs, ys) -> np.ndarray:
     labeled = ys[0] is not None
     arena = stacked_arena(models)
     arena.load(models, train=labeled)
-    labels = arena.stack.predict_proba(stacked_x).argmax(axis=-1)
-    if labeled:
-        stacked_y = np.stack([
-            np.asarray(y, dtype=np.int64).reshape(-1) for y in ys])
-        stacked_fit(arena.stack, arena.optimizer, stacked_x, stacked_y,
-                    sgd_steps=models[0].sgd_steps)
-        arena.store(models)
-        for model in models:
-            model.updates += 1
-            model._weights_version += 1
-    return labels
+    if not labeled:
+        return stacked_predict_proba(arena.stack, stacked_x).argmax(axis=-1)
+    stacked_y = np.stack([
+        np.asarray(y, dtype=np.int64).reshape(-1) for y in ys])
+    probabilities, _ = stacked_predict_fit(
+        arena.stack, arena.optimizer, stacked_x, stacked_y,
+        sgd_steps=models[0].sgd_steps)
+    arena.store(models)
+    for model in models:
+        model.updates += 1
+        model._weights_version += 1
+    return probabilities.argmax(axis=-1)

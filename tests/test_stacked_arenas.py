@@ -6,6 +6,8 @@ optimizer state are copied into the arena's rows and back each round.
 These tests drive ``execute_stacked`` through rounds whose membership and
 size change every time and hold each member — parameters, exported
 optimizer state, Dropout RNG state — byte-equal to a serial replay.
+They also check that warm rounds are served by replayed plans, with no
+Tensor graph built.
 """
 
 import copy
@@ -238,3 +240,100 @@ class TestArenaRounds:
             execute_stacked([ModelEstimator(m) for m in models], [x, x],
                             [y, y])
         assert [snapshot(model) for model in models] == before
+
+
+def count_forwards(monkeypatch):
+    """Count ``ModelStack.forward`` calls: each is a Tensor graph built."""
+    counts = Counter()
+    original = ModelStack.forward
+
+    def forward(self, x):
+        counts["forward"] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(ModelStack, "forward", forward)
+    return counts
+
+
+def plan_events(before):
+    after = nn_plan.plan_cache_stats()
+    return {event: after.get(event, 0) - before.get(event, 0)
+            for event in ("capture", "replay", "unsupported")}
+
+
+def serve_and_compare(stacked, serial, members, labeled, rng):
+    """One stacked round; labels and every model must match serial."""
+    xs = [rng.normal(size=(ROWS, NUM_FEATURES)) for _ in members]
+    ys = [rng.integers(0, NUM_CLASSES, ROWS) if labeled else None
+          for _ in members]
+    labels = execute_stacked(
+        [ModelEstimator(stacked[index]) for index in members], xs, ys)
+    with optimizations_disabled():
+        expected = [predict_and_update(ModelEstimator(serial[index]), x, y)
+                    for index, x, y in zip(members, xs, ys)]
+    for got, want in zip(labels, expected):
+        assert got.tobytes() == np.asarray(want).tobytes()
+    for index in range(len(stacked)):
+        assert snapshot(stacked[index]) == snapshot(serial[index])
+
+
+class TestStackedRoundPlans:
+    """Warm stacked rounds replay plans and build no Tensor graph."""
+
+    @pytest.mark.parametrize("kind", sorted(FLEETS))
+    def test_warm_rounds_replay_plans_without_a_forward(self, kind,
+                                                        monkeypatch):
+        forwards = count_forwards(monkeypatch)
+        make = FLEETS[kind]
+        stacked = [make(seed) for seed in range(8)]
+        serial = [make(seed) for seed in range(8)]
+        rng = np.random.default_rng(3)
+        warm, checked = set(), Counter()
+        for members, labeled in schedule(kind, 8, 30, seed=0):
+            shape = (len(members), labeled)
+            before, calls = nn_plan.plan_cache_stats(), forwards["forward"]
+            serve_and_compare(stacked, serial, members, labeled, rng)
+            if shape in warm:
+                # One predict-and-train plan per labeled round; with
+                # Dropout, an inference plan and the fit plan instead.
+                replays = 2 if kind == "dropout" and labeled else 1
+                assert forwards["forward"] == calls, shape
+                assert plan_events(before) == {
+                    "capture": 0, "replay": replays, "unsupported": 0}
+                checked[labeled] += 1
+            warm.add(shape)
+        assert checked[True] > 0 and checked[False] > 0
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_perturbed_probabilities_at_capture_mark_the_key_unsupported(
+            self, labeled, monkeypatch):
+        original = nn_plan._SoftmaxKernel.forward
+
+        def perturbed(self):
+            original(self)
+            np.subtract(1.0, self.out, out=self.out)  # argmax → argmin
+
+        monkeypatch.setattr(nn_plan._SoftmaxKernel, "forward", perturbed)
+        make = FLEETS["momentum"]
+        stacked = [make(seed) for seed in range(3)]
+        serial = [make(seed) for seed in range(3)]
+        rng = np.random.default_rng(4)
+        before = nn_plan.plan_cache_stats()
+        serve_and_compare(stacked, serial, [0, 1, 2], labeled, rng)
+        assert plan_events(before) == {"capture": 0, "replay": 0,
+                                       "unsupported": 1}
+        entries = [entry for entry, _ in nn_plan._cache().entries.values()]
+        assert nn_plan._UNSUPPORTED in entries
+        serve_and_compare(stacked, serial, [2, 0, 1], labeled, rng)
+
+    def test_round_plans_count_as_plans_when_dropped(self):
+        make = FLEETS["momentum"]
+        stacked = [make(seed) for seed in range(3)]
+        serial = [make(seed) for seed in range(3)]
+        rng = np.random.default_rng(5)
+        for labeled in (True, False):
+            serve_and_compare(stacked, serial, [0, 1, 2], labeled, rng)
+        before = nn_plan.plan_cache_stats().get("invalidate", 0)
+        nn_plan.clear_plans()
+        # The predict-and-train and inference plans; the arena is no plan.
+        assert nn_plan.plan_cache_stats()["invalidate"] - before == 2
