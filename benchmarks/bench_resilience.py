@@ -21,9 +21,10 @@ Scenarios (each deterministic — explicit schedules or fixed seeds):
 - ``slow-batch``     — a hung worker detected via ``hang_timeout`` and
   restarted (needs the fork backend).
 
-The distributed scenarios additionally verify the recovered run's
-accuracy sequence matches the serial reference exactly — the bench
-doubles as an end-to-end recovery check.
+The distributed scenarios additionally verify that the recovered run
+matches the serial reference exactly — its accuracy sequence and every
+worker's parameters, byte for byte — so the bench doubles as an
+end-to-end recovery check; a mismatch exits 1.
 """
 
 import argparse
@@ -81,6 +82,9 @@ def _timed_serial(batches, *, transform=None, attach=None, degrade=True):
 
 
 def _timed_distributed(batches, backend):
+    """Run a distributed learner over ``batches``; returns (accuracies,
+    wall, parameters): every worker's parameter bytes per granularity
+    level at the end."""
     learner = DistributedLearner(_mlp_factory(), num_workers=NUM_WORKERS,
                                  backend=backend, seed=SEED,
                                  window_batches=8)
@@ -89,9 +93,14 @@ def _timed_distributed(batches, backend):
     try:
         for batch in batches:
             accuracies.append(learner.process(batch).accuracy)
+        wall = time.perf_counter() - start
+        parameters = [
+            [{name: value.tobytes() for name, value in state.items()}
+             for state in learner.backend.gather_states(level)]
+            for level in range(len(learner.workers[0].ensemble.levels))]
     finally:
         learner.close()
-    return accuracies, time.perf_counter() - start
+    return accuracies, wall, parameters
 
 
 def _mean(accuracies):
@@ -124,14 +133,15 @@ def run_serial_scenarios(num_batches, batch_size):
 def run_distributed_scenarios(num_batches, batch_size):
     """The process-backend scenarios; returns (rows, all_matched)."""
     batches = _batches(num_batches, batch_size)
-    serial, serial_wall = _timed_distributed(batches, "serial")
+    serial, serial_wall, serial_parameters = _timed_distributed(batches,
+                                                                "serial")
     rows = [("dist-baseline", serial, serial_wall, "serial reference")]
     matched = True
 
     crash_backend = ProcessBackend(max_restarts=3)
     WorkerCrash(at={num_batches // 2}, worker=1).attach(crash_backend)
-    accuracies, wall = _timed_distributed(batches, crash_backend)
-    crash_match = accuracies == serial
+    accuracies, wall, parameters = _timed_distributed(batches, crash_backend)
+    crash_match = accuracies == serial and parameters == serial_parameters
     matched &= crash_match
     rows.append(("worker-crash", accuracies, wall,
                  f"restarts={crash_backend.restarts}, "
@@ -140,8 +150,8 @@ def run_distributed_scenarios(num_batches, batch_size):
     hang_backend = ProcessBackend(max_restarts=3, hang_timeout=1.0)
     SlowBatch(at={num_batches // 2}, worker=0, delay=30.0).attach(
         hang_backend)
-    accuracies, wall = _timed_distributed(batches, hang_backend)
-    hang_match = accuracies == serial
+    accuracies, wall, parameters = _timed_distributed(batches, hang_backend)
+    hang_match = accuracies == serial and parameters == serial_parameters
     matched &= hang_match
     rows.append(("slow-batch", accuracies, wall,
                  f"restarts={hang_backend.restarts}, "
@@ -195,7 +205,7 @@ def main(argv=None) -> int:
 
     if fork_ok and not matched:
         print("\nERROR: a recovered distributed run diverged from the "
-              "serial reference")
+              "serial reference (accuracies or worker parameters)")
         return 1
     print("\nall injected faults absorbed; no uncaught exceptions")
     return 0

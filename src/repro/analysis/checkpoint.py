@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..nn.modules import Module
-from ..nn.serialization import load_state_dict as _load_state_dict_file
+from ..nn.serialization import parameters_of, read_checkpoint
 from .shapes import TensorSpec
 
 __all__ = [
@@ -162,5 +162,9 @@ def check_state_dict(reference, state) -> CompatReport:
 
 
 def verify_checkpoint_file(path: str | Path, reference) -> CompatReport:
-    """Check a checkpoint written by :func:`repro.nn.save_state_dict`."""
-    return check_state_dict(reference, _load_state_dict_file(path))
+    """Check the parameters in a file
+    :func:`~repro.nn.serialization.write_checkpoint` wrote (a tenant's
+    training state, a knowledge spill, a ``state_dict``); entries named
+    ``__*`` are not parameters."""
+    arrays, _meta = read_checkpoint(path)
+    return check_state_dict(reference, parameters_of(arrays))

@@ -26,9 +26,10 @@ import numpy as np
 
 from ..analysis.checkpoint import check_state_dict
 from ..nn.serialization import (
-    load_state_dict,
-    save_state_dict,
+    parameters_of,
+    read_checkpoint,
     state_dict_nbytes,
+    write_checkpoint,
 )
 from ..obs import NULL_OBS, CheckpointRejected, KnowledgeEvicted, KnowledgePreserved
 
@@ -50,6 +51,28 @@ class KnowledgeEntry:
     def nbytes(self) -> int:
         """Parameter payload size (Table IV accounting)."""
         return state_dict_nbytes(self.state)
+
+    def checkpoint(self) -> tuple[dict, dict]:
+        """``(arrays, meta)`` for this entry, as a learner checkpoint and
+        the spill store it: the parameters plus ``__embedding__``."""
+        arrays = dict(self.state)
+        arrays["__embedding__"] = self.embedding
+        return arrays, {"model_kind": self.model_kind,
+                        "disorder": self.disorder,
+                        "batch_index": self.batch_index}
+
+    @classmethod
+    def from_checkpoint(cls, arrays: dict, meta: dict) -> "KnowledgeEntry":
+        """Inverse of :meth:`checkpoint`."""
+        return cls(
+            embedding=np.asarray(arrays["__embedding__"],
+                                 dtype=float).reshape(-1),
+            state={name: np.array(value)
+                   for name, value in parameters_of(arrays).items()},
+            model_kind=str(meta["model_kind"]),
+            disorder=float(meta["disorder"]),
+            batch_index=int(meta["batch_index"]),
+        )
 
 
 @dataclass
@@ -176,7 +199,6 @@ class KnowledgeStore:
             ).inc(len(evicted))
         if self.spill_dir is None:
             return
-        self.spill_dir.mkdir(parents=True, exist_ok=True)
         for entry in evicted:
             # The sequence number keeps filenames unique: one window end can
             # preserve both a long and a short entry at the same batch
@@ -189,37 +211,20 @@ class KnowledgeStore:
             self._spill_counter += 1
             # The full (d_i, k_i) pair goes to disk — parameters alone are
             # unreusable because matching is distribution-indexed.
-            payload = {f"param/{name}": np.asarray(value)
-                       for name, value in entry.state.items()}
-            payload["meta/embedding"] = entry.embedding
-            payload["meta/model_kind"] = np.asarray(entry.model_kind)
-            payload["meta/disorder"] = np.asarray(entry.disorder)
-            payload["meta/batch_index"] = np.asarray(entry.batch_index)
-            payload["meta/created_at"] = np.asarray(entry.created_at)
-            save_state_dict(payload, path)
+            write_checkpoint(path, *entry.checkpoint())
 
     @staticmethod
     def load_spilled(path: str | Path) -> KnowledgeEntry:
         """Rehydrate one spilled entry (embedding, parameters, metadata).
 
         The inverse of the overflow spill: returns a full
-        :class:`KnowledgeEntry` ready to be matched or restored.
+        :class:`KnowledgeEntry` ready to be matched or restored.  Raises
+        :class:`ValueError` for any other file.
         """
-        archive = load_state_dict(path)
-        if "meta/embedding" not in archive:
-            raise ValueError(f"{path} is not a knowledge spill file")
-        state = {name[len("param/"):]: value
-                 for name, value in archive.items()
-                 if name.startswith("param/")}
-        return KnowledgeEntry(
-            embedding=np.asarray(archive["meta/embedding"],
-                                 dtype=float).reshape(-1),
-            state=state,
-            model_kind=str(archive["meta/model_kind"]),
-            disorder=float(archive["meta/disorder"]),
-            batch_index=int(archive["meta/batch_index"]),
-            created_at=float(archive["meta/created_at"]),
-        )
+        try:
+            return KnowledgeEntry.from_checkpoint(*read_checkpoint(path))
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(f"{path} is not a knowledge spill file") from error
 
     def readmit(self, path: str | Path) -> KnowledgeEntry:
         """Load a spilled entry back into the in-memory store."""

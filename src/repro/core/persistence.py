@@ -2,35 +2,45 @@
 
 A streaming learner's value is its accumulated state — the granularity
 models, the knowledge store, the fitted shift PCA, and the labeled
-experience.  :func:`save_learner` serializes all of it into a single
-``.npz`` archive; :func:`load_learner` restores it into a freshly
+experience.  :func:`learner_state` captures all of it as ``(arrays,
+meta)``, and :func:`restore_learner_state` loads it into a freshly
 constructed :class:`~repro.core.learner.Learner` (built from the same
-model factory), so serving can resume where it stopped.
+model factory).  That pair is the one ``Learner`` checkpoint: the file
+:func:`save_learner` writes with
+:func:`~repro.nn.serialization.write_checkpoint`, a tenant in either
+serving checkpoint store, and the snapshot a process-backend worker
+restarts from.
 
-Rolling statistics (severity histories, accuracy EMAs) are saved too, so a
-restored learner classifies the next batch exactly as the original would
+Each granularity model is stored as its full training state
+(:func:`~repro.nn.serialization.training_state`: parameters, optimizer
+state, Dropout generators, update count), and rolling statistics
+(severity histories, accuracy EMAs) are saved too, so a restored learner
+classifies and trains on the next batch exactly as the original would
 have.
 """
 
 from __future__ import annotations
 
-import io
-import json
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from ..analysis.checkpoint import check_state_dict
-from ..nn.serialization import atomic_write_bytes
+from ..nn.serialization import (
+    load_training_state,
+    parameters_of,
+    read_checkpoint,
+    training_state,
+    write_checkpoint,
+)
 from ..obs import CheckpointRejected, CheckpointWritten
 from ..resilience.degrade import CircuitBreaker
+from .knowledge import KnowledgeEntry
 from .learner import Learner
 
 __all__ = ["save_learner", "load_learner", "learner_state",
-           "restore_learner_state", "write_checkpoint", "read_checkpoint"]
-
-_META_KEY = "__freewayml_meta__"
+           "restore_learner_state"]
 
 
 def _flatten(prefix: str, state: dict, arrays: dict) -> None:
@@ -67,7 +77,7 @@ def learner_state(learner: Learner) -> tuple[dict, dict]:
         meta["breaker"] = learner.breaker.state_dict()
 
     for index, level in enumerate(learner.ensemble.levels):
-        _flatten(f"level{index}/", level.model.state_dict(), arrays)
+        _flatten(f"level{index}/", training_state(level.model), arrays)
         reference = level.reference_embedding()
         if reference is not None:
             arrays[f"level{index}/__reference__"] = reference
@@ -97,14 +107,9 @@ def learner_state(learner: Learner) -> tuple[dict, dict]:
         meta["levels"].append(level_meta)
 
     for index, entry in enumerate(learner.knowledge.entries):  # repro: noqa[REP007] — checkpoint serialization, off the serving path
-        prefix = f"knowledge{index}/"
-        _flatten(prefix, entry.state, arrays)
-        arrays[f"{prefix}__embedding__"] = entry.embedding
-        meta["knowledge"].append({
-            "model_kind": entry.model_kind,
-            "disorder": entry.disorder,
-            "batch_index": entry.batch_index,
-        })
+        entry_arrays, entry_meta = entry.checkpoint()
+        _flatten(f"knowledge{index}/", entry_arrays, arrays)
+        meta["knowledge"].append(entry_meta)
 
     for index, (x, y, clock) in enumerate(learner.experience._entries):  # repro: noqa[REP007] — checkpoint serialization, off the serving path
         arrays[f"experience{index}/x"] = x
@@ -130,31 +135,6 @@ def learner_state(learner: Learner) -> tuple[dict, dict]:
         values = np.asarray(list(tracker._distances), dtype=float)
         if values.size:
             arrays[f"tracker/{name}"] = values
-    return arrays, meta
-
-
-def write_checkpoint(path: str | Path, arrays: dict, meta) -> int:
-    """Write one ``.npz`` checkpoint atomically; returns bytes written.
-
-    The archive holds ``arrays`` plus ``meta`` (anything JSON can encode)
-    under a reserved key.  The write goes through
-    :func:`~repro.nn.serialization.atomic_write_bytes`, so a crash
-    mid-write leaves the previous checkpoint at ``path`` whole.
-    """
-    arrays = dict(arrays)
-    arrays[_META_KEY] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return atomic_write_bytes(path, buffer.getvalue())
-
-
-def read_checkpoint(path: str | Path) -> tuple[dict, object]:
-    """``(arrays, meta)`` from a checkpoint :func:`write_checkpoint` wrote."""
-    with np.load(Path(path), allow_pickle=False) as archive:
-        arrays = {key: archive[key] for key in archive.files}
-    meta = json.loads(bytes(arrays.pop(_META_KEY)).decode("utf-8"))
     return arrays, meta
 
 
@@ -213,8 +193,9 @@ def restore_learner_state(learner: Learner, arrays: dict, meta: dict) -> Learner
         prefix = f"level{index}/"
         state = {name: value for name, value
                  in _unflatten(prefix, arrays).items()
-                 if not (name.startswith("__") or name.startswith("window"))}
-        report = check_state_dict(level.model.state_dict(), state)
+                 if not (name == "__reference__" or name.startswith("window"))}
+        report = check_state_dict(level.model.state_dict(),
+                                  parameters_of(state))
         if not report.ok:
             if learner.obs.enabled:
                 learner.obs.emit(CheckpointRejected(
@@ -231,7 +212,9 @@ def restore_learner_state(learner: Learner, arrays: dict, meta: dict) -> Learner
             report.raise_if_incompatible(
                 context=f"granularity level {index} ({level.name})"
             )
-        level.model.load_state_dict(state)
+        # A checkpoint from before training states were stored holds the
+        # parameters alone; the optimizer then starts fresh.
+        load_training_state(level.model, state)
         level.updates = int(level_meta["updates"])
         level.accuracy_ema = level_meta["accuracy_ema"]
         level._last_disorder = float(level_meta["last_disorder"])
@@ -268,17 +251,11 @@ def restore_learner_state(learner: Learner, arrays: dict, meta: dict) -> Learner
             window._last_disorder = float(window_meta["last_disorder"])
             window._rng.bit_generator.state = window_meta["rng_state"]
 
-    learner.knowledge._entries.clear()
-    for index, entry_meta in enumerate(meta["knowledge"]):
-        prefix = f"knowledge{index}/"
-        state = {name: value for name, value
-                 in _unflatten(prefix, arrays).items()
-                 if not name.startswith("__")}
-        learner.knowledge.preserve(
-            arrays[f"{prefix}__embedding__"], state,
-            entry_meta["model_kind"], entry_meta["disorder"],
-            entry_meta["batch_index"],
-        )
+    learner.knowledge._entries = [
+        KnowledgeEntry.from_checkpoint(
+            _unflatten(f"knowledge{index}/", arrays), entry_meta)
+        for index, entry_meta in enumerate(meta["knowledge"])
+    ]
 
     learner.experience._entries.clear()
     for index, entry_meta in enumerate(meta["experience"]):
@@ -299,6 +276,8 @@ def restore_learner_state(learner: Learner, arrays: dict, meta: dict) -> Learner
         learner.classifier._previous_embedding = np.asarray(
             arrays["classifier/previous_embedding"]
         )
+    # A process-backend restart restores into a learner it restored before.
+    learner.classifier.history.clear()
     if "classifier/history" in arrays:
         for row in np.asarray(arrays["classifier/history"]):
             learner.classifier.history.append(row)

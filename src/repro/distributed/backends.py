@@ -21,8 +21,11 @@ implement the same contract:
     slots (one per in-flight batch — the slot count bounds in-flight work,
     which is the pool's backpressure), and parameter averaging runs over a
     shared ``(workers + 1, flat)`` float64 block per granularity level, so
-    a synchronization round moves no pickled state at all.  Shards that
-    outgrow their slot fall back to pipe transport transparently.
+    averaging moves no state through the pipes.  Shards that outgrow
+    their slot fall back to pipe transport transparently.  After each
+    synchronization round every worker sends its learner checkpoint
+    (:func:`~repro.core.persistence.learner_state`), which a restarted
+    worker resumes from.
 
 All backends speak report *payloads* (``BaseReport.to_dict`` dicts), which
 is what lets a forked child ship its shard report across a pipe and the
@@ -34,7 +37,6 @@ from __future__ import annotations
 import abc
 import multiprocessing
 import os
-import pickle
 import threading
 import time
 import traceback
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.persistence import learner_state, restore_learner_state
 from ..data.stream import Batch
 from ..obs import NULL_OBS, WorkerRestarted, absorb_telemetry, drain_telemetry
 
@@ -407,15 +410,8 @@ def _worker_main(conn, worker_index: int, learner, slots, sync_blocks,
                 )
                 conn.send(("ok", None))
             elif command == "snapshot":
-                # Full replica checkpoint for crash recovery.  Pickle
-                # explicitly (not via conn.send of the object) so a
-                # non-picklable learner degrades to None instead of
-                # corrupting the pipe mid-message.
-                try:
-                    blob = pickle.dumps(learner)
-                except Exception:  # repro: noqa[REP004] — degrades to None
-                    blob = None
-                conn.send(("ok", blob))
+                # The replica's learner checkpoint, for crash recovery.
+                conn.send(("ok", learner_state(learner)))
             elif command == "call":
                 _, method, args = message
                 conn.send(("ok", _invoke(learner, method, args)))
@@ -450,7 +446,8 @@ class ProcessBackend(ExecutionBackend):
     plus a ``freeway_worker_restarts_total`` counter record the recovery.
     With ``sync_every=1`` recovery is exact — the replacement holds
     precisely the state the dead worker had after its last completed
-    batch, so the run's accuracy sequence matches a fault-free run.
+    batch, so the run's accuracy sequence and every worker's parameters
+    match a fault-free run.
 
     Parameters
     ----------
@@ -477,8 +474,8 @@ class ProcessBackend(ExecutionBackend):
         themselves via their ``attach`` methods.
 
     Requires a platform with the ``fork`` start method (Linux/macOS):
-    forking is what lets arbitrary, non-picklable model factories and
-    learner state cross into the children.
+    forking is what lets model factories and learners of any kind —
+    closures and lambdas included — cross into the children.
     """
 
     name = "process"
@@ -526,11 +523,12 @@ class ProcessBackend(ExecutionBackend):
         self.restarts: list[int] = []
         #: Shards awaiting a reply: slot → the submitted shard batches.
         self._inflight_shards: dict[int, list[Batch]] = {}
-        #: Flat averaged state per level at the last sync (restart seed).
+        #: Flat averaged state per level at the last sync: the restart
+        #: seed for a worker that dies before its first snapshot.
         self._last_sync_flat: list[np.ndarray] | None = None
-        #: Pickled full-replica checkpoints from the last sync boundary;
-        #: ``None`` per worker when its learner is not picklable.
-        self._worker_blobs: list = []
+        #: Each worker's learner checkpoint (``learner_state``'s
+        #: ``(arrays, meta)``) from the last sync boundary.
+        self._worker_states: list = []
 
     # -- pool lifecycle -------------------------------------------------------
 
@@ -593,7 +591,7 @@ class ProcessBackend(ExecutionBackend):
             self._processes.append(None)
             self._conns.append(None)
             self.restarts.append(0)
-            self._worker_blobs.append(None)
+            self._worker_states.append(None)
             self._spawn_worker(worker_index)
         self._started = True
 
@@ -656,9 +654,10 @@ class ProcessBackend(ExecutionBackend):
     def _restart_worker(self, worker_index: int, reason: str) -> None:
         """Replace a dead/hung worker: backoff, respawn, re-seed, resubmit.
 
-        The replacement forks from the coordinator (whose replica copies
-        are the pre-fork snapshot), is re-seeded with the last
-        synchronized state when one exists, and receives every in-flight
+        The replacement forks from the coordinator's replica copy, which
+        is first restored from the worker's learner checkpoint of the
+        last sync boundary, or else re-seeded with the last synchronized
+        parameters when one exists.  It then receives every in-flight
         shard this worker still owes a reply for — in submission order,
         so the reply stream the drain loop expects is preserved.
         """
@@ -673,14 +672,13 @@ class ProcessBackend(ExecutionBackend):
         if self.restart_backoff:
             time.sleep(self.restart_backoff * (2 ** (restarts - 1)))
         reseeded = False
-        if self._worker_blobs[worker_index] is not None:
-            # Full-replica checkpoint from the last sync boundary: the
+        snapshot = self._worker_states[worker_index]
+        if snapshot is not None:
+            # The learner checkpoint from the last sync boundary: the
             # replacement holds exactly the dead worker's state then —
-            # windows, experience, detector statistics, everything — so
-            # with sync_every=1 recovery is bit-exact.
-            self.learners[worker_index] = pickle.loads(
-                self._worker_blobs[worker_index]
-            )
+            # training states, windows, experience, detector statistics
+            # — so with sync_every=1 recovery is bit-exact.
+            restore_learner_state(self.learners[worker_index], *snapshot)
             reseeded = True
         self._spawn_worker(worker_index)
         conn = self._conns[worker_index]
@@ -868,13 +866,12 @@ class ProcessBackend(ExecutionBackend):
             self._snapshot_workers()
 
     def _snapshot_workers(self) -> None:
-        """Collect a pickled full-replica checkpoint from every worker."""
+        """Collect every worker's learner checkpoint."""
         message = ("snapshot",)
         self._broadcast(message)
         for worker_index in range(self.num_workers):
-            (blob,) = self._receive(worker_index, resend=message)
-            if blob is not None:
-                self._worker_blobs[worker_index] = blob
+            (self._worker_states[worker_index],) = self._receive(
+                worker_index, resend=message)
 
     # -- telemetry aggregation ------------------------------------------------
 

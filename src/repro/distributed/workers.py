@@ -317,9 +317,11 @@ class DistributedLearner:
     def synchronize(self) -> None:
         """Average each granularity level's parameters across replicas."""
         # Collect telemetry BEFORE the sync round: the process backend
-        # checkpoints replicas (pickled blobs) at the end of the round,
-        # so baselines advanced here are inside the checkpoint and a
-        # restarted worker neither re-ships nor loses telemetry.
+        # checkpoints replicas at the end of the round, so everything a
+        # replica counted up to its checkpoint has been shipped.  A
+        # restarted worker resumes from the checkpoint with the telemetry
+        # baselines it was forked with and ships only what it counts
+        # afterwards: nothing is re-shipped or lost.
         self.backend.collect_telemetry()
         with self.obs.tracer.span("distributed.sync",
                                   backend=self.backend.name):

@@ -15,7 +15,14 @@ per-parameter loop, so results stay bitwise-identical (asserted in
 cannot: parameters that are not all float64, or a step where some
 parameter has no gradient.  External code that replaces
 ``parameter.data`` (``load_state_dict``, checkpoint restore) is
-re-adopted into the flat buffer on the next step.
+re-adopted into the flat buffer on the next step, and so is a copied
+optimizer, whose views no longer alias its buffer.
+
+Only this module knows where an optimizer keeps its state: the flat
+buffer's ``extra`` or the per-parameter dicts.  Checkpoints read and
+write it through :meth:`Optimizer.state_dict` /
+:meth:`Optimizer.load_state_dict`, stacked arenas through
+``_state_of`` / ``_state_slot``.
 """
 
 from __future__ import annotations
@@ -92,9 +99,15 @@ class Optimizer:
         the old buffer is dropped — salvaging its optimizer state — and
         eligibility is re-evaluated from the parameters' *current* data,
         so one incompatible restore does not disable the fast path for
-        the optimizer's remaining lifetime.
+        the optimizer's remaining lifetime.  A copied optimizer's buffer
+        is dropped the same way: ``copy.deepcopy`` or a serialization
+        round trip makes each view a standalone array, so stepping the
+        copied buffer would move no parameter.
         """
         flat = self._flat
+        if flat is not None and flat.views[0].base is not flat.flat:
+            self._drop_flat_state()
+            flat = None
         if flat is not None:
             for parameter, view in zip(self.parameters, flat.views):
                 if parameter.data is view:
@@ -128,10 +141,94 @@ class Optimizer:
         self._flat = None
 
     def _export_flat_state(self) -> None:
-        """Hand flat-buffer optimizer state back to per-parameter dicts.
+        """Hand flat-buffer optimizer state back to per-parameter dicts."""
+        flat = self._flat
+        if flat is None:
+            return
+        for name in self._state_names():
+            buffer = flat.extra.pop(name, None)
+            if buffer is None:
+                continue
+            # The buffer's own layout (view shapes) is the state's true
+            # shape — parameter.data may have been replaced with a
+            # different shape since the last step.
+            entries = getattr(self, "_" + name)
+            for index, ((start, end), view) in enumerate(
+                    zip(flat.slices, flat.views)):
+                entries[index] = buffer[start:end].reshape(view.shape).copy()
 
-        Base optimizers keep no extra state; ``SGD``/``Adam`` override.
+    # -- state access ----------------------------------------------------------
+
+    def _state_names(self) -> tuple[str, ...]:
+        """Per-parameter state the steps keep, each in the flat buffer's
+        ``extra`` or in the dict ``_<name>``."""
+        return ()
+
+    def _state_of(self, name: str, index: int) -> np.ndarray | None:
+        """The ``name`` state the next step reads for parameter ``index``,
+        in its own layout; None means zeros.
+
+        That is the flat buffer's entry when there is one, else the
+        per-parameter dict entry, which the next flat step would migrate.
         """
+        flat = self._flat
+        if flat is not None:
+            buffer = flat.extra.get(name)
+            if buffer is not None:
+                start, end = flat.slices[index]
+                return buffer[start:end].reshape(flat.views[index].shape)
+        return getattr(self, "_" + name).get(index)
+
+    def _state_slot(self, name: str, index: int,
+                    shape: tuple) -> np.ndarray:
+        """Writable storage the next step reads ``name`` state for
+        parameter ``index`` from.
+
+        Inside the flat buffer when the optimizer has one — created as
+        zeros on first use, superseding the per-parameter dict, so every
+        index must then be written — else the dict entry.
+        """
+        flat = self._flat
+        if flat is not None:
+            buffer = flat.extra.get(name)
+            if buffer is None:
+                buffer = flat.extra[name] = np.zeros_like(flat.flat)
+                getattr(self, "_" + name).clear()
+            start, end = flat.slices[index]
+            return buffer[start:end].reshape(shape)
+        entries = getattr(self, "_" + name)
+        entry = entries.get(index)
+        if entry is None or entry.shape != shape:
+            entry = entries[index] = np.zeros(shape)
+        return entry
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Copies of the state the next step reads besides the parameters:
+        ``"<name>.<parameter index>"`` arrays (``velocity``; ``m``, ``v``)
+        and bare-named counters (Adam's 0-d ``step_count``).  Reading
+        never moves the state."""
+        state = {}
+        for name in self._state_names():
+            for index in range(len(self.parameters)):
+                value = self._state_of(name, index)
+                if value is not None:
+                    state[f"{name}.{index}"] = value.copy()
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        """Replace the state with a :meth:`state_dict` mapping: absent
+        entries start fresh, a key this optimizer does not keep raises
+        ValueError."""
+        loaded = {name: {} for name in self._state_names()}
+        for key, value in state.items():
+            name, _, index = key.rpartition(".")
+            if name not in loaded or not index.isdigit():
+                raise ValueError(
+                    f"{type(self).__name__} keeps no state {key!r}")
+            loaded[name][int(index)] = np.array(value, copy=True)
+        self._export_flat_state()  # flat state would outrank the dicts
+        for name, entries in loaded.items():
+            setattr(self, "_" + name, entries)
 
     def _gather_grads(self, flat: _FlatState) -> bool:
         """Copy all parameter grads into ``flat.grad``; False if any is missing."""
@@ -205,20 +302,8 @@ class SGD(Optimizer):
         flat.flat -= flat.scratch_b
         return True
 
-    def _export_flat_state(self) -> None:
-        """Hand flat-buffer momentum back to the per-parameter dict."""
-        flat = self._flat
-        if flat is None:
-            return
-        velocity = flat.extra.pop("velocity", None)
-        if velocity is not None:
-            # The buffer's own layout (view shapes) is the state's true
-            # shape — parameter.data may have been replaced with a
-            # different shape since the last step.
-            for index, ((start, end), view) in enumerate(
-                    zip(flat.slices, flat.views)):
-                self._velocity[index] = (
-                    velocity[start:end].reshape(view.shape).copy())
+    def _state_names(self) -> tuple[str, ...]:
+        return ("velocity",) if self.momentum else ()
 
 
 class Adam(Optimizer):
@@ -312,22 +397,18 @@ class Adam(Optimizer):
         flat.flat -= flat.scratch_a
         return True
 
-    def _export_flat_state(self) -> None:
-        """Hand flat-buffer moments back to the per-parameter dicts."""
-        flat = self._flat
-        if flat is None:
-            return
-        m = flat.extra.pop("m", None)
-        v = flat.extra.pop("v", None)
-        if m is None:
-            return
-        # Export at the buffer's own layout (view shapes): a replaced
-        # parameter.data may no longer match the state's true shape.
-        for index, ((start, end), view) in enumerate(
-                zip(flat.slices, flat.views)):
-            shape = view.shape
-            self._m[index] = m[start:end].reshape(shape).copy()
-            self._v[index] = v[start:end].reshape(shape).copy()
+    def _state_names(self) -> tuple[str, ...]:
+        return ("m", "v")
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        state = super().state_dict()
+        state["step_count"] = np.array(self._step_count)
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        state = dict(state)
+        self._step_count = int(state.pop("step_count", 0))
+        super().load_state_dict(state)
 
 
 def _soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:

@@ -24,7 +24,7 @@ the calling model's (or stack's) parameters, optimizer, and generators.
 Kernels fetch ``parameter.data``, optimizer state, and RNG state at call
 time, so a plan serves every model with the same structure — class,
 ``architecture_key``, optimizer class — and checkpoint restores or
-pickling never leave it stale.  Single-model and stacked fits share one
+copies never leave it stale.  Single-model and stacked fits share one
 capture-and-verify routine, and so do single-model and stacked inference
 passes.  A stacked fit may also carry the inference softmax on its first
 forward's logits — a predict-and-train plan, whose probabilities capture
@@ -49,7 +49,8 @@ from . import kernels as K
 from . import record as _record
 from .kernels import replay_kernel
 from .modules import Dropout
-from .optim import Adam, Optimizer, SGD
+from .optim import Adam, Optimizer
+from .serialization import generator_state, load_generator_state
 
 __all__ = [
     "PlanUnsupported",
@@ -126,82 +127,34 @@ def _notify(event: str, seconds: float = 0.0) -> None:
 # -- state snapshot for capture-time verification ----------------------------
 
 
-def _freeze(value):
-    """Hashable/comparable form of an RNG-state entry (dicts, arrays)."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, np.ndarray):
-        return (value.shape, value.dtype.str, value.tobytes())
-    return value
-
-
 class _Snapshot:
-    """Copy of everything a training step mutates, for verify/rollback."""
+    """Copy of everything a training step mutates, for verify/rollback:
+    the parameters, the optimizer's state (its ``state_dict``) and each
+    Dropout generator's state."""
 
     __slots__ = ("_optimizer", "_rngs", "_params", "_state", "_rng_states")
 
     def __init__(self, optimizer: Optimizer, rngs: list):
         self._optimizer = optimizer
         self._rngs = rngs
-        self._params = [(p, p.data.copy()) for p in optimizer.parameters]
-        self._state = self._optimizer_state()
-        self._rng_states = [_freeze(rng.bit_generator.state) for rng in rngs]
-
-    def _optimizer_state(self) -> dict:
-        opt = self._optimizer
-        opt._export_flat_state()  # flat.extra → per-parameter dicts
-        state: dict = {}
-        if isinstance(opt, SGD):
-            state["velocity"] = {k: v.copy() for k, v in opt._velocity.items()}
-        elif isinstance(opt, Adam):
-            state["m"] = {k: v.copy() for k, v in opt._m.items()}
-            state["v"] = {k: v.copy() for k, v in opt._v.items()}
-            state["t"] = opt._step_count
-        return state
+        self._params = [p.data.copy() for p in optimizer.parameters]
+        self._state = optimizer.state_dict()
+        self._rng_states = [generator_state(rng) for rng in rngs]
 
     def restore(self) -> None:
-        opt = self._optimizer
-        for parameter, saved in self._params:
+        for parameter, saved in zip(self._optimizer.parameters, self._params):
             parameter.data = saved.copy()
-        opt._export_flat_state()
-        if isinstance(opt, SGD):
-            opt._velocity.clear()
-            opt._velocity.update(
-                {k: v.copy() for k, v in self._state["velocity"].items()})
-        elif isinstance(opt, Adam):
-            opt._m.clear()
-            opt._v.clear()
-            opt._m.update({k: v.copy() for k, v in self._state["m"].items()})
-            opt._v.update({k: v.copy() for k, v in self._state["v"].items()})
-            opt._step_count = self._state["t"]
-        for rng, frozen in zip(self._rngs, self._rng_states):
-            rng.bit_generator.state = _unfreeze_rng(frozen)
+        self._optimizer.load_state_dict(self._state)
+        for rng, saved in zip(self._rngs, self._rng_states):
+            load_generator_state(rng, saved)
 
     def matches(self, other: "_Snapshot") -> bool:
-        if len(self._params) != len(other._params):
-            return False
-        for (_, a), (_, b) in zip(self._params, other._params):
-            if a.shape != b.shape or a.tobytes() != b.tobytes():
-                return False
-        return (_freeze_state(self._state) == _freeze_state(other._state)
-                and self._rng_states == other._rng_states)
-
-
-def _freeze_state(state: dict):
-    return tuple(sorted((k, _freeze(v)) for k, v in state.items()))
-
-
-def _unfreeze_rng(frozen):
-    """Invert :func:`_freeze` for a bit-generator state dict."""
-    def thaw(value):
-        if isinstance(value, tuple) and value and isinstance(value[0], tuple):
-            return {k: thaw(v) for k, v in value}
-        if (isinstance(value, tuple) and len(value) == 3
-                and isinstance(value[2], bytes)):
-            return np.frombuffer(value[2], dtype=np.dtype(value[1])).reshape(
-                value[0]).copy()
-        return value
-    return thaw(frozen)
+        return (self._state.keys() == other._state.keys()
+                and all(map(_same_bytes, self._params, other._params))
+                and all(_same_bytes(value, other._state[key])
+                        for key, value in self._state.items())
+                and all(map(_same_bytes, self._rng_states,
+                            other._rng_states)))
 
 
 def _buffer_like(array: np.ndarray) -> np.ndarray:

@@ -1,18 +1,21 @@
-"""Checkpoint serialization for :mod:`repro.nn` models.
+"""Checkpoints: one encoding of a model's training state, one file codec.
 
-Historical-knowledge reuse in FreewayML stores model parameters keyed by
-data distribution (the paper's ``(d_i, k_i)`` pairs) and Table IV measures
-the resulting space overhead.  This module serializes ``state_dict``
-mappings to compact bytes (``numpy.savez``) so the knowledge store can both
-persist checkpoints and report their exact size.  Every checkpoint file in
-the package is written through :func:`atomic_write_bytes`, so a crash
-mid-write never truncates the previous good file.
+FreewayML's knowledge reuse stores parameters keyed by distribution (the
+paper's ``(d_i, k_i)`` pairs), and serving evicts and rehydrates whole
+models; both need a stored model to come back exactly.
+:func:`training_state` / :func:`load_training_state` encode everything a
+training step mutates as one flat ``{name: ndarray}`` mapping, and
+:func:`write_checkpoint` / :func:`read_checkpoint` are the only code that
+writes or reads a checkpoint file — atomically, through
+:func:`atomic_write_bytes`, so a crash mid-write never truncates the
+previous good file.  :func:`state_dict_nbytes` is Table IV's size.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import secrets
 from collections import OrderedDict
@@ -20,29 +23,112 @@ from pathlib import Path
 
 import numpy as np
 
+from .modules import Dropout
+
 __all__ = [
-    "state_dict_to_bytes",
-    "state_dict_from_bytes",
+    "training_state",
+    "load_training_state",
+    "parameters_of",
+    "generator_state",
+    "load_generator_state",
     "state_dict_nbytes",
-    "save_state_dict",
-    "load_state_dict",
     "atomic_write_bytes",
+    "write_checkpoint",
+    "read_checkpoint",
 ]
 
+#: Key prefixes of a training state's non-parameter entries; parameter
+#: names never start with ``__``.
+_OPT = "__opt__."
+_META = "__meta__."
+_RNG = "__rng__."
+_UPDATES = _META + "updates"
 
-def state_dict_to_bytes(state: dict) -> bytes:
-    """Serialize a ``state_dict`` (name → array) to compressed bytes."""
-    buffer = io.BytesIO()
-    arrays = {name: np.asarray(value) for name, value in state.items()}
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
+_META_KEY = "__freewayml_meta__"
 
 
-def state_dict_from_bytes(blob: bytes) -> "OrderedDict[str, np.ndarray]":
-    """Inverse of :func:`state_dict_to_bytes`."""
-    buffer = io.BytesIO(blob)
-    with np.load(buffer) as archive:
-        return OrderedDict((name, archive[name].copy()) for name in archive.files)
+def _json_array(value) -> np.ndarray:
+    """``value`` as JSON text in a uint8 array, storable beside arrays."""
+    text = json.dumps(value, default=lambda item: item.tolist())
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
+def _from_json_array(array: np.ndarray):
+    return json.loads(bytes(np.asarray(array)).decode("utf-8"))
+
+
+def generator_state(rng: np.random.Generator) -> np.ndarray:
+    """A generator's bit-generator state as a uint8 array."""
+    return _json_array(rng.bit_generator.state)
+
+
+def load_generator_state(rng: np.random.Generator, array) -> None:
+    """Inverse of :func:`generator_state`: rewind ``rng`` in place."""
+    rng.bit_generator.state = _from_json_array(array)
+
+
+def _generators(model) -> list:
+    module = getattr(model, "module", None)
+    if module is None:
+        return []
+    return [layer.rng for layer in module.modules()
+            if isinstance(layer, Dropout)]
+
+
+def parameters_of(state: dict) -> dict:
+    """The parameter entries of a training state, or of any checkpoint
+    whose other entries start with ``__``."""
+    return {name: value for name, value in state.items()
+            if not name.startswith("__")}
+
+
+def training_state(model) -> "OrderedDict[str, np.ndarray]":
+    """Everything a training step of ``model`` mutates, as flat copies.
+
+    ``model`` is a :class:`~repro.models.base.StreamingModel`.  The
+    mapping holds its ``state_dict()`` (the parameters) and, for a model
+    that has them, its optimizer's :meth:`~repro.nn.Optimizer.state_dict`
+    (arrays as ``__opt__.<name>.<index>``, counters as
+    ``__meta__.<name>``), each Dropout generator's state
+    (``__rng__.<position>``) and ``__meta__.updates``.
+    """
+    state = OrderedDict(model.state_dict())
+    optimizer = getattr(model, "optimizer", None)
+    if optimizer is not None:
+        for name, value in optimizer.state_dict().items():
+            state[(_OPT if "." in name else _META) + name] = value
+    for position, rng in enumerate(_generators(model)):
+        state[f"{_RNG}{position}"] = generator_state(rng)
+    if hasattr(model, "updates"):
+        state[_UPDATES] = np.array(model.updates)
+    return state
+
+
+def load_training_state(model, state: dict) -> None:
+    """Load a :func:`training_state` mapping into ``model`` in place.
+
+    The optimizer checks its entries, then ``model.load_state_dict`` its
+    parameters, each before writing any, so a bad optimizer entry leaves
+    the model untouched.  Without optimizer entries (a parameters-only
+    checkpoint) the optimizer starts fresh; generators and ``updates``
+    without an entry are left as they are.
+    """
+    optimizer = getattr(model, "optimizer", None)
+    if optimizer is not None:
+        entries = {}
+        for key, value in state.items():
+            if key.startswith(_OPT):
+                entries[key[len(_OPT):]] = value
+            elif key.startswith(_META) and key != _UPDATES:
+                entries[key[len(_META):]] = value
+        optimizer.load_state_dict(entries)
+    model.load_state_dict(parameters_of(state))
+    for position, rng in enumerate(_generators(model)):
+        key = f"{_RNG}{position}"
+        if key in state:
+            load_generator_state(rng, state[key])
+    if _UPDATES in state:
+        model.updates = int(state[_UPDATES])
 
 
 def state_dict_nbytes(state: dict) -> int:
@@ -78,11 +164,30 @@ def atomic_write_bytes(path: str | Path, blob: bytes) -> int:
     return len(blob)
 
 
-def save_state_dict(state: dict, path: str | Path) -> int:
-    """Write a checkpoint to ``path`` atomically; return bytes written."""
-    return atomic_write_bytes(path, state_dict_to_bytes(state))
+def write_checkpoint(path: str | Path, arrays: dict, meta) -> int:
+    """Write one ``.npz`` checkpoint atomically; returns bytes written.
+
+    The archive holds ``arrays`` plus ``meta`` (anything JSON can encode)
+    under a reserved key.  The write goes through
+    :func:`atomic_write_bytes`, so a crash mid-write leaves the previous
+    checkpoint at ``path`` whole.
+    """
+    arrays = dict(arrays)
+    arrays[_META_KEY] = _json_array(meta)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return atomic_write_bytes(path, buffer.getvalue())
 
 
-def load_state_dict(path: str | Path) -> "OrderedDict[str, np.ndarray]":
-    """Read a checkpoint written by :func:`save_state_dict`."""
-    return state_dict_from_bytes(Path(path).read_bytes())
+def read_checkpoint(path: str | Path) -> tuple[dict, object]:
+    """``(arrays, meta)`` from a checkpoint :func:`write_checkpoint` wrote.
+
+    Raises :class:`ValueError` for an archive without the metadata entry:
+    it was not written here.
+    """
+    with np.load(Path(path)) as archive:  # object arrays are refused
+        arrays = {key: archive[key] for key in archive.files}
+    if _META_KEY not in arrays:
+        raise ValueError(f"{path} is not a checkpoint: it has no "
+                         f"{_META_KEY!r} entry")
+    return arrays, _from_json_array(arrays.pop(_META_KEY))

@@ -543,91 +543,38 @@ def stacking_group(model) -> tuple | None:
     return (binding.structure, hyperparameters)
 
 
-def _state_of(optimizer, name: str, index: int, shape: tuple):
-    """The ``name`` state (``"velocity"``, ``"m"``, ``"v"``) that
-    ``optimizer``'s next step reads for parameter ``index``; None means
-    zeros.
-
-    That is the flat buffer's entry when there is one, else the
-    per-parameter dict entry, which the next flat step would migrate.
-    State laid out for another shape raises :class:`StackedModelError`:
-    the serial path decides what happens to it.
-    """
-    flat = optimizer._flat
-    if flat is not None:
-        if flat.views[index].shape != shape:
-            raise StackedModelError(
-                f"optimizer state laid out for {flat.views[index].shape}, "
-                f"not {shape}")
-        buffer = flat.extra.get(name)
-        if buffer is not None:
-            start, end = flat.slices[index]
-            return buffer[start:end].reshape(shape)
-    entry = getattr(optimizer, "_" + name).get(index)
-    if entry is not None and entry.shape != shape:
-        raise StackedModelError(
-            f"optimizer state of shape {entry.shape}, not {shape}")
-    return entry
-
-
-def _state_slot(optimizer, name: str, index: int,
-                shape: tuple) -> np.ndarray:
-    """Writable storage ``optimizer``'s next step reads ``name`` state
-    for parameter ``index`` from.
-
-    Inside the flat buffer when the optimizer has one — created as zeros
-    on first use, superseding the per-parameter dict, so every index must
-    then be written — else the dict entry.
-    """
-    flat = optimizer._flat
-    if flat is not None:
-        buffer = flat.extra.get(name)
-        if buffer is None:
-            buffer = flat.extra[name] = np.zeros_like(flat.flat)
-            getattr(optimizer, "_" + name).clear()
-        start, end = flat.slices[index]
-        return buffer[start:end].reshape(shape)
-    entries = getattr(optimizer, "_" + name)
-    entry = entries.get(index)
-    if entry is None or entry.shape != shape:
-        entry = entries[index] = np.zeros(shape)
-    return entry
-
-
-def _state_names(optimizer) -> tuple:
-    """The per-parameter state names ``optimizer``'s steps keep."""
-    if isinstance(optimizer, Adam):
-        return ("m", "v")
-    return ("velocity",) if optimizer.momentum else ()
-
-
 def _load_state(stacked, optimizers) -> None:
     """Copy each member optimizer's state into its row of ``stacked``'s.
 
     A member without state yet gets zeros, what its next serial step
-    would start from.  Adam members must share one step count.
+    would start from.  Adam members must share one step count.  State
+    laid out for another shape raises :class:`StackedModelError`: the
+    serial path decides what happens to it.
     """
     if isinstance(stacked, Adam):
         stacked._step_count = _shared_step_count(optimizers)
-    for name in _state_names(stacked):
+    for name in stacked._state_names():
         for index, parameter in enumerate(stacked.parameters):
             shape = parameter.data.shape
-            slot = _state_slot(stacked, name, index, shape)
+            slot = stacked._state_slot(name, index, shape)
             for row, member in enumerate(optimizers):
-                state = _state_of(member, name, index, shape[1:])
+                state = member._state_of(name, index)
+                if state is not None and state.shape != shape[1:]:
+                    raise StackedModelError(
+                        f"optimizer state of shape {state.shape}, not "
+                        f"{shape[1:]}")
                 slot[row] = 0.0 if state is None else state
 
 
 def _store_state(stacked, optimizers) -> None:
     """Copy each row of ``stacked``'s optimizer state into its member's."""
-    for name in _state_names(stacked):
-        for index, parameter in enumerate(stacked.parameters):
-            shape = parameter.data.shape
-            state = _state_of(stacked, name, index, shape)
+    for name in stacked._state_names():
+        for index in range(len(stacked.parameters)):
+            state = stacked._state_of(name, index)
             if state is None:
                 continue
             for row, member in enumerate(optimizers):
-                np.copyto(_state_slot(member, name, index, shape[1:]),
+                np.copyto(member._state_slot(name, index, state.shape[1:]),
                           state[row])
     if isinstance(stacked, Adam):
         for member in optimizers:
@@ -658,14 +605,11 @@ class StackedArena:
         flat = optimizer._flat_state()
         if flat is None:
             raise StackedModelError("stacked arenas hold float64 parameters")
-        state_names = _state_names(optimizer)
-        for name in state_names:
-            flat.extra[name] = np.zeros_like(flat.flat)
         self.group = group
         self.stack = stack
         self.optimizer = optimizer
         # Parameters, gradient and two scratch buffers, plus the state.
-        self.nbytes = flat.flat.nbytes * (4 + len(state_names))
+        self.nbytes = flat.flat.nbytes * (4 + len(optimizer._state_names()))
 
     def load(self, models, *, train: bool) -> None:
         """Copy each member into its row, in place.

@@ -416,16 +416,6 @@ class MemorySink(EventSink):
         with self._lock:
             return list(self.records), self.dropped
 
-    # Sinks ride inside pickled worker checkpoints; locks do not pickle.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
 
 class JsonlSink(EventSink):
     """Appends one JSON object per record to a file."""

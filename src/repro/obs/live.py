@@ -6,7 +6,7 @@ Three connected layers turn the post-hoc observability of
 1. **Cross-process aggregation** — :func:`drain_telemetry` packages a
    replica facade's metric deltas (:meth:`MetricsRegistry.collect_delta`)
    and buffered event records (:meth:`MemorySink.drain`) into one
-   picklable payload; :func:`absorb_telemetry` merges it into the
+   plain-data payload; :func:`absorb_telemetry` merges it into the
    coordinator facade with a ``worker`` label.  The distributed backends
    call these at drain/sync boundaries and on worker exit, so metrics and
    events produced inside forked workers reach the root registry instead
@@ -68,7 +68,7 @@ def drain_telemetry(obs: Observability) -> tuple[dict, list[dict]]:
     registry's :meth:`~repro.obs.metrics.MetricsRegistry.collect_delta`
     payload (baseline advances, so draining twice never double-counts)
     and the records are the sink ring's contents as plain dicts.  Both
-    halves are picklable/JSON-able, so they travel over the
+    halves are plain data (JSON-able), so they travel over the
     ProcessBackend reply pipe unchanged.
     """
     if not obs.enabled:
@@ -259,17 +259,6 @@ class SloEngine(EventSink):
         #: a TelemetryServer thread reads ``status``/``summary``.
         #: Re-entrant because ``_evaluate`` → ``_publish`` → ``obs.emit``
         #: can come straight back through a composite sink into ``emit``.
-        self._lock = threading.RLock()
-
-    # An engine can ride inside a pickled checkpoint via a learner's obs
-    # sink chain; locks do not pickle.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
         self._lock = threading.RLock()
 
     # -- wiring ----------------------------------------------------------------

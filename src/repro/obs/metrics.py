@@ -111,20 +111,6 @@ class _Instrument:
     def _blank(cls, name: str, help: str) -> "_Instrument":
         return cls(name, help)
 
-    # Locks are not picklable, and instruments travel inside worker
-    # checkpoints (crash recovery pickles whole learners).  Drop the lock
-    # on the way out, rebuild on the way in; children re-share it.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-        for child in self._children.values():
-            child._lock = self._lock
-
     def _series(self) -> list["_Instrument"]:
         """Every concrete series: the bare instrument (if touched) plus
         each labeled child."""
@@ -391,20 +377,6 @@ class MetricsRegistry:
         #: a scrape sees an atomic registry-wide view (re-entrant because
         #: a locked scrape calls locked instrument methods).
         self._lock = threading.RLock()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-        # Restore the one-lock-per-registry invariant.
-        for instrument in self._instruments.values():
-            instrument._lock = self._lock
-            for child in instrument._children.values():
-                child._lock = self._lock
 
     def _get(self, name: str, factory, kind: str):
         with self._lock:

@@ -34,12 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from ..core.learner import Learner
-from ..core.persistence import (
-    learner_state,
-    read_checkpoint,
-    restore_learner_state,
-    write_checkpoint,
-)
+from ..core.persistence import learner_state, restore_learner_state
+from ..nn.serialization import read_checkpoint, write_checkpoint
 from ..obs import NULL_OBS, TenantActivated, TenantEvicted
 
 __all__ = [
@@ -58,13 +54,13 @@ class CheckpointStore:
     bytes written; ``load`` restores a previously saved checkpoint into a
     freshly built estimator and returns True (False when the tenant has
     none); ``__contains__`` answers whether a checkpoint exists.  The
-    bundled stores checkpoint :class:`~repro.core.learner.Learner` state
-    through :mod:`repro.core.persistence`, and any other estimator
-    exposing ``state_dict()``/``load_state_dict()`` (e.g.
-    :class:`~repro.serving.ModelEstimator`) as its flat array mapping;
-    they raise :class:`TypeError` for other estimator types — those need
-    a custom store (or :class:`NullCheckpointStore` when losing cold
-    state is acceptable).
+    bundled stores checkpoint a :class:`~repro.core.learner.Learner` as
+    :func:`~repro.core.persistence.learner_state` gives it, and any other
+    estimator exposing ``state_dict()``/``load_state_dict()`` as that
+    flat array mapping — for :class:`~repro.serving.ModelEstimator`, its
+    model's full training state; they raise :class:`TypeError` for other
+    estimator types — those need a custom store (or
+    :class:`NullCheckpointStore` when losing cold state is acceptable).
     """
 
     def save(self, tenant: str, estimator) -> int:  # pragma: no cover - interface
@@ -126,10 +122,7 @@ class NullCheckpointStore(CheckpointStore):
 class MemoryCheckpointStore(CheckpointStore):
     """In-process store holding deep-copied checkpoint state per tenant.
 
-    Checkpoints :class:`~repro.core.learner.Learner` state through
-    :mod:`repro.core.persistence`, and any other estimator exposing
-    ``state_dict()``/``load_state_dict()`` (e.g. :class:`~repro.serving.
-    ModelEstimator`) as its flat array mapping.  Arrays are copied on
+    Takes what :class:`CheckpointStore` describes.  Arrays are copied on
     save *and* load, and metadata round-trips through JSON, so a stored
     checkpoint can never alias a live estimator's buffers.  Thread-safe:
     the registry evicts from whatever thread hit capacity.
@@ -179,10 +172,13 @@ class DirCheckpointStore(CheckpointStore):
     """Durable store: one ``.npz`` checkpoint per tenant in a directory.
 
     Takes what :class:`MemoryCheckpointStore` takes.  Each file holds the
-    estimator's arrays plus its JSON metadata, the layout
-    :func:`~repro.core.persistence.save_learner` writes, so a ``Learner``
-    checkpoint from either loads through the other.  Writes are atomic: a
-    crash mid-save leaves the tenant's previous checkpoint whole.
+    estimator's arrays plus its JSON metadata, written and read by
+    :func:`~repro.nn.serialization.write_checkpoint` /
+    :func:`~repro.nn.serialization.read_checkpoint` — the codec
+    :func:`~repro.core.persistence.save_learner` writes with, so a
+    ``Learner`` checkpoint from either loads through the other.  Writes
+    are atomic: a crash mid-save leaves the tenant's previous checkpoint
+    whole.
     """
 
     def __init__(self, directory):

@@ -40,7 +40,8 @@ import time
 import numpy as np
 
 from ..api import BaseReport
-from ..nn import Adam, SGD
+from ..nn import Adam
+from ..nn.serialization import load_training_state, training_state
 from ..nn.stacked import (stacked_arena, stacked_predict_fit,
                           stacked_predict_proba, stacking_group)
 
@@ -53,10 +54,11 @@ class ModelEstimator:
 
     Wraps a :class:`~repro.models.base.NeuralStreamingModel` (e.g.
     ``StreamingLR`` / ``StreamingMLP``) for serving: ``predict`` returns
-    hard labels, ``update`` is one ``partial_fit``, and checkpoints
-    round-trip the module parameters **and** optimizer state (momentum /
-    Adam moments, as 0-d-array-safe entries), so an evicted tenant
-    resumes mid-momentum exactly where it left off.
+    hard labels, ``update`` is one ``partial_fit``, and checkpoints are
+    the model's full training state — parameters, optimizer state
+    (momentum / Adam moments and step count), Dropout generator states
+    and update count — so an evicted tenant resumes exactly where it
+    left off.
     """
 
     def __init__(self, model):
@@ -107,50 +109,11 @@ class ModelEstimator:
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:
-        model = self.model
-        state = dict(model.state_dict())
-        state["__meta__.updates"] = np.array(model.updates)
-        optimizer = model.optimizer
-        optimizer._export_flat_state()
-        if isinstance(optimizer, SGD):
-            for index, velocity in optimizer._velocity.items():
-                state[f"__opt__.velocity.{index}"] = velocity.copy()
-        elif isinstance(optimizer, Adam):
-            state["__meta__.step_count"] = np.array(optimizer._step_count)
-            for index, value in optimizer._m.items():
-                state[f"__opt__.m.{index}"] = value.copy()
-            for index, value in optimizer._v.items():
-                state[f"__opt__.v.{index}"] = value.copy()
-        return state
+        """The model's :func:`~repro.nn.serialization.training_state`."""
+        return training_state(self.model)
 
     def load_state_dict(self, state: dict) -> None:
-        state = dict(state)
-        meta = {key: state.pop(key) for key in list(state)
-                if key.startswith("__meta__.")}
-        opt_state = {key: state.pop(key) for key in list(state)
-                     if key.startswith("__opt__.")}
-        model = self.model
-        model.load_state_dict(state)
-        model.updates = int(meta.get("__meta__.updates", model.updates))
-        optimizer = model.optimizer
-        # The flat buffer's state would outrank the dicts replaced below.
-        optimizer._export_flat_state()
-        if isinstance(optimizer, SGD):
-            optimizer._velocity = {
-                int(key.rsplit(".", 1)[1]): np.array(value, copy=True)
-                for key, value in opt_state.items()
-                if key.startswith("__opt__.velocity.")}
-        elif isinstance(optimizer, Adam):
-            optimizer._step_count = int(
-                meta.get("__meta__.step_count", optimizer._step_count))
-            optimizer._m = {
-                int(key.rsplit(".", 1)[1]): np.array(value, copy=True)
-                for key, value in opt_state.items()
-                if key.startswith("__opt__.m.")}
-            optimizer._v = {
-                int(key.rsplit(".", 1)[1]): np.array(value, copy=True)
-                for key, value in opt_state.items()
-                if key.startswith("__opt__.v.")}
+        load_training_state(self.model, state)
 
 
 def stacking_key(estimator, rows: int, labeled: bool):

@@ -101,6 +101,10 @@ class EmbeddingHistory:
         else:
             self._count += 1
 
+    def clear(self) -> None:
+        """Forget every stored embedding."""
+        self._start = self._count = 0
+
     def as_array(self) -> np.ndarray:
         """All stored embeddings as a ``(k, d)`` array, oldest first."""
         if not self._count:

@@ -30,7 +30,7 @@ from repro.cli import main as cli_main
 from repro.core import Learner, load_learner, save_learner
 from repro.core.knowledge import KnowledgeMatch, KnowledgeStore
 from repro.models import StreamingCNN, StreamingLR, StreamingMLP
-from repro.nn.serialization import save_state_dict
+from repro.nn.serialization import write_checkpoint
 from repro.obs import CheckpointRejected, Observability
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -217,7 +217,7 @@ class TestCheckpointCompat:
     def test_verify_checkpoint_file(self, tmp_path):
         module = mlp_module()
         path = tmp_path / "ckpt.npz"
-        save_state_dict(module.state_dict(), path)
+        write_checkpoint(path, module.state_dict(), None)
         assert verify_checkpoint_file(path, module).ok
         other = StreamingMLP(num_features=9, num_classes=3, hidden=(4,),
                              seed=0).module

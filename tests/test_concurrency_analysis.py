@@ -499,18 +499,6 @@ class TestMetricsRegistryLock:
             thread.join()
         assert counter.value == 20_000
 
-    def test_registry_still_pickles_for_worker_checkpoints(self):
-        import pickle
-
-        registry = MetricsRegistry()
-        registry.counter("hits").inc(3)
-        registry.counter("hits").labels(worker="1").inc(2)
-        clone = pickle.loads(pickle.dumps(registry))
-        assert clone.counter("hits").value == 3
-        # The one-lock-per-registry invariant survives the round trip.
-        assert clone._lock is clone._instruments["hits"]._lock
-        clone.counter("hits").inc()  # still usable
-
 
 # ---------------------------------------------------------------------------
 # Satellite: fork-after-thread guard

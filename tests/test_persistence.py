@@ -10,7 +10,7 @@ import pytest
 from repro.core import Learner, load_learner, save_learner
 from repro.data import NSLKDDSimulator
 from repro.models import StreamingMLP
-from repro.nn.serialization import load_state_dict, save_state_dict
+from repro.nn.serialization import read_checkpoint, write_checkpoint
 
 
 def factory():
@@ -244,12 +244,12 @@ class TestAtomicWrites:
                                                       full_disk):
         path = tmp_path / "spill" / "entry.npz"
         old = {"weight": np.arange(6.0).reshape(2, 3)}
-        save_state_dict(old, path)
+        write_checkpoint(path, old, None)
         before = path.read_bytes()
         full_disk()
         with pytest.raises(OSError, match="No space"):
-            save_state_dict({"weight": np.ones((40, 40))}, path)
+            write_checkpoint(path, {"weight": np.ones((40, 40))}, None)
         assert path.read_bytes() == before
         assert list(path.parent.iterdir()) == [path]
-        np.testing.assert_array_equal(load_state_dict(path)["weight"],
+        np.testing.assert_array_equal(read_checkpoint(path)[0]["weight"],
                                       old["weight"])

@@ -9,6 +9,7 @@ mid-stream flag toggles), across model instances and threads sharing
 plans, and then fuzz it over random architectures.
 """
 
+import copy
 import pickle
 import threading
 
@@ -431,14 +432,18 @@ class TestFallback:
             model.predict_proba(x)
         assert set(plan_events(before).values()) == {0}
 
-    def test_unpickled_model_replays_shared_plan(self):
+    @staticmethod
+    def check_copy_keeps_training(copy_model):
+        """A copy of a trained model binds the plans its original
+        captured, and keeps training: its parameters move, bitwise as the
+        original's do over the same continued fits, momentum included."""
         model = StreamingLR(num_features=4, num_classes=2, seed=0,
                             momentum=0.9)
         batches = make_batches(3, 8, 4, 2)
         run_stream(model, batches, plans_on=True)
-        clone = pickle.loads(pickle.dumps(model))
-        reference = pickle.loads(pickle.dumps(model))
-        # The revived model binds the plans its original captured.
+        clone = copy_model(model)
+        reference = copy_model(model)
+        copied = clone.state_dict()
         before = nn_plan.plan_cache_stats()
         results_a = run_stream(clone, batches, plans_on=True)
         events = plan_events(before)
@@ -447,6 +452,18 @@ class TestFallback:
         results_b = run_stream(reference, batches, plans_on=False)
         assert_bitwise_equal(clone, reference, results_a[0], results_b[0],
                              results_a[1], results_b[1])
+        for name, value in clone.state_dict().items():
+            assert value.tobytes() != copied[name].tobytes(), name
+        results_o = run_stream(model, batches, plans_on=True)
+        assert_bitwise_equal(clone, model, results_a[0], results_o[0],
+                             results_a[1], results_o[1])
+
+    def test_unpickled_model_replays_shared_plan(self):
+        self.check_copy_keeps_training(
+            lambda model: pickle.loads(pickle.dumps(model)))
+
+    def test_deep_copied_model_replays_shared_plan(self):
+        self.check_copy_keeps_training(copy.deepcopy)
 
 
 # -- stacked plans ------------------------------------------------------------

@@ -47,14 +47,25 @@ def stream(n, batch_size=96, seed=1):
     return ElectricitySimulator(seed=seed).stream(n, batch_size).materialize()
 
 
-def distributed_accuracies(backend, batches, num_workers=3, obs=None):
+def distributed_run(backend, batches, num_workers=3, obs=None):
+    """A run's accuracy sequence, and every worker's parameter bytes per
+    granularity level at its end."""
     learner = DistributedLearner(mlp_factory, num_workers=num_workers,
                                  backend=backend, seed=0, window_batches=4,
                                  obs=obs)
     try:
-        return [learner.process(batch).accuracy for batch in batches]
+        accuracies = [learner.process(batch).accuracy for batch in batches]
+        parameters = [
+            [{name: value.tobytes() for name, value in state.items()}
+             for state in learner.backend.gather_states(level)]
+            for level in range(len(learner.workers[0].ensemble.levels))]
+        return accuracies, parameters
     finally:
         learner.close()
+
+
+def distributed_accuracies(backend, batches, num_workers=3, obs=None):
+    return distributed_run(backend, batches, num_workers, obs)[0]
 
 
 # -- injector determinism ------------------------------------------------------
@@ -118,11 +129,13 @@ class TestWorkerSupervision:
         from the last sync checkpoint and the run's accuracy sequence is
         identical to the fault-free run (sync_every=1)."""
         batches = stream(6)
-        clean = distributed_accuracies("serial", batches)
+        clean = distributed_run("serial", batches)
         backend = ProcessBackend(max_restarts=3)
         WorkerCrash(at={3}, worker=1).attach(backend)
-        faulty = distributed_accuracies(backend, batches)
-        assert faulty == clean
+        faulty = distributed_run(backend, batches)
+        assert faulty[0] == clean[0]
+        # Exact, not just equally accurate: every worker's parameters.
+        assert faulty[1] == clean[1]
         assert backend.restarts == [0, 1, 0]
 
     def test_restart_emits_event_and_counter(self):
@@ -170,11 +183,12 @@ class TestWorkerSupervision:
 
     def test_repeated_crashes_within_budget_recover(self):
         batches = stream(6)
-        clean = distributed_accuracies("serial", batches)
+        clean = distributed_run("serial", batches)
         backend = ProcessBackend(max_restarts=3, restart_backoff=0.0)
         WorkerCrash(at={2, 4}, worker=2).attach(backend)
-        faulty = distributed_accuracies(backend, batches)
-        assert faulty == clean
+        faulty = distributed_run(backend, batches)
+        assert faulty[0] == clean[0]
+        assert faulty[1] == clean[1]
         assert backend.restarts == [0, 0, 2]
 
 

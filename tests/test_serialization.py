@@ -5,35 +5,15 @@ import pytest
 
 from repro import nn
 from repro.nn.serialization import (
-    load_state_dict,
-    save_state_dict,
-    state_dict_from_bytes,
+    read_checkpoint,
     state_dict_nbytes,
-    state_dict_to_bytes,
+    write_checkpoint,
 )
 
 
 @pytest.fixture
 def model():
     return nn.Linear(6, 3, rng=np.random.default_rng(0))
-
-
-class TestBytesRoundTrip:
-    def test_round_trip_preserves_arrays(self, model):
-        state = model.state_dict()
-        restored = state_dict_from_bytes(state_dict_to_bytes(state))
-        assert set(restored) == set(state)
-        for name in state:
-            np.testing.assert_array_equal(restored[name], state[name])
-
-    def test_restored_state_loads_into_model(self, model):
-        blob = state_dict_to_bytes(model.state_dict())
-        other = nn.Linear(6, 3, rng=np.random.default_rng(99))
-        other.load_state_dict(state_dict_from_bytes(blob))
-        np.testing.assert_array_equal(other.weight.data, model.weight.data)
-
-    def test_empty_state(self):
-        assert state_dict_from_bytes(state_dict_to_bytes({})) == {}
 
 
 class TestSizeAccounting:
@@ -58,13 +38,42 @@ class TestSizeAccounting:
 class TestFileRoundTrip:
     def test_save_and_load(self, model, tmp_path):
         path = tmp_path / "ckpt" / "model.npz"
-        written = save_state_dict(model.state_dict(), path)
+        written = write_checkpoint(path, model.state_dict(), None)
         assert path.exists()
         assert written == path.stat().st_size
-        restored = load_state_dict(path)
+        restored, meta = read_checkpoint(path)
+        assert meta is None
         np.testing.assert_array_equal(restored["weight"], model.weight.data)
 
     def test_creates_parent_directories(self, model, tmp_path):
         path = tmp_path / "a" / "b" / "c.npz"
-        save_state_dict(model.state_dict(), path)
+        write_checkpoint(path, model.state_dict(), None)
         assert path.exists()
+
+    def test_round_trip_preserves_arrays_and_meta(self, model, tmp_path):
+        state = model.state_dict()
+        path = tmp_path / "model.npz"
+        write_checkpoint(path, state, {"batch": 3, "kind": "long"})
+        restored, meta = read_checkpoint(path)
+        assert meta == {"batch": 3, "kind": "long"}
+        assert set(restored) == set(state)
+        for name in state:
+            np.testing.assert_array_equal(restored[name], state[name])
+
+    def test_restored_state_loads_into_model(self, model, tmp_path):
+        path = tmp_path / "model.npz"
+        write_checkpoint(path, model.state_dict(), None)
+        other = nn.Linear(6, 3, rng=np.random.default_rng(99))
+        other.load_state_dict(read_checkpoint(path)[0])
+        np.testing.assert_array_equal(other.weight.data, model.weight.data)
+
+    def test_empty_state(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        write_checkpoint(path, {}, [])
+        assert read_checkpoint(path) == ({}, [])
+
+    def test_archive_without_metadata_is_rejected(self, model, tmp_path):
+        path = tmp_path / "bare.npz"
+        np.savez(path, **model.state_dict())
+        with pytest.raises(ValueError, match="not a checkpoint"):
+            read_checkpoint(path)
