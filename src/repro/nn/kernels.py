@@ -2,8 +2,8 @@
 
 Linear with its fused activation, the standalone activations, the Dropout
 mask, softmax cross-entropy and the inference softmax each have exactly
-one implementation: a forward (and backward) kernel here.  Three kinds of
-caller run them:
+one implementation: a forward (and backward) kernel here, and so do the
+SGD and Adam steps.  Three kinds of caller run the layer kernels:
 
 - the define-by-run nodes (``F.fused_linear``, ``F.dropout``,
   ``F.cross_entropy``, ``F.softmax`` and the ``Tensor`` activations),
@@ -14,13 +14,14 @@ caller run them:
   arena.
 
 So the three paths agree bit for bit by construction, not by keeping
-copies in step.  Every kernel writes into buffers its caller owns and
-allocates nothing; the ``@replay_kernel`` marker lets lint rule REP012
-check that.  Every kernel accepts an optional leading model axis: a
-batched ``matmul`` computes each model slice with the gemm of the 2-D
-call, and the elementwise ufuncs and last-axis reductions are
-slice-identical, so slice ``m`` of a stacked run equals a 2-D run of
-model ``m``.
+copies in step.  The step kernels are elementwise; ``SGD.step`` and
+``Adam.step`` (:mod:`repro.nn.optim`) run them on every path.  Every
+kernel writes into buffers its caller owns and allocates nothing; the
+``@replay_kernel`` marker lets lint rule REP012 check that.  Every
+kernel accepts an optional leading model axis: a batched ``matmul``
+computes each model slice with the gemm of the 2-D call, and the
+elementwise ufuncs and last-axis reductions are slice-identical, so
+slice ``m`` of a stacked run equals a 2-D run of model ``m``.
 
 Each kernel replays the float operations of the general ``Tensor`` op
 chain it stands for, in the same order and with the same operand order.
@@ -49,6 +50,8 @@ __all__ = [
     "cross_entropy_backward",
     "softmax_forward",
     "select",
+    "sgd_step",
+    "adam_step",
 ]
 
 
@@ -306,3 +309,61 @@ def select(mask, a, b, out) -> None:
     np.bitwise_xor(a.view(bits), b, out=result)
     np.multiply(result, mask, out=result)
     np.bitwise_xor(result, b, out=result)
+
+
+# -- optimizer steps ----------------------------------------------------------
+
+
+@replay_kernel
+def sgd_step(param, grad, velocity, scratch, lr: float, momentum: float,
+             weight_decay: float) -> None:
+    """One SGD step on ``param`` in place.
+
+    Replays ``g = grad + weight_decay * param`` (without weight decay,
+    ``g = grad``), then with momentum ``velocity = momentum * velocity + g``
+    and ``g = velocity``, then ``param = param - lr * g``.  ``velocity``
+    is None without momentum.  ``grad`` and ``scratch`` are overwritten;
+    every buffer has ``param``'s shape.
+    """
+    if weight_decay:
+        np.multiply(param, weight_decay, out=scratch)
+        np.add(grad, scratch, out=grad)
+    if momentum:
+        np.multiply(velocity, momentum, out=velocity)
+        np.add(velocity, grad, out=velocity)
+        grad = velocity
+    np.multiply(grad, lr, out=scratch)
+    np.subtract(param, scratch, out=param)
+
+
+@replay_kernel
+def adam_step(param, grad, m, v, scratch_a, scratch_b, lr: float,
+              beta1: float, beta2: float, eps: float, weight_decay: float,
+              step: int) -> None:
+    """Adam's ``step``-th update of ``param`` and its moments in place.
+
+    Replays ``g = grad + weight_decay * param`` (without weight decay,
+    ``g = grad``), ``m = beta1 * m + (1 - beta1) * g``,
+    ``v = beta2 * v + (1 - beta2) * g * g`` and
+    ``param = param - lr * m_hat / (sqrt(v_hat) + eps)`` with the
+    bias-corrected ``m_hat = m / (1 - beta1 ** step)`` and
+    ``v_hat = v / (1 - beta2 ** step)``.  ``grad`` and both scratch
+    buffers are overwritten; every buffer has ``param``'s shape.
+    """
+    if weight_decay:
+        np.multiply(param, weight_decay, out=scratch_a)
+        np.add(grad, scratch_a, out=grad)
+    np.multiply(m, beta1, out=m)
+    np.multiply(grad, 1.0 - beta1, out=scratch_a)
+    np.add(m, scratch_a, out=m)
+    np.multiply(v, beta2, out=v)
+    np.multiply(grad, 1.0 - beta2, out=scratch_a)
+    np.multiply(scratch_a, grad, out=scratch_a)
+    np.add(v, scratch_a, out=v)
+    np.divide(m, 1.0 - beta1 ** step, out=scratch_a)
+    np.divide(v, 1.0 - beta2 ** step, out=scratch_b)
+    np.sqrt(scratch_b, out=scratch_b)
+    np.add(scratch_b, eps, out=scratch_b)
+    np.multiply(scratch_a, lr, out=scratch_a)
+    np.divide(scratch_a, scratch_b, out=scratch_a)
+    np.subtract(param, scratch_a, out=param)

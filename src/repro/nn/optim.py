@@ -5,24 +5,25 @@ the streaming models.  :class:`FOBOS` and :class:`RDA` implement the
 regularized online-learning updates the Alink baseline integrates with
 logistic regression (see the paper's appendix, "Details of baseline").
 
-Hot path: ``SGD`` and ``Adam`` update a single preflattened float64
-buffer in place — each parameter's ``.data`` becomes a reshaped view into
-it, in the spirit of ``state_spec``/``flatten_state`` from
-:mod:`repro.distributed.backends`.  Every update is elementwise, and the
-in-place step issues the exact same per-element float operations as the
-per-parameter loop, so results stay bitwise-identical (asserted in
-``tests/test_perf.py``).  The loop still runs whatever the flat step
-cannot: parameters that are not all float64, or a step where some
-parameter has no gradient.  External code that replaces
-``parameter.data`` (``load_state_dict``, checkpoint restore) is
-re-adopted into the flat buffer on the next step, and so is a copied
-optimizer, whose views no longer alias its buffer.
+``SGD`` and ``Adam`` keep everything a step touches in one preflattened
+float64 buffer, in the spirit of ``state_spec``/``flatten_state`` from
+:mod:`repro.distributed.backends`: each parameter's ``.data`` is a
+reshaped view into it, the gradients are gathered into a second one, and
+the momentum or Adam moments lie beside them in the same layout.  A step
+is one call of :func:`repro.nn.kernels.sgd_step` or
+:func:`~repro.nn.kernels.adam_step` over the whole buffers, or one per
+parameter slice when some parameter has no gradient; that parameter and
+its state stay as they are.  Only float64 parameters are supported.  A
+``parameter.data`` replaced from outside (``load_state_dict``, checkpoint
+restore) is copied back into its view on the next step.  A shape change,
+or a copy whose views no longer alias its buffer, rebuilds the buffer:
+the state carries over for every parameter whose shape held and restarts
+at zeros for the others.
 
-Only this module knows where an optimizer keeps its state: the flat
-buffer's ``extra`` or the per-parameter dicts.  Checkpoints read and
-write it through :meth:`Optimizer.state_dict` /
-:meth:`Optimizer.load_state_dict`, stacked arenas through
-``_state_of`` / ``_state_slot``.
+Only this module knows the buffer's layout.  Checkpoints read and write
+the state through :meth:`Optimizer.state_dict` /
+:meth:`Optimizer.load_state_dict`, stacked arenas through ``_state_of`` /
+``_state_slot``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import kernels as _kernels
 from . import record as _record
 from .tensor import Tensor
 
@@ -38,12 +40,27 @@ __all__ = ["Optimizer", "SGD", "Adam", "FOBOS", "RDA"]
 
 
 class _FlatState:
-    """Preflattened parameter storage for the in-place optimizers."""
+    """Preflattened storage for the in-place optimizers.
+
+    ``flat`` backs the parameters, ``grad`` gathers their gradients,
+    ``scratch_a``/``scratch_b`` are the step kernels' operands and
+    ``extra`` maps each per-parameter state a step keeps to a buffer of
+    the same layout (see :meth:`state`).  Built from ``previous``, the
+    buffer it replaces, ``extra`` carries over each parameter's slice
+    whose shape held.
+    """
 
     __slots__ = ("flat", "grad", "views", "slices", "scratch_a", "scratch_b",
                  "extra")
 
-    def __init__(self, parameters: list[Tensor]):
+    def __init__(self, parameters: list[Tensor],
+                 previous: "_FlatState | None" = None):
+        for index, parameter in enumerate(parameters):
+            if parameter.data.dtype != np.float64:
+                raise TypeError(
+                    f"SGD and Adam step float64 parameters; parameter "
+                    f"{index} of shape {parameter.data.shape} is "
+                    f"{parameter.data.dtype}")
         total = sum(parameter.data.size for parameter in parameters)
         self.flat = np.empty(total)
         self.grad = np.empty(total)
@@ -61,6 +78,21 @@ class _FlatState:
             self.views.append(view)
             self.slices.append((offset, offset + count))
             offset += count
+        if previous is None:
+            return
+        for name, old in previous.extra.items():
+            buffer = self.state(name)
+            for (start, end), view, (old_start, old_end), old_view in zip(
+                    self.slices, self.views, previous.slices, previous.views):
+                if view.shape == old_view.shape:
+                    buffer[start:end] = old[old_start:old_end]
+
+    def state(self, name: str) -> np.ndarray:
+        """The ``name`` state buffer, made as zeros on first use."""
+        buffer = self.extra.get(name)
+        if buffer is None:
+            buffer = self.extra[name] = np.zeros_like(self.flat)
+        return buffer
 
 
 class Optimizer:
@@ -86,121 +118,74 @@ class Optimizer:
             if parameter.grad is not None:
                 yield index, parameter, parameter.grad
 
-    # -- in-place fast path helpers -------------------------------------------
+    # -- the flat buffer ------------------------------------------------------
 
-    def _flat_state(self) -> _FlatState | None:
-        """Adopt parameters into the flat buffer; None when ineligible.
+    def _flat_state(self) -> _FlatState:
+        """The flat buffer the next step updates, built on first use.
 
-        Eligibility: every parameter is float64 (mixed dtypes keep the
-        legacy loop).  A parameter whose ``.data`` was replaced since the
-        last step (``load_state_dict``, checkpoint restore) is copied
-        back into its view and re-adopted.  When the replacement no
-        longer fits its stale view (a restore changed shape or dtype),
-        the old buffer is dropped — salvaging its optimizer state — and
-        eligibility is re-evaluated from the parameters' *current* data,
-        so one incompatible restore does not disable the fast path for
-        the optimizer's remaining lifetime.  A copied optimizer's buffer
-        is dropped the same way: ``copy.deepcopy`` or a serialization
+        A parameter whose ``.data`` was replaced by a float64 array of its
+        view's shape is copied back into the view.  Any other replacement
+        rebuilds the buffer from the parameters' current data, and so
+        does a copied optimizer: ``copy.deepcopy`` or a serialization
         round trip makes each view a standalone array, so stepping the
-        copied buffer would move no parameter.
+        copied buffer would move no parameter.  Raises TypeError for a
+        parameter that is not float64.
         """
         flat = self._flat
-        if flat is not None and flat.views[0].base is not flat.flat:
-            self._drop_flat_state()
-            flat = None
-        if flat is not None:
+        if flat is not None and flat.views[0].base is flat.flat:
             for parameter, view in zip(self.parameters, flat.views):
-                if parameter.data is view:
+                data = parameter.data
+                if data is view:
                     continue
-                if (parameter.data.shape == view.shape
-                        and parameter.data.dtype == np.float64):
-                    view[...] = parameter.data
-                    parameter.data = view
-                    continue
-                self._drop_flat_state()
-                flat = None
-                break
-            if flat is not None:
+                if data.shape != view.shape or data.dtype != np.float64:
+                    break
+                view[...] = data
+                parameter.data = view
+            else:
                 return flat
-        if any(parameter.data.dtype != np.float64
-               for parameter in self.parameters):
-            return None
-        flat = _FlatState(self.parameters)
-        self._flat = flat
+        flat = self._flat = _FlatState(self.parameters, flat)
         return flat
 
-    def _drop_flat_state(self) -> None:
-        """Retire the flat buffer, handing its state back per parameter.
-
-        Parameters still viewing the buffer keep their values (the views
-        keep the buffer alive until re-adoption copies them out).
-        """
-        if self._flat is None:
-            return
-        self._export_flat_state()
-        self._flat = None
-
-    def _export_flat_state(self) -> None:
-        """Hand flat-buffer optimizer state back to per-parameter dicts."""
-        flat = self._flat
-        if flat is None:
-            return
-        for name in self._state_names():
-            buffer = flat.extra.pop(name, None)
-            if buffer is None:
-                continue
-            # The buffer's own layout (view shapes) is the state's true
-            # shape — parameter.data may have been replaced with a
-            # different shape since the last step.
-            entries = getattr(self, "_" + name)
-            for index, ((start, end), view) in enumerate(
-                    zip(flat.slices, flat.views)):
-                entries[index] = buffer[start:end].reshape(view.shape).copy()
+    def _parts(self, flat: _FlatState) -> list:
+        """Gather the gradients into ``flat.grad``; return the indices a
+        step runs its kernel over: ``[...]``, the whole buffers, when
+        every parameter has a gradient, else each slice that has one."""
+        parts = []
+        for parameter, (start, end) in zip(self.parameters, flat.slices):
+            if parameter.grad is not None:
+                flat.grad[start:end] = parameter.grad.reshape(-1)
+                parts.append(slice(start, end))
+        return [...] if len(parts) == len(self.parameters) else parts
 
     # -- state access ----------------------------------------------------------
 
     def _state_names(self) -> tuple[str, ...]:
-        """Per-parameter state the steps keep, each in the flat buffer's
-        ``extra`` or in the dict ``_<name>``."""
+        """Per-parameter state the steps keep in the flat buffer."""
         return ()
 
     def _state_of(self, name: str, index: int) -> np.ndarray | None:
         """The ``name`` state the next step reads for parameter ``index``,
-        in its own layout; None means zeros.
-
-        That is the flat buffer's entry when there is one, else the
-        per-parameter dict entry, which the next flat step would migrate.
-        """
+        a view in the parameter's shape; None means zeros (no step yet,
+        or the parameter's shape changed since the last one)."""
         flat = self._flat
-        if flat is not None:
-            buffer = flat.extra.get(name)
-            if buffer is not None:
-                start, end = flat.slices[index]
-                return buffer[start:end].reshape(flat.views[index].shape)
-        return getattr(self, "_" + name).get(index)
+        buffer = None if flat is None else flat.extra.get(name)
+        if buffer is None:
+            return None
+        view = flat.views[index]
+        if self.parameters[index].data.shape != view.shape:
+            return None
+        start, end = flat.slices[index]
+        return buffer[start:end].reshape(view.shape)
 
-    def _state_slot(self, name: str, index: int,
-                    shape: tuple) -> np.ndarray:
+    def _state_slot(self, name: str, index: int) -> np.ndarray:
         """Writable storage the next step reads ``name`` state for
-        parameter ``index`` from.
-
-        Inside the flat buffer when the optimizer has one — created as
-        zeros on first use, superseding the per-parameter dict, so every
-        index must then be written — else the dict entry.
-        """
+        parameter ``index`` from, in the parameter's shape."""
         flat = self._flat
-        if flat is not None:
-            buffer = flat.extra.get(name)
-            if buffer is None:
-                buffer = flat.extra[name] = np.zeros_like(flat.flat)
-                getattr(self, "_" + name).clear()
-            start, end = flat.slices[index]
-            return buffer[start:end].reshape(shape)
-        entries = getattr(self, "_" + name)
-        entry = entries.get(index)
-        if entry is None or entry.shape != shape:
-            entry = entries[index] = np.zeros(shape)
-        return entry
+        shape = self.parameters[index].data.shape
+        if flat is None or flat.views[index].shape != shape:
+            flat = self._flat_state()
+        start, end = flat.slices[index]
+        return flat.state(name)[start:end].reshape(shape)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copies of the state the next step reads besides the parameters:
@@ -216,28 +201,36 @@ class Optimizer:
         return state
 
     def load_state_dict(self, state: dict) -> None:
-        """Replace the state with a :meth:`state_dict` mapping: absent
-        entries start fresh, a key this optimizer does not keep raises
-        ValueError."""
-        loaded = {name: {} for name in self._state_names()}
+        """Replace the state with a :meth:`state_dict` mapping; absent
+        entries start fresh.
+
+        Every entry is checked before any is written: a key this
+        optimizer does not keep, an index past its parameters, or an
+        array not shaped like its parameter or not of a float or integer
+        dtype raises ValueError naming the key.
+        """
+        names = self._state_names()
+        entries = []
         for key, value in state.items():
             name, _, index = key.rpartition(".")
-            if name not in loaded or not index.isdigit():
+            if (name not in names or not index.isdigit()
+                    or int(index) >= len(self.parameters)):
                 raise ValueError(
                     f"{type(self).__name__} keeps no state {key!r}")
-            loaded[name][int(index)] = np.array(value, copy=True)
-        self._export_flat_state()  # flat state would outrank the dicts
-        for name, entries in loaded.items():
-            setattr(self, "_" + name, entries)
-
-    def _gather_grads(self, flat: _FlatState) -> bool:
-        """Copy all parameter grads into ``flat.grad``; False if any is missing."""
-        if any(parameter.grad is None for parameter in self.parameters):
-            return False
-        buffer = flat.grad
-        for parameter, (start, end) in zip(self.parameters, flat.slices):
-            buffer[start:end] = parameter.grad.reshape(-1)
-        return True
+            value = np.asarray(value)
+            shape = self.parameters[int(index)].data.shape
+            if value.shape != shape or value.dtype.kind not in "fiu":
+                raise ValueError(
+                    f"{type(self).__name__} state {key!r} is {value.dtype} "
+                    f"of shape {value.shape}; its parameter is {shape}")
+            entries.append((name, int(index), value))
+        flat = self._flat_state() if entries else self._flat
+        if flat is None:
+            return
+        flat.extra.clear()
+        for name, index, value in entries:
+            start, end = flat.slices[index]
+            flat.state(name)[start:end] = value.reshape(-1)
 
 
 class SGD(Optimizer):
@@ -253,54 +246,17 @@ class SGD(Optimizer):
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity: dict[int, np.ndarray] = {}
 
     def step(self) -> None:
         if _record.ACTIVE:
             _record.note_step(self)
-        if self._flat_step():
-            return
-        self._export_flat_state()
-        for index, parameter, grad in self._grads():
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            if self.momentum:
-                velocity = self._velocity.get(index)
-                if velocity is None or velocity.shape != parameter.data.shape:
-                    # Shape changed under a restore: momentum restarts.
-                    velocity = np.zeros_like(parameter.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[index] = velocity
-                grad = velocity
-            parameter.data = parameter.data - self.lr * grad
-
-    def _flat_step(self) -> bool:
-        """One whole-buffer in-place update; per-element ops match the loop."""
         flat = self._flat_state()
-        if flat is None or not self._gather_grads(flat):
-            # Missing grads (or mixed dtypes) keep legacy subset semantics.
-            return False
-        grad = flat.grad
-        if self.weight_decay:
-            np.multiply(flat.flat, self.weight_decay, out=flat.scratch_a)
-            grad += flat.scratch_a
-        if self.momentum:
-            velocity = flat.extra.get("velocity")
-            if velocity is None:
-                velocity = np.zeros_like(flat.flat)
-                if self._velocity:  # migrate state from earlier legacy steps
-                    for index, (start, end) in enumerate(flat.slices):
-                        legacy = self._velocity.get(index)
-                        if legacy is not None and legacy.size == end - start:
-                            velocity[start:end] = legacy.reshape(-1)
-                    self._velocity.clear()
-                flat.extra["velocity"] = velocity
-            velocity *= self.momentum
-            velocity += grad
-            grad = velocity
-        np.multiply(grad, self.lr, out=flat.scratch_b)
-        flat.flat -= flat.scratch_b
-        return True
+        velocity = flat.state("velocity") if self.momentum else None
+        for part in self._parts(flat):
+            _kernels.sgd_step(flat.flat[part], flat.grad[part],
+                              None if velocity is None else velocity[part],
+                              flat.scratch_a[part], self.lr, self.momentum,
+                              self.weight_decay)
 
     def _state_names(self) -> tuple[str, ...]:
         return ("velocity",) if self.momentum else ()
@@ -320,82 +276,19 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
 
     def step(self) -> None:
         if _record.ACTIVE:
             _record.note_step(self)
-        self._step_count += 1
-        if self._flat_step():
-            return
-        self._export_flat_state()
-        t = self._step_count
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
-        for index, parameter, grad in self._grads():
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            m = self._m.get(index)
-            v = self._v.get(index)
-            if m is None or m.shape != parameter.data.shape:
-                # Absent — or stale after a shape-changing restore.
-                m = np.zeros_like(parameter.data)
-                v = np.zeros_like(parameter.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-            self._m[index] = m
-            self._v[index] = v
-            m_hat = m / bias1
-            v_hat = v / bias2
-            parameter.data = parameter.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def _flat_step(self) -> bool:
-        """Whole-buffer Adam update, bitwise-equal to the per-parameter loop."""
         flat = self._flat_state()
-        if flat is None or not self._gather_grads(flat):
-            return False
-        t = self._step_count
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
-        grad = flat.grad
-        if self.weight_decay:
-            np.multiply(flat.flat, self.weight_decay, out=flat.scratch_a)
-            grad += flat.scratch_a
-        m = flat.extra.get("m")
-        v = flat.extra.get("v")
-        if m is None:
-            m = np.zeros_like(flat.flat)
-            v = np.zeros_like(flat.flat)
-            if self._m:  # migrate state from earlier legacy steps
-                for index, (start, end) in enumerate(flat.slices):
-                    legacy_m = self._m.get(index)
-                    legacy_v = self._v.get(index)
-                    if legacy_m is not None and legacy_m.size == end - start:
-                        m[start:end] = legacy_m.reshape(-1)
-                    if legacy_v is not None and legacy_v.size == end - start:
-                        v[start:end] = legacy_v.reshape(-1)
-                self._m.clear()
-                self._v.clear()
-            flat.extra["m"] = m
-            flat.extra["v"] = v
-        # Each line replays one elementwise op of the legacy expressions,
-        # in the same order, so every float result is identical.
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=flat.scratch_a)
-        m += flat.scratch_a
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=flat.scratch_a)
-        flat.scratch_a *= grad
-        v += flat.scratch_a
-        np.divide(m, bias1, out=flat.scratch_a)          # m_hat
-        np.divide(v, bias2, out=flat.scratch_b)          # v_hat
-        np.sqrt(flat.scratch_b, out=flat.scratch_b)
-        flat.scratch_b += self.eps
-        flat.scratch_a *= self.lr
-        flat.scratch_a /= flat.scratch_b
-        flat.flat -= flat.scratch_a
-        return True
+        self._step_count += 1
+        m, v = flat.state("m"), flat.state("v")
+        for part in self._parts(flat):
+            _kernels.adam_step(flat.flat[part], flat.grad[part], m[part],
+                               v[part], flat.scratch_a[part],
+                               flat.scratch_b[part], self.lr, self.beta1,
+                               self.beta2, self.eps, self.weight_decay,
+                               self._step_count)
 
     def _state_names(self) -> tuple[str, ...]:
         return ("m", "v")
@@ -407,8 +300,13 @@ class Adam(Optimizer):
 
     def load_state_dict(self, state: dict) -> None:
         state = dict(state)
-        self._step_count = int(state.pop("step_count", 0))
+        count = np.asarray(state.pop("step_count", 0))
+        if count.shape or count.dtype.kind not in "iu" or count < 0:
+            raise ValueError(
+                f"Adam state 'step_count' must be a non-negative integer; "
+                f"got {count!r}")
         super().load_state_dict(state)
+        self._step_count = int(count)
 
 
 def _soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:

@@ -11,10 +11,10 @@ N at once.  It is not a second engine: it runs the define-by-run nodes of
 :mod:`repro.nn.functional` (``fused_linear``, ``dropout``, the
 activations, the cross-entropy node) on model-axis tensors, and those
 nodes run the shared kernels of :mod:`repro.nn.kernels`.
-:class:`StackedSGD` / :class:`StackedAdam` extend the preflattened
-in-place optimizers over the stacked parameters and import/export
-per-model optimizer state, so a group of mid-training models can be
-stacked, stepped, and unstacked at any point.
+:class:`StackedSGD` / :class:`StackedAdam` run the SGD and Adam steps
+over the stacked parameters and import/export per-model optimizer state,
+so a group of mid-training models can be stacked, stepped, and unstacked
+at any point.
 
 **Equivalence contract.**  Every kernel computes each model slice with
 the float operations of the serial per-model call: batched ``np.matmul``
@@ -411,24 +411,21 @@ def _shared_step_count(optimizers) -> int:
 
 
 def _export_to(stacked, optimizers) -> None:
-    """Slice accumulated state back into the per-model optimizers.
+    """Slice accumulated state back into the per-model optimizers' flat
+    buffers.
 
-    :func:`unstack_models` hands each member fresh parameter arrays, so
-    the members' flat buffers are retired first and the state lands in
-    the per-parameter entries their next step adopts.
+    :func:`unstack_models` hands each member fresh parameter arrays; the
+    member's next step copies them into its buffer.
     """
-    for optimizer in optimizers:
-        optimizer._drop_flat_state()
     _store_state(stacked, optimizers)
 
 
 class StackedSGD(SGD):
     """SGD over a :class:`ModelStack`'s stacked parameters.
 
-    Every update is elementwise, so the stacked step (including the
-    preflattened in-place fast path, which engages automatically on the
-    float64 stacked buffers) is bitwise-identical per model slice to N
-    independent ``SGD.step()`` calls.
+    The step is :func:`repro.nn.kernels.sgd_step` over the stacked
+    parameters' flat buffer.  It is elementwise, so each model slice is
+    bitwise-identical to that model's own ``SGD.step()``.
     """
 
     def __init__(self, stack: ModelStack, lr: float, momentum: float = 0.0,
@@ -554,15 +551,14 @@ def _load_state(stacked, optimizers) -> None:
     if isinstance(stacked, Adam):
         stacked._step_count = _shared_step_count(optimizers)
     for name in stacked._state_names():
-        for index, parameter in enumerate(stacked.parameters):
-            shape = parameter.data.shape
-            slot = stacked._state_slot(name, index, shape)
+        for index in range(len(stacked.parameters)):
+            slot = stacked._state_slot(name, index)
             for row, member in enumerate(optimizers):
                 state = member._state_of(name, index)
-                if state is not None and state.shape != shape[1:]:
+                if state is not None and state.shape != slot.shape[1:]:
                     raise StackedModelError(
                         f"optimizer state of shape {state.shape}, not "
-                        f"{shape[1:]}")
+                        f"{slot.shape[1:]}")
                 slot[row] = 0.0 if state is None else state
 
 
@@ -574,8 +570,7 @@ def _store_state(stacked, optimizers) -> None:
             if state is None:
                 continue
             for row, member in enumerate(optimizers):
-                np.copyto(member._state_slot(name, index, state.shape[1:]),
-                          state[row])
+                np.copyto(member._state_slot(name, index), state[row])
     if isinstance(stacked, Adam):
         for member in optimizers:
             member._step_count = stacked._step_count
@@ -603,8 +598,6 @@ class StackedArena:
         kind = StackedAdam if isinstance(first, Adam) else StackedSGD
         optimizer = kind.like(stack, first)
         flat = optimizer._flat_state()
-        if flat is None:
-            raise StackedModelError("stacked arenas hold float64 parameters")
         self.group = group
         self.stack = stack
         self.optimizer = optimizer

@@ -12,8 +12,9 @@ leaves is what equivalence checks compare plans against
 
 Every other fast path in the hot-path pass — the autograd tape, the
 fused Linear, cross-entropy and softmax nodes, gradient-buffer
-ownership, the in-place optimizers, cached nearest-neighbour norms — is
-always on; tests compare each with its general op in-process.
+ownership, cached nearest-neighbour norms — is always on, and so are the
+SGD and Adam step kernels, which have no other path; tests compare each
+with its general op or reference implementation in-process.
 
 The flag is a plain attribute on a module-level singleton
 (:data:`config`) — one attribute load per check on the hot path, no

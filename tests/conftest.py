@@ -45,18 +45,24 @@ def reference_ops():
     ``Sequential`` runs its layers one by one, ``Linear`` through
     ``F.linear``; cross-entropy is ``nll_loss(log_softmax(...))`` and
     softmax ``log_softmax(...).exp()``; ``backward`` runs the DFS instead
-    of the tape; SGD and Adam take their per-parameter loop;
-    ``EmbeddingHistory.nearest`` calls ``nearest_distance``; and the CNN
-    kernels become the implementations they replaced
-    (``reference_kernels``): the im2col/``argmax`` max-pool and the
-    ``np.where`` ReLU with its mask in the input's layout.  What stays
+    of the tape; ``EmbeddingHistory.nearest`` calls ``nearest_distance``;
+    and the CNN and optimizer kernels become the implementations they
+    replaced (``reference_kernels``): the im2col/``argmax`` max-pool, the
+    ``np.where`` ReLU with its mask in the input's layout, and SGD's and
+    Adam's per-parameter expressions on fresh arrays.  What stays
     is the fast path's only reference: a model run end to end under this
     context must match the default run bit for bit.
     """
-    from reference_kernels import ref_max_pool2d, ref_relu
+    from reference_kernels import (
+        ref_adam_step,
+        ref_max_pool2d,
+        ref_relu,
+        ref_sgd_step,
+    )
 
     from repro import nn
     from repro.nn import functional as F
+    from repro.nn import kernels
     from repro.nn.tensor import Tensor
     from repro.perf import configure
     from repro.shift.distance import EmbeddingHistory, nearest_distance
@@ -86,8 +92,8 @@ def reference_ops():
         patch.setattr(F, "softmax",
                       lambda x, axis=-1: F.log_softmax(x, axis=axis).exp())
         patch.setattr(Tensor, "backward", dfs_backward)
-        for optimizer in (nn.SGD, nn.Adam):
-            patch.setattr(optimizer, "_flat_step", lambda self: False)
+        patch.setattr(kernels, "sgd_step", ref_sgd_step)
+        patch.setattr(kernels, "adam_step", ref_adam_step)
         patch.setattr(EmbeddingHistory, "nearest", nearest)
         patch.setattr(F, "max_pool2d", ref_max_pool2d)
         patch.setattr(Tensor, "relu", ref_relu)

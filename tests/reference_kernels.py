@@ -1,14 +1,17 @@
-"""The CNN kernels ``repro.nn`` replaced, kept as bitwise references.
+"""The kernels ``repro.nn`` replaced, kept as bitwise references.
 
 ``max_pool2d`` once folded channels into the batch, gathered im2col
 columns, took their ``argmax`` and scattered the gradient back with
 ``np.add.at``; ``Tensor.relu`` once built its output with a masked
 ``np.where`` select and kept its mask in the input's memory layout.  The
 fast kernels promise these implementations' bits, including the memory
-layout of every output and gradient.  No flag switches the old kernels
-back on, so they live here: ``test_cnn_kernels.py`` fuzzes the fast
-kernels against them, and ``conftest.reference_ops`` patches them in for
-whole-model runs.
+layout of every output and gradient.  SGD and Adam once stepped each
+parameter through whole-array expressions on fresh arrays;
+``kernels.sgd_step`` and ``kernels.adam_step`` promise those
+expressions' bits.  No flag switches the old implementations back on, so
+they live here: ``test_cnn_kernels.py`` and ``test_kernels.py`` fuzz the
+fast kernels against them, and ``conftest.reference_ops`` patches them
+in for whole-model runs.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
-__all__ = ["ref_max_pool2d", "ref_relu"]
+__all__ = ["ref_max_pool2d", "ref_relu", "ref_sgd_step", "ref_adam_step"]
 
 
 def _ref_im2col_indices(x_shape, kernel_h, kernel_w, stride_h, stride_w):
@@ -73,3 +76,32 @@ def ref_relu(self):
     mask = self.data > 0
     data = np.where(mask, self.data, 0.0)
     return Tensor._make(data, (self,), lambda g: (g * mask,))
+
+
+def ref_sgd_step(param, grad, velocity, scratch, lr, momentum,
+                 weight_decay):
+    """The per-parameter SGD loop: its expressions on fresh arrays, the
+    results copied into ``kernels.sgd_step``'s buffers."""
+    if weight_decay:
+        grad = grad + weight_decay * param
+    if momentum:
+        grad = momentum * velocity + grad
+        np.copyto(velocity, grad)
+    np.copyto(param, param - lr * grad)
+
+
+def ref_adam_step(param, grad, m, v, scratch_a, scratch_b, lr, beta1, beta2,
+                  eps, weight_decay, step):
+    """The per-parameter Adam loop: its expressions on fresh arrays, the
+    results copied into ``kernels.adam_step``'s buffers."""
+    bias1 = 1.0 - beta1 ** step
+    bias2 = 1.0 - beta2 ** step
+    if weight_decay:
+        grad = grad + weight_decay * param
+    new_m = beta1 * m + (1.0 - beta1) * grad
+    new_v = beta2 * v + (1.0 - beta2) * grad * grad
+    np.copyto(m, new_m)
+    np.copyto(v, new_v)
+    m_hat = new_m / bias1
+    v_hat = new_v / bias2
+    np.copyto(param, param - lr * m_hat / (np.sqrt(v_hat) + eps))

@@ -23,10 +23,12 @@ from conftest import reference_ops
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference_kernels import ref_adam_step, ref_sgd_step
 
 from repro import nn
 from repro.models import StreamingMLP
 from repro.nn import functional as F
+from repro.nn import kernels
 from repro.nn import plan as nn_plan
 from repro.nn.tensor import Tensor
 from repro.perf import configure
@@ -494,3 +496,159 @@ class TestOneRelu:
         assert np.isfinite(default).all()
         for other in (no_plans, reference, stacked):
             assert other.tobytes() == default.tobytes()
+
+
+# -- optimizer steps ----------------------------------------------------------
+#
+# The references are a per-parameter loop's update expressions on fresh
+# arrays (``reference_kernels``); the step kernels must match their bits
+# over whole buffers and over slices of them.
+
+
+@st.composite
+def step_cases(draw):
+    """Parameter, gradient and two state buffers of one size, and the
+    part a step runs over: the whole buffers or one slice of them."""
+    size = draw(st.integers(1, 8))
+    buffers = [draw(arrays(np.float64, (size,), elements=_VALUE))
+               for _ in range(4)]
+    start = draw(st.integers(0, size - 1))
+    part = draw(st.sampled_from(
+        [..., slice(start, draw(st.integers(start + 1, size)))]))
+    return (buffers, part, draw(st.sampled_from([0.0, 0.9])),
+            draw(st.sampled_from([0.0, 0.01])),
+            draw(st.sampled_from([1, 2, 7, 1000])))
+
+
+def _sgd(step, buffers, part, momentum, weight_decay):
+    """Bits of the parameter and velocity after ``step`` ran on ``part``
+    of copies of ``buffers``."""
+    param, grad, velocity, scratch = (buffer.copy() for buffer in buffers)
+    step(param[part], grad[part], velocity[part] if momentum else None,
+         scratch[part], 0.1, momentum, weight_decay)
+    return [_bits(param), _bits(velocity)]
+
+
+def _adam(step, buffers, part, weight_decay, count):
+    """Bits of the parameter and moments after ``step`` ran on ``part``
+    of copies of ``buffers``."""
+    param, grad, m, v = (buffer.copy() for buffer in buffers)
+    scratch = np.empty((2,) + param.shape)
+    step(param[part], grad[part], m[part], v[part], scratch[0][part],
+         scratch[1][part], 0.01, 0.9, 0.999, 1e-8, weight_decay, count)
+    return [_bits(param), _bits(m), _bits(v)]
+
+
+class TestOptimizerStepKernels:
+    @given(step_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_sgd_step_matches_the_per_parameter_loop(self, case):
+        buffers, part, momentum, weight_decay, _count = case
+        with np.errstate(all="ignore"):
+            assert _sgd(kernels.sgd_step, buffers, part, momentum,
+                        weight_decay) \
+                == _sgd(ref_sgd_step, buffers, part, momentum, weight_decay)
+
+    @given(step_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_adam_step_matches_the_per_parameter_loop(self, case):
+        buffers, part, _momentum, weight_decay, count = case
+        with np.errstate(all="ignore"):
+            assert _adam(kernels.adam_step, buffers, part, weight_decay,
+                         count) \
+                == _adam(ref_adam_step, buffers, part, weight_decay, count)
+
+
+_SHAPES = [(3, 4), (3,), (2, 3), (2,)]
+
+
+def _optimizer(kind, params):
+    if kind == "sgd":
+        return nn.SGD(params, lr=0.1, momentum=0.9, weight_decay=0.01)
+    return nn.Adam(params, lr=0.01, weight_decay=0.01)
+
+
+def _loop(kind, start, steps):
+    """The per-parameter loop: each parameter with a gradient steps its
+    own arrays through the reference expressions; one without is
+    skipped.  Returns the parameters and each one's two state arrays."""
+    params = [value.copy() for value in start]
+    states = [(np.zeros_like(value), np.zeros_like(value))
+              for value in start]
+    for count, grads in enumerate(steps, 1):
+        for param, grad, (first, second) in zip(params, grads, states):
+            if grad is None:
+                continue
+            if kind == "sgd":
+                ref_sgd_step(param, grad.copy(), first, None, 0.1, 0.9, 0.01)
+            else:
+                ref_adam_step(param, grad.copy(), first, second, None, None,
+                              0.01, 0.9, 0.999, 1e-8, 0.01, count)
+    return params, states
+
+
+def _train(optimizer, steps):
+    for grads in steps:
+        for param, grad in zip(optimizer.parameters, grads):
+            param.grad = None if grad is None else grad.copy()
+        optimizer.step()
+
+
+class TestPartialGradientSteps:
+    """Steps where only some parameters have a gradient run the kernel
+    once per slice of those that do."""
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_steps_match_the_per_parameter_loop(self, kind):
+        rng = np.random.default_rng(3)
+        start = [rng.normal(size=shape) for shape in _SHAPES]
+        steps = [[rng.normal(size=shape) for shape in _SHAPES]
+                 for _ in range(4)]
+        steps[1][1] = steps[2][2] = steps[2][0] = None
+        optimizer = _optimizer(
+            kind, [nn.Parameter(value.copy()) for value in start])
+        _train(optimizer, steps)
+        params, states = _loop(kind, start, steps)
+        state = optimizer.state_dict()
+        for index, (param, value) in enumerate(
+                zip(optimizer.parameters, params)):
+            assert param.data.tobytes() == value.tobytes()
+            for name, reference in zip(optimizer._state_names(),
+                                       states[index]):
+                assert state[f"{name}.{index}"].tobytes() \
+                    == reference.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_parameter_without_gradient_keeps_values_and_state(self, kind):
+        rng = np.random.default_rng(4)
+        optimizer = _optimizer(kind, [nn.Parameter(rng.normal(size=shape))
+                                      for shape in _SHAPES])
+        _train(optimizer, [[rng.normal(size=shape) for shape in _SHAPES]])
+        resting = optimizer.parameters[1]
+        values = resting.data.tobytes()
+        state = {key: value.tobytes()
+                 for key, value in optimizer.state_dict().items()
+                 if key.endswith(".1")}
+        grads = [rng.normal(size=shape) for shape in _SHAPES]
+        grads[1] = None
+        _train(optimizer, [grads])
+        assert resting.data.tobytes() == values
+        assert state and state == {
+            key: value.tobytes()
+            for key, value in optimizer.state_dict().items()
+            if key.endswith(".1")}
+        if kind == "adam":
+            assert optimizer._step_count == 2
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_float32_parameter_raises_naming_it(self, kind):
+        params = [nn.Parameter(np.zeros(3)),
+                  nn.Parameter(np.zeros((2, 2), dtype=np.float32))]
+        optimizer = _optimizer(kind, params)
+        for param in params:
+            param.grad = np.ones_like(param.data)
+        with pytest.raises(TypeError, match="parameter 1 .* float32"):
+            optimizer.step()
+        assert not params[0].data.any()
+        if kind == "adam":
+            assert optimizer._step_count == 0

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from conftest import reference_ops
 
 from repro import nn
 from repro.nn.optim import FOBOS, RDA, Adam, SGD, _soft_threshold
-from repro.perf.config import optimizations_disabled
 
 
 def quadratic_param(start=5.0):
@@ -188,7 +188,7 @@ class TestFlatStateRecovery:
             opt.step()
         reference = nn.Parameter(restored.copy())
         ref_opt = SGD([reference], lr=0.05, momentum=0.9)
-        with optimizations_disabled():
+        with reference_ops():
             for grad in grads:
                 reference.grad = grad.copy()
                 ref_opt.step()
@@ -214,7 +214,7 @@ class TestFlatStateRecovery:
         reference = nn.Parameter(restored.copy())
         ref_opt = Adam([reference], lr=0.01)
         ref_opt._step_count = 2
-        with optimizations_disabled():
+        with reference_ops():
             for grad in grads:
                 reference.grad = grad.copy()
                 ref_opt.step()

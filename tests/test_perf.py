@@ -11,6 +11,7 @@ softmax, in-place optimizers), then end to end through
 import numpy as np
 import pytest
 from conftest import reference_ops
+from reference_kernels import ref_adam_step, ref_sgd_step
 
 import repro.perf
 from repro import nn
@@ -19,6 +20,7 @@ from repro.data.drift import (GaussianMixtureConcept, Segment,
                               stream_from_schedule)
 from repro.eval import model_factory_for
 from repro.nn import functional as F
+from repro.nn import kernels
 from repro.nn.tensor import Tensor
 from repro.perf import (PerfConfig, can_own, config, configure,
                         optimizations_disabled)
@@ -205,8 +207,8 @@ class TestBitwiseEquivalence:
             return [p.data.tobytes() for p in model.parameters()]
 
         fast = train()
-        for kind in (nn.SGD, nn.Adam):  # the per-parameter loop
-            monkeypatch.setattr(kind, "_flat_step", lambda self: False)
+        monkeypatch.setattr(kernels, "sgd_step", ref_sgd_step)
+        monkeypatch.setattr(kernels, "adam_step", ref_adam_step)
         assert fast == train()
 
 

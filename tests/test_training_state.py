@@ -120,7 +120,20 @@ class TestEncoding:
         training_state(model)
         assert model.optimizer._flat is flat
         assert flat.extra["velocity"] is velocity
-        assert model.optimizer._velocity == {}
+
+    def test_state_after_a_shape_changing_restore_loads_back(self):
+        """The state of a parameter whose shape changed restarts at the
+        next step, so it is not part of the state, which stays loadable."""
+        first, second = nn.Parameter(np.ones(4)), nn.Parameter(np.ones(2))
+        optimizer = nn.SGD([first, second], lr=0.1, momentum=0.9)
+        first.grad, second.grad = np.ones(4), np.ones(2)
+        optimizer.step()
+        first.data = np.zeros(6)  # the layer was rebuilt wider
+        state = optimizer.state_dict()
+        assert list(state) == ["velocity.1"]
+        optimizer.load_state_dict(state)
+        assert optimizer.state_dict()["velocity.1"].tobytes() == \
+            state["velocity.1"].tobytes()
 
     def test_parameters_only_state_leaves_a_fresh_optimizer(self):
         trained, fresh = FLEETS["adam"](0), FLEETS["adam"](0)
@@ -138,6 +151,61 @@ class TestEncoding:
         with pytest.raises(ValueError, match="keeps no state"):
             load_training_state(model, state)
         assert state_bytes(training_state(model)) == before
+
+
+def _malform(state, case, prefix=""):
+    """Break ``state``'s momentum entries as ``case`` says; return the
+    optimizer key the load must name."""
+    velocity = state[prefix + "velocity.0"]
+    if case == "truncated":
+        state[prefix + "velocity.0"] = velocity[:-1]
+        return "velocity.0"
+    state[prefix + "velocity.9"] = velocity  # past the 4 parameters
+    return "velocity.9"
+
+
+class TestRejectedOptimizerState:
+    """An optimizer checks every entry of a state before writing any."""
+
+    @pytest.mark.parametrize("case", ["truncated", "index"])
+    def test_optimizer_raises_naming_the_key(self, case):
+        model = FLEETS["momentum"](0)
+        for x, y in requests(2):
+            model.partial_fit(x, y)
+        state = model.optimizer.state_dict()
+        key = _malform(state, case)
+        before = state_bytes(training_state(model))
+        with pytest.raises(ValueError, match=repr(key)):
+            model.optimizer.load_state_dict(state)
+        assert state_bytes(training_state(model)) == before
+
+    @pytest.mark.parametrize("case", ["truncated", "index"])
+    def test_load_training_state_leaves_the_model_untouched(self, case):
+        model, other = FLEETS["momentum"](0), FLEETS["momentum"](1)
+        for x, y in requests(2):
+            model.partial_fit(x, y)
+            other.partial_fit(x, y)
+        state = training_state(other)
+        key = _malform(state, case, prefix="__opt__.")
+        before = state_bytes(training_state(model))
+        with pytest.raises(ValueError, match=repr(key)):
+            load_training_state(model, state)
+        assert state_bytes(training_state(model)) == before
+
+    @pytest.mark.parametrize("entries", [
+        {"step_count": np.array(99), "bogus.0": np.zeros(1)},
+        {"step_count": np.array(-1)},
+        {"step_count": np.array([3, 4])},
+    ])
+    def test_adam_keeps_its_step_count(self, entries):
+        model = FLEETS["adam"](0)
+        for x, y in requests(3):
+            model.partial_fit(x, y)
+        before = state_bytes(model.optimizer.state_dict())
+        with pytest.raises(ValueError):
+            model.optimizer.load_state_dict(
+                {**model.optimizer.state_dict(), **entries})
+        assert state_bytes(model.optimizer.state_dict()) == before
 
 
 class TestSaveLoadLearner:
