@@ -125,14 +125,14 @@ class Module:
             (name, parameter.data.copy()) for name, parameter in self.named_parameters()
         )
 
-    def load_state_dict(self, state: dict) -> None:
-        """Load parameter arrays produced by :meth:`state_dict` in place.
+    def validate_state_dict(self, state: dict) -> dict:
+        """Check parameter arrays produced by :meth:`state_dict` without
+        writing any; returns them by parameter name.
 
-        Every parameter is validated before any is written: key sets must
-        match, each array's shape must equal the resident parameter's, and
-        its dtype must be of the same kind (a float parameter rejects an
-        integer or complex blob; width changes like float32 → float64 are
-        fine).  Errors name the offending parameter.
+        Key sets must match, each array's shape must equal the resident
+        parameter's, and its dtype must be of the same kind (a float
+        parameter rejects an integer or complex blob; width changes like
+        float32 → float64 are fine).  Errors name the offending parameter.
         """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
@@ -158,7 +158,13 @@ class Module:
                     f"{parameter.data.dtype} (kind {parameter.data.dtype.kind!r}), "
                     f"got {value.dtype}"
                 )
-        for name, parameter in own.items():
+        return incoming
+
+    def load_state_dict(self, state: dict) -> None:
+        """Load parameter arrays produced by :meth:`state_dict` in place,
+        once :meth:`validate_state_dict` has accepted every one."""
+        incoming = self.validate_state_dict(state)
+        for name, parameter in self.named_parameters():
             parameter.data = incoming[name].astype(parameter.data.dtype)
 
 

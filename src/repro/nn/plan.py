@@ -11,12 +11,23 @@ of :mod:`repro.nn.kernels` on them, the same kernels the define-by-run
 nodes run — and subsequent batches replay the plan kernels with zero
 graph construction.
 
+**Row counts.**  A single model's plan key holds no row count: a plan's
+arena is sized for the rows it was captured at, a batch with fewer rows
+replays on ``[:n]`` views of the arena's leading rows, and a batch with
+more recaptures at its own row count and replaces the plan (a growth).
+A stacked plan's key holds its whole input shape.
+
 **Safety model.**  Capture is self-verifying: the reference run and a
 trial replay are compared — parameters, optimizer state, Dropout RNG
 states, loss bytes and any probabilities must be **bitwise identical** —
 before a plan is cached.  Any mismatch (or any op the compiler does not
-recognize) marks the signature unsupported and the model keeps using the
-reference path.  Capture therefore never changes results, only speed.
+recognize) marks the signature unsupported, for every row count, and
+the model keeps using the reference path.  Every growth is a capture,
+so every arena size is verified once; a smaller batch replays on views
+without a reference run, trusting the shared kernels to give an
+``[:n]`` view the bits of a fresh ``n``-row array — same shape, same
+strides, same ``out=`` kernels (docs/PERF.md, "Plan capture").
+Capture therefore never changes results, only speed.
 
 **Sharing.**  A plan holds no model: it records the *positions* of the
 parameters and Dropout generators it reads, and each replay binds it to
@@ -72,8 +83,8 @@ PLAN_CACHE_COUNTER = "freeway_plan_cache"
 
 #: Arena bytes one thread's plan cache may hold — plans and stacked
 #: arenas together — before it evicts least recently used entries.  16 MiB
-#: keeps a 1024-row MLP stream's steady fit and proba plans (about 2.3 MB)
-#: beside its current long-window fit plan.
+#: holds a 1024-row MLP stream's one fit plan, grown to its largest
+#: long-window fit (9.3 MB at 6,477 rows), beside its proba plan (0.76 MB).
 _PLAN_CACHE_BYTES = 16 << 20
 
 
@@ -95,7 +106,8 @@ def add_plan_hook(hook) -> None:
     Events: ``"capture"`` (a plan was compiled and verified),
     ``"replay"`` (a cached plan ran; timed only while hooks are
     registered), ``"unsupported"`` (capture fell back permanently for a
-    signature), ``"invalidate"`` (a cached plan was dropped).
+    signature), ``"invalidate"`` (a cached plan was evicted, replaced
+    by a growth, or cleared).
     """
     with _HOOKS_LOCK:
         if hook not in _HOOKS:
@@ -187,7 +199,29 @@ def _arena_bytes(parts) -> int:
 # stale.
 
 
-class _LinearKernel:
+class _Kernel:
+    """A plan kernel; ``ROWS`` names its slots indexed by batch row."""
+
+    __slots__ = ()
+    ROWS: tuple
+
+    def view(self, n: int):
+        """This kernel for an ``n``-row batch: ``[:n]`` views of its
+        ``ROWS`` buffers, every other slot shared.
+
+        Views of one arena alias as its buffers do, and allocate no array
+        data.
+        """
+        view = object.__new__(type(self))
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if value is not None and name in self.ROWS:
+                value = value[:n]
+            setattr(view, name, value)
+        return view
+
+
+class _LinearKernel(_Kernel):
     """``x @ W.T + b`` and its fused activation.
 
     Without ``grads`` (an inference plan) it holds no backward buffers.
@@ -195,6 +229,7 @@ class _LinearKernel:
 
     __slots__ = ("windex", "bindex", "activation", "x", "out", "mask",
                  "scratch", "g_out", "g_in", "wt", "gw", "gb")
+    ROWS = ("x", "out", "mask", "scratch", "g_out", "g_in")
 
     def __init__(self, x_buf, out_ref, weight_ref, bias_ref, windex, bindex,
                  activation, grads=True):
@@ -234,10 +269,11 @@ class _LinearKernel:
                           self.wt, self.gw, self.gb)
 
 
-class _ActKernel:
+class _ActKernel(_Kernel):
     """A standalone activation."""
 
     __slots__ = ("name", "x", "out", "mask", "scratch", "g_out", "g_in")
+    ROWS = ("x", "out", "mask", "scratch", "g_out", "g_in")
 
     def __init__(self, name, x_buf, out_ref, grads=True):
         self.name = name
@@ -263,7 +299,7 @@ class _ActKernel:
                                   self.g_in, self.scratch)
 
 
-class _DropoutKernel:
+class _DropoutKernel(_Kernel):
     """Inverted dropout drawing from the bound generator(s) each replay.
 
     ``rngs[index]`` is the bound model's Dropout generator, or for a
@@ -271,6 +307,7 @@ class _DropoutKernel:
     """
 
     __slots__ = ("p", "index", "x", "out", "mask", "g_out", "g_in")
+    ROWS = ("x", "out", "mask", "g_out", "g_in")
 
     def __init__(self, p, index, x_buf, out_ref):
         self.p = p
@@ -292,11 +329,13 @@ class _DropoutKernel:
             K.dropout_backward(self.g_out, self.mask, self.g_in)
 
 
-class _CrossEntropyKernel:
+class _CrossEntropyKernel(_Kernel):
     """Softmax cross-entropy, 2-D or stacked (one loss per model)."""
 
     __slots__ = ("logits", "index", "mask", "shifted", "expb", "prod",
                  "norm", "lognorm", "picked", "loss", "coef", "g_logits")
+    ROWS = ("logits", "mask", "shifted", "expb", "prod", "norm", "lognorm",
+            "picked", "g_logits")
 
     def __init__(self, logits_buf, logits_ref):
         shape = logits_ref.shape
@@ -314,6 +353,14 @@ class _CrossEntropyKernel:
         self.coef = -1.0 * (1.0 / shape[-2])
         self.g_logits = np.empty(shape)
 
+    def view(self, n: int):
+        # Only a single-model (2-D) loss is viewed: a stacked plan's key
+        # fixes its shape.
+        view = super().view(n)
+        view.index = (self.index[0][:n],)
+        view.coef = -1.0 * (1.0 / n)
+        return view
+
     @replay_kernel
     def forward(self, labels: np.ndarray) -> np.ndarray:
         K.cross_entropy_forward(self.logits, labels, self.index, self.mask,
@@ -328,10 +375,11 @@ class _CrossEntropyKernel:
                                  self.g_logits, self.prod, self.lognorm)
 
 
-class _SoftmaxKernel:
+class _SoftmaxKernel(_Kernel):
     """The inference softmax."""
 
     __slots__ = ("x", "out", "shifted", "lognorm")
+    ROWS = ("x", "out", "shifted", "lognorm")
 
     def __init__(self, x_buf, out_ref):
         self.x = x_buf
@@ -486,17 +534,21 @@ def _wire_backward(kernels, edges, x_buf, loss_kernel, logits_id,
 class _FitPlan:
     """A compiled train step: forward, loss, backward, optimizer update.
 
-    A predict-and-train plan also holds the inference ``softmax`` kernel,
-    run on the logits of the first step's forward: without Dropout the
-    train and eval forwards run the same kernels on the same weights, so
-    that forward is also the prediction from the pre-step weights.
+    Its arena holds ``rows`` batch rows, the row count it was captured
+    at; a batch with fewer rows replays on the arena's leading rows
+    (:meth:`_Kernel.view`).  A predict-and-train plan also holds the
+    inference ``softmax`` kernel, run on the logits of the first step's
+    forward: without Dropout the train and eval forwards run the same
+    kernels on the same weights, so that forward is also the prediction
+    from the pre-step weights.
     """
 
-    __slots__ = ("x_buf", "kernels", "loss", "step", "sgd_steps", "softmax",
-                 "nbytes")
+    __slots__ = ("rows", "x_buf", "kernels", "loss", "step", "sgd_steps",
+                 "softmax", "nbytes", "views")
 
     def __init__(self, x_buf, kernels, loss_kernel, step_kernel, sgd_steps,
                  softmax_kernel=None):
+        self.rows = len(x_buf)
         self.x_buf = x_buf
         self.kernels = kernels
         self.loss = loss_kernel
@@ -507,48 +559,82 @@ class _FitPlan:
         if softmax_kernel is not None:
             parts.append(softmax_kernel)
         self.nbytes = _arena_bytes(parts)
+        self.views = {}
+
+    def _arena(self, n: int) -> tuple:
+        """``(x_buf, kernels, loss, softmax)`` for an ``n``-row batch: the
+        arena's own at :attr:`rows`, else views of its leading rows, built
+        on the first batch of ``n`` rows and kept in :attr:`views`."""
+        if n == self.rows:
+            return self.x_buf, self.kernels, self.loss, self.softmax
+        views = self.views.get(n)
+        if views is None:
+            views = self.views[n] = (
+                self.x_buf[:n], [kernel.view(n) for kernel in self.kernels],
+                self.loss.view(n),
+                None if self.softmax is None else self.softmax.view(n))
+        return views
 
     def replay(self, optimizer, rngs, xr: np.ndarray, labels: np.ndarray):
         """Train the model or stack that ``optimizer`` updates on a batch.
 
-        Returns ``(loss, probabilities)``: the loss buffer (0-d, or one
-        loss per model) and, for a predict-and-train plan, the softmax
-        buffer (else None), both overwritten by the next replay.
+        ``xr`` has at most :attr:`rows` rows.  Returns ``(loss,
+        probabilities)``: the loss buffer (0-d, or one loss per model)
+        and, for a predict-and-train plan, the softmax buffer (else
+        None), both overwritten by the next replay.
         """
         params = optimizer.parameters
-        np.copyto(self.x_buf, xr)
+        x_buf, kernels, loss_kernel, softmax = self._arena(len(xr))
+        np.copyto(x_buf, xr)
         loss = None
         for step in range(self.sgd_steps):
-            for kernel in self.kernels:
+            for kernel in kernels:
                 kernel.forward(params, rngs)
-            if step == 0 and self.softmax is not None:
-                self.softmax.forward()
-            loss = self.loss.forward(labels)
-            self.loss.backward()
-            for kernel in reversed(self.kernels):
+            if step == 0 and softmax is not None:
+                softmax.forward()
+            loss = loss_kernel.forward(labels)
+            loss_kernel.backward()
+            for kernel in reversed(kernels):
                 kernel.backward(params)
             self.step.step(optimizer)
-        return loss, None if self.softmax is None else self.softmax.out
+        return loss, None if softmax is None else softmax.out
 
 
 class _ProbaPlan:
-    """A compiled inference pass ending in the softmax chain."""
+    """A compiled inference pass ending in the softmax chain; its arena
+    holds ``rows`` batch rows, as a :class:`_FitPlan`'s does."""
 
-    __slots__ = ("x_buf", "kernels", "softmax", "nbytes")
+    __slots__ = ("rows", "x_buf", "kernels", "softmax", "nbytes", "views")
 
     def __init__(self, x_buf, kernels, softmax_kernel):
+        self.rows = len(x_buf)
         self.x_buf = x_buf
         self.kernels = kernels
         self.softmax = softmax_kernel
         self.nbytes = _arena_bytes([self, softmax_kernel, *kernels])
+        self.views = {}
+
+    def _arena(self, n: int) -> tuple:
+        """``(x_buf, kernels, softmax)`` for an ``n``-row batch, as
+        :meth:`_FitPlan._arena` gives."""
+        if n == self.rows:
+            return self.x_buf, self.kernels, self.softmax
+        views = self.views.get(n)
+        if views is None:
+            views = self.views[n] = (
+                self.x_buf[:n], [kernel.view(n) for kernel in self.kernels],
+                self.softmax.view(n))
+        return views
 
     def replay(self, params, rngs, xr: np.ndarray) -> np.ndarray:
-        np.copyto(self.x_buf, xr)
-        for kernel in self.kernels:
+        """Probabilities for ``xr``, which has at most :attr:`rows` rows."""
+        x_buf, kernels, softmax = self._arena(len(xr))
+        np.copyto(x_buf, xr)
+        for kernel in kernels:
             kernel.forward(params, rngs)
-        self.softmax.forward()
+        softmax.forward()
         # Callers cache the result; the arena is rewritten next call.
-        return self.softmax.out.copy()
+        return softmax.out.copy()
 
 
 def _compile_fit(trace, optimizer, rngs, sgd_steps: int, x_shape,
@@ -639,7 +725,8 @@ class _PlanCache:
     one budget bounds both.  Bounded by the bytes its entries hold (an
     unsupported marker costs its key); the entry just stored is never
     evicted, so a plan larger than the whole budget still serves its next
-    replay.  Only evicted plans are ``"invalidate"`` events.
+    replay.  Plans evicted or replaced under their key (a growth) are
+    ``"invalidate"`` events.
     """
 
     __slots__ = ("entries", "nbytes")
@@ -656,6 +743,13 @@ class _PlanCache:
         return entry[0]
 
     def put(self, key, entry) -> None:
+        """Store ``entry`` as the most recently used, replacing what
+        ``key`` held."""
+        replaced = self.entries.pop(key, None)
+        if replaced is not None:
+            self.nbytes -= replaced[1]
+            if _is_plan(replaced[0]):
+                _notify("invalidate")
         nbytes = sys.getsizeof(key) if entry is _UNSUPPORTED else entry.nbytes
         self.entries[key] = (entry, nbytes)
         self.nbytes += nbytes
@@ -753,7 +847,8 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
 
 def _fit(key, optimizer, rngs, reference, xr, labels, sgd_steps,
          predict=None):
-    """Train through the plan cached under ``key``, capturing it on a miss.
+    """Train through the plan cached under ``key``, capturing it on a miss
+    or when ``xr`` has more rows than its arena (a growth).
 
     Returns ``(loss, probabilities)``: the loss (0-d, or one per model)
     and, given the ``predict`` reference, the probabilities from the
@@ -766,7 +861,7 @@ def _fit(key, optimizer, rngs, reference, xr, labels, sgd_steps,
     plan = cache.get(key)
     if plan is _UNSUPPORTED:
         return None
-    if plan is None:
+    if plan is None or len(xr) > plan.rows:
         return _capture_fit(cache, key, optimizer, rngs, reference, xr,
                             labels, sgd_steps, predict)
     return _replayed(plan.replay, optimizer, rngs, xr, labels)
@@ -818,7 +913,7 @@ def _capture_fit(cache, key, optimizer, rngs, reference, xr, labels,
 
 def _proba(key, params, rngs, reference, xr):
     """Probabilities through the plan cached under ``key``, capturing it
-    on a miss.
+    on a miss or a growth, as :func:`_fit` does.
 
     Returns a fresh array — the ``reference`` run's on a capture that
     fails — or None when ``key`` is marked unsupported and the caller
@@ -828,7 +923,7 @@ def _proba(key, params, rngs, reference, xr):
     plan = cache.get(key)
     if plan is _UNSUPPORTED:
         return None
-    if plan is None:
+    if plan is None or len(xr) > plan.rows:
         return _capture_proba(cache, key, params, rngs, reference, xr)
     return _replayed(plan.replay, params, rngs, xr)
 
@@ -871,7 +966,7 @@ def fit_with_plan(model, x, y):
     if n == 0:
         return None
     xr = np.asarray(x, dtype=float)
-    key = ("fit", binding.structure, n, xr.size // n,
+    key = ("fit", binding.structure, xr.size // n,
            bool(model.module.training), model.sgd_steps)
     result = _fit(key, model.optimizer, binding.rngs,
                   lambda: model._fit_steps(x, y), xr.reshape(n, -1), y,
@@ -890,7 +985,7 @@ def proba_with_plan(model, x):
     if n == 0:
         return None
     xr = np.asarray(x, dtype=float).reshape(n, -1)
-    result = _proba(("proba", binding.structure, n, xr.shape[1]),
+    result = _proba(("proba", binding.structure, xr.shape[1]),
                     binding.params, binding.rngs,
                     lambda: model._forward_proba(x), xr)
     # The reference path leaves the module in train mode unconditionally.

@@ -107,14 +107,18 @@ def training_state(model) -> "OrderedDict[str, np.ndarray]":
 def load_training_state(model, state: dict) -> None:
     """Load a :func:`training_state` mapping into ``model`` in place.
 
-    The optimizer checks its entries, then ``model.load_state_dict`` its
-    parameters, each before writing any, so a bad optimizer entry leaves
-    the model untouched.  Without optimizer entries (a parameters-only
-    checkpoint) the optimizer starts fresh; generators and ``updates``
-    without an entry are left as they are.
+    The parameter entries are checked first
+    (:meth:`~repro.nn.Module.validate_state_dict`), then the optimizer
+    checks its entries, each before anything is written, so a bad
+    parameter or optimizer entry leaves the model untouched.  Without
+    optimizer entries (a parameters-only checkpoint) the optimizer starts
+    fresh; generators and ``updates`` without an entry are left as they
+    are.
     """
+    parameters = parameters_of(state)
     optimizer = getattr(model, "optimizer", None)
     if optimizer is not None:
+        model.module.validate_state_dict(parameters)
         entries = {}
         for key, value in state.items():
             if key.startswith(_OPT):
@@ -122,7 +126,7 @@ def load_training_state(model, state: dict) -> None:
             elif key.startswith(_META) and key != _UPDATES:
                 entries[key[len(_META):]] = value
         optimizer.load_state_dict(entries)
-    model.load_state_dict(parameters_of(state))
+    model.load_state_dict(parameters)
     for position, rng in enumerate(_generators(model)):
         key = f"{_RNG}{position}"
         if key in state:

@@ -6,7 +6,8 @@ probabilities, same parameters, same optimizer state, same Dropout RNG
 stream.  These tests hold that line across the invalidation matrix
 (shape changes, checkpoint restores mid-momentum, train/eval flips,
 mid-stream flag toggles), across model instances and threads sharing
-plans, and then fuzz it over random architectures.
+plans, across row counts replayed on the leading rows of one arena, and
+then fuzz it over random architectures.
 """
 
 import copy
@@ -15,14 +16,20 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import reference_ops
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
+from repro.core import Learner
+from repro.data.drift import (GaussianMixtureConcept, Segment,
+                              stream_from_schedule)
+from repro.eval import model_factory_for
 from repro.models.base import NeuralStreamingModel
 from repro.models.logistic import StreamingLR
 from repro.models.mlp import StreamingMLP
 from repro.nn import plan as nn_plan
+from repro.nn.serialization import training_state
 from repro.perf import configure
 
 
@@ -110,6 +117,39 @@ class AdamLR(StreamingLR):
         return nn.Adam(self.module.parameters(), lr=0.01)
 
 
+class TanhSigmoidMLP(NeuralStreamingModel):
+    """Tanh and Sigmoid fused into their Linear layers, and a standalone
+    Sigmoid."""
+
+    name = "tanh-sigmoid-mlp"
+
+    def _build(self, rng):
+        return nn.Sequential(
+            nn.Linear(self.num_features, 12, rng=rng),
+            nn.Tanh(),
+            nn.Sigmoid(),
+            nn.Linear(12, 8, rng=rng),
+            nn.Sigmoid(),
+            nn.Linear(8, self.num_classes, rng=rng),
+        )
+
+
+def state_bytes(model):
+    """Bytes of everything a training step mutates: parameters, optimizer
+    state, Dropout generator states."""
+    return {name: np.asarray(value).tobytes()
+            for name, value in training_state(model).items()}
+
+
+def new_maxima(rows):
+    """How many of ``rows`` exceed every count before them."""
+    count, top = 0, 0
+    for n in rows:
+        if n > top:
+            count, top = count + 1, n
+    return count
+
+
 # -- bitwise equivalence ------------------------------------------------------
 
 
@@ -160,7 +200,7 @@ class TestBitwiseEquivalence:
 
 
 class TestInvalidationMatrix:
-    def test_batch_shape_change_recaptures(self):
+    def test_only_a_batch_larger_than_the_arena_recaptures(self):
         model = StreamingMLP(num_features=6, num_classes=2, seed=0)
         reference = StreamingMLP(num_features=6, num_classes=2, seed=0)
         sizes = [16, 16, 8, 16, 8, 32]
@@ -175,10 +215,12 @@ class TestInvalidationMatrix:
                 loss_ref = reference.partial_fit(x, y)
             assert np.float64(loss_plan).tobytes() == \
                 np.float64(loss_ref).tobytes()
-        # Three distinct fit signatures -> three captured fit plans.
+        # One fit plan: captured at 16 rows, replayed at 16 and on views
+        # of its first 8 rows, then grown to 32 rows, which replaces it.
         events = plan_events(before)
-        assert events["capture"] == 3
-        assert events["replay"] == len(sizes) - 3
+        assert events["capture"] == 2
+        assert events["replay"] == len(sizes) - 2
+        assert events["invalidate"] == 1
 
     def test_checkpoint_restore_mid_momentum_replays(self):
         batches = make_batches(10, 8, 5, 2, seed=7)
@@ -241,17 +283,18 @@ class TestInvalidationMatrix:
             assert proba_plan.tobytes() == proba_ref.tobytes()
 
     def test_plan_set_is_bounded_lru(self, monkeypatch):
-        # Many distinct row counts never hold more than the byte budget:
+        # Many distinct structures never hold more than the byte budget:
         # least recently used plans are evicted to make room.
         budget = 24_000
         monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES", budget)
-        model = StreamingLR(num_features=4, num_classes=2, seed=0)
-        reference = StreamingLR(num_features=4, num_classes=2, seed=0)
         rng = np.random.default_rng(0)
         before = nn_plan.plan_cache_stats()
-        for size in range(2, 42):
-            x = rng.normal(size=(size, 4))
-            y = rng.integers(0, 2, size)
+        for features in range(2, 42):
+            model = StreamingLR(num_features=features, num_classes=2, seed=0)
+            reference = StreamingLR(num_features=features, num_classes=2,
+                                    seed=0)
+            x = rng.normal(size=(24, features))
+            y = rng.integers(0, 2, 24)
             with configure(plan_capture=True):
                 loss_plan = model.partial_fit(x, y)
             with configure(plan_capture=False):
@@ -271,11 +314,9 @@ class TestInvalidationMatrix:
         monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES", 1)
         model = StreamingMLP(num_features=6, num_classes=3, seed=2)
         reference = StreamingMLP(num_features=6, num_classes=3, seed=2)
-        warm = make_batches(1, 8, 6, 3, seed=4)[0]
         with configure(plan_capture=True):
-            model.partial_fit(*warm)
-        with configure(plan_capture=False):
-            reference.partial_fit(*warm)
+            StreamingLR(num_features=6, num_classes=3, seed=2).partial_fit(
+                *make_batches(1, 8, 6, 3, seed=4)[0])
         window = make_batches(1, 96, 6, 3, seed=5)[0]
         before = nn_plan.plan_cache_stats()
         for _ in range(4):
@@ -288,8 +329,183 @@ class TestInvalidationMatrix:
         events = plan_events(before)
         assert events["capture"] == 1
         assert events["replay"] == 3
-        assert events["invalidate"] == 1  # the 8-row plan made room
+        assert events["invalidate"] == 1  # the LR plan made room
         assert len(nn_plan._cache().entries) == 1
+
+
+# -- one arena, many row counts -------------------------------------------------
+
+
+ROW_MODELS = {
+    "lr": lambda: StreamingLR(num_features=8, num_classes=3, seed=4),
+    "mlp": lambda: StreamingMLP(num_features=8, num_classes=3, seed=4),
+    "adam-lr": lambda: AdamLR(num_features=8, num_classes=3, seed=4),
+    "momentum-mlp": lambda: StreamingMLP(num_features=8, num_classes=3,
+                                         seed=4, momentum=0.9),
+    "dropout-mlp": lambda: DropoutMLP(num_features=8, num_classes=3, seed=4),
+    "tanh-sigmoid-mlp": lambda: TanhSigmoidMLP(num_features=8, num_classes=3,
+                                               seed=4),
+}
+
+#: Small row counts, and counts in the thousands, past the BLAS blocking
+#: sizes.
+ROW_COUNTS = st.integers(1, 40) | st.integers(1000, 3000)
+
+
+class TestRowCountViews:
+    """A plan captured at C rows replays any batch of at most C rows on
+    views of its arena's leading rows; a larger batch grows it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(sorted(ROW_MODELS)), data=st.data())
+    def test_views_match_the_reference_byte_for_byte(self, kind, data):
+        capture = data.draw(ROW_COUNTS, label="capture")
+        grown = capture + data.draw(st.integers(1, 1500), label="growth")
+        before_growth = data.draw(
+            st.lists(st.integers(1, capture), max_size=3), label="before")
+        after_growth = data.draw(
+            st.lists(st.integers(1, grown), min_size=1, max_size=3),
+            label="after")
+        sizes = [capture, *before_growth, grown, *after_growth]
+        growth_at = 1 + len(before_growth)
+        nn_plan.clear_plans()
+        with_plans, reference = ROW_MODELS[kind](), ROW_MODELS[kind]()
+        rng = np.random.default_rng(capture)
+        for index, size in enumerate(sizes):
+            x = rng.normal(size=(size, 8))
+            y = rng.integers(0, 3, size)
+            before = nn_plan.plan_cache_stats()
+            with configure(plan_capture=True):
+                proba = with_plans.predict_proba(x).copy()
+                loss = with_plans.partial_fit(x, y)
+            events = plan_events(before)
+            with configure(plan_capture=False):
+                proba_ref = reference.predict_proba(x)
+                loss_ref = reference.partial_fit(x, y)
+            assert np.float64(loss).tobytes() == \
+                np.float64(loss_ref).tobytes(), size
+            assert proba.tobytes() == proba_ref.tobytes(), size
+            assert state_bytes(with_plans) == state_bytes(reference), size
+            # A fit and a proba plan at the first call and at the growth,
+            # each replacing its smaller plan there; replays otherwise.
+            captures = 2 if index in (0, growth_at) else 0
+            assert events == {"capture": captures, "replay": 2 - captures,
+                              "unsupported": 0,
+                              "invalidate": 2 if index == growth_at else 0}
+
+
+BATCH = 64
+
+
+def window_stream(num_batches=16, seed=1):
+    rng = np.random.default_rng(seed)
+    concepts = {"c0": GaussianMixtureConcept(4, 16, rng, spread=3.0)}
+    segments = [Segment("c0", num_batches, kind="directional",
+                        magnitude=0.05)]
+    return list(stream_from_schedule(concepts, segments, BATCH, rng,
+                                     num_classes=4))
+
+
+class TestLearnerWindows:
+    def test_window_fits_replay_and_match_the_reference(self, monkeypatch):
+        """A learner's window fits have a new row count at every window
+        completion; only the new maxima capture."""
+        stream = window_stream()
+        rows = {"fit": [], "proba": []}
+        fit_with_plan = nn_plan.fit_with_plan
+        proba_with_plan = nn_plan.proba_with_plan
+
+        def recorded_fit(model, x, y):
+            rows["fit"].append(len(x))
+            return fit_with_plan(model, x, y)
+
+        def recorded_proba(model, x):
+            rows["proba"].append(len(x))
+            return proba_with_plan(model, x)
+
+        def run():
+            learner = Learner(model_factory_for("mlp", 16, 4, lr=0.3, seed=0),
+                              window_batches=4, seed=0)
+            accuracies = [learner.process(batch).accuracy
+                          for batch in stream]
+            params = [np.asarray(value).tobytes()
+                      for level in learner.ensemble.levels
+                      for value in level.model.state_dict().values()]
+            return accuracies, params
+
+        monkeypatch.setattr(nn_plan, "fit_with_plan", recorded_fit)
+        monkeypatch.setattr(nn_plan, "proba_with_plan", recorded_proba)
+        before = nn_plan.plan_cache_stats()
+        accuracies, params = run()
+        events = plan_events(before)
+        monkeypatch.undo()
+        with reference_ops():
+            accuracies_ref, params_ref = run()
+        assert accuracies == accuracies_ref
+        assert params == params_ref
+
+        windows = [n for n in rows["fit"] if n != BATCH]
+        assert len(set(windows)) >= 4 and min(windows) > BATCH
+        assert new_maxima(windows) < len(set(windows))  # some replay on views
+        assert set(rows["proba"]) == {BATCH}
+        # The first short-fit and proba plans, then one per new maximum.
+        assert events["capture"] == 2 + new_maxima(windows)
+        assert events["invalidate"] == new_maxima(windows)
+        assert events["unsupported"] == 0
+
+
+class TestPlanCacheAccounting:
+    def test_growth_replaces_the_plan_and_its_bytes(self):
+        model = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        small = make_batches(1, 8, 6, 3)[0]
+        large = make_batches(1, 40, 6, 3, seed=1)[0]
+        cache = nn_plan._cache()
+        with configure(plan_capture=True):
+            model.predict_proba(small[0])
+            model.partial_fit(*small)
+            held = cache.nbytes
+            before = nn_plan.plan_cache_stats()
+            model.partial_fit(*large)
+        events = plan_events(before)
+        assert (events["capture"], events["invalidate"]) == (1, 1)
+        assert len(cache.entries) == 2
+        assert cache.nbytes > held
+        assert cache.nbytes == sum(nbytes for _, nbytes
+                                   in cache.entries.values())
+        assert cache.nbytes == sum(entry.nbytes for entry, _
+                                   in cache.entries.values())
+
+    def test_failed_growth_marks_every_row_count_unsupported(
+            self, monkeypatch):
+        model = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        reference = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        small = make_batches(1, 8, 6, 3)[0]
+        large = make_batches(1, 40, 6, 3, seed=1)[0]
+
+        def refuse(*args, **kwargs):
+            raise nn_plan.PlanUnsupported("refused for the test")
+
+        with configure(plan_capture=True):
+            model.partial_fit(*small)
+            monkeypatch.setattr(nn_plan, "_compile_fit", refuse)
+            before = nn_plan.plan_cache_stats()
+            losses = [model.partial_fit(*large)]
+            monkeypatch.undo()
+            losses.append(model.partial_fit(*small))
+        with configure(plan_capture=False):
+            reference.partial_fit(*small)
+            losses_ref = [reference.partial_fit(*large),
+                          reference.partial_fit(*small)]
+        # The replaced plan is dropped; the smaller batch after it runs
+        # the reference path too, since the key has no row count.
+        assert plan_events(before) == {"capture": 0, "replay": 0,
+                                       "unsupported": 1, "invalidate": 1}
+        assert [np.float64(l).tobytes() for l in losses] == \
+            [np.float64(l).tobytes() for l in losses_ref]
+        assert state_bytes(model) == state_bytes(reference)
+        cache = nn_plan._cache()
+        assert cache.nbytes == sum(nbytes for _, nbytes
+                                   in cache.entries.values())
 
 
 # -- plans shared across instances and threads ---------------------------------

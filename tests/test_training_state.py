@@ -165,7 +165,8 @@ def _malform(state, case, prefix=""):
 
 
 class TestRejectedOptimizerState:
-    """An optimizer checks every entry of a state before writing any."""
+    """An optimizer checks every entry of a state before writing any, and
+    a training state's parameters are checked before the optimizer's."""
 
     @pytest.mark.parametrize("case", ["truncated", "index"])
     def test_optimizer_raises_naming_the_key(self, case):
@@ -189,6 +190,22 @@ class TestRejectedOptimizerState:
         key = _malform(state, case, prefix="__opt__.")
         before = state_bytes(training_state(model))
         with pytest.raises(ValueError, match=repr(key)):
+            load_training_state(model, state)
+        assert state_bytes(training_state(model)) == before
+
+    @pytest.mark.parametrize("case", ["short", "missing"])
+    def test_a_bad_parameter_leaves_the_optimizer_untouched(self, case):
+        model, other = FLEETS["momentum"](0), FLEETS["momentum"](1)
+        for x, y in requests(2):
+            model.partial_fit(x, y)
+            other.partial_fit(x, y)
+        state = training_state(other)
+        if case == "short":
+            state["layer0.weight"] = state["layer0.weight"][:-1]
+        else:
+            del state["layer0.weight"]
+        before = state_bytes(training_state(model))
+        with pytest.raises((ValueError, KeyError), match="layer0.weight"):
             load_training_state(model, state)
         assert state_bytes(training_state(model)) == before
 
