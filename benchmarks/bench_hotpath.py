@@ -270,7 +270,11 @@ def run_stacked_axis(num_models_list=STACKED_SIZES, steps: int = 30,
     return results
 
 
-PLAN_MODELS = ("lr", "mlp")
+#: Every model runs the bitwise gate; only the MLP has a speed floor.
+#: The tabular CNN's time is numpy work either way (docs/PERF.md), so
+#: its cell guards bits, and ``regress.py`` gates no ``plans/cnn`` cell
+#: until a baseline records one.
+PLAN_MODELS = ("lr", "mlp", "cnn")
 PLAN_SPEEDUP_FLOOR = 1.3  # required for MLP (fit axis) in full runs
 
 

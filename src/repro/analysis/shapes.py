@@ -295,19 +295,12 @@ def infer_output_spec(module: Module, input_spec: TensorSpec) -> TensorSpec:
 
 
 def input_spec_for(model, batch=BATCH) -> TensorSpec:
-    """Derive the network input spec a :class:`StreamingModel` prepares.
-
-    Mirrors ``NeuralStreamingModel._prepare``: tabular models flatten to
-    ``(N, num_features)``; :class:`~repro.models.cnn.StreamingCNN` reshapes
-    to ``(N, c, h, w)`` for images and ``(N, 1, 1, d)`` for tabular signals.
-    """
-    input_shape = getattr(model, "input_shape", None)
-    if input_shape is not None:
-        if len(input_shape) == 3:
-            return TensorSpec((batch, *input_shape))
-        (width,) = input_shape
-        return TensorSpec((batch, 1, 1, width))
-    return TensorSpec((batch, model.num_features))
+    """The network input spec a neural :class:`StreamingModel` prepares:
+    ``(batch, *model.module_input_shape)``, the shape its ``_prepare``
+    reshapes each batch to — ``(N, num_features)`` for tabular models,
+    ``(N, c, h, w)`` for an image CNN and ``(N, 1, 1, d)`` for a tabular
+    one."""
+    return TensorSpec((batch, *model.module_input_shape))
 
 
 def validate_model(model, batch=BATCH) -> list:

@@ -120,10 +120,18 @@ class NeuralStreamingModel(StreamingModel):
         return nn.SGD(self.module.parameters(), lr=self.lr,
                       momentum=self.momentum, weight_decay=self.weight_decay)
 
+    @property
+    def module_input_shape(self) -> tuple:
+        """The shape one row takes as the module's input: ``_prepare``
+        and the plan engine reshape a batch to ``(rows,
+        *module_input_shape)``.  ``(num_features,)`` here; image and
+        signal models declare their own."""
+        return (self.num_features,)
+
     def _prepare(self, x: np.ndarray) -> nn.Tensor:
         """Convert raw batch features into the network's input tensor."""
         x = np.asarray(x, dtype=float)
-        return nn.Tensor(x.reshape(len(x), -1))
+        return nn.Tensor(x.reshape(len(x), *self.module_input_shape))
 
     # -- StreamingModel protocol ---------------------------------------------------
 
@@ -193,14 +201,16 @@ class NeuralStreamingModel(StreamingModel):
     def _plan_structure(self) -> tuple | None:
         """What this model shares captured plans by, or None to opt out.
 
-        Models of one class whose modules have the same
-        :func:`~repro.nn.stacked.architecture_key` and whose optimizers
-        have the same class trace the same op sequence, so
-        :mod:`repro.nn.plan` lets them share plans.  Subclasses with a
-        custom ``_prepare`` (e.g. image models that keep the channel
-        layout), an exotic optimizer, or layers ``architecture_key``
-        rejects opt out; everything else is guarded by capture-time
-        verification anyway.
+        ``(class, architecture_key, optimizer class, module_input_shape)``:
+        models of one class whose modules have the same
+        :func:`~repro.nn.stacked.architecture_key`, whose optimizers have
+        the same class and whose rows reshape to the same module input
+        trace the same op sequence, so :mod:`repro.nn.plan` lets them
+        share plans.  The input shape matters on its own: two image CNNs
+        over ``(3, 8, 8)`` and ``(3, 4, 16)`` rows share architecture and
+        feature count.  Subclasses with a custom ``_prepare``, an exotic
+        optimizer, or layers ``architecture_key`` rejects opt out;
+        everything else is guarded by capture-time verification anyway.
         """
         if (type(self)._prepare is not NeuralStreamingModel._prepare
                 or type(self.optimizer) not in (nn.SGD, nn.Adam)):
@@ -209,7 +219,8 @@ class NeuralStreamingModel(StreamingModel):
             architecture = architecture_key(self.module)
         except StackedModelError:
             return None
-        return (type(self), architecture, type(self.optimizer))
+        return (type(self), architecture, type(self.optimizer),
+                self.module_input_shape)
 
     def gradient_on(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
         """Per-parameter gradients on a batch, without applying an update.

@@ -88,12 +88,13 @@ class StreamingCNN(NeuralStreamingModel):
             nn.Linear(hidden * out_h * out_w, self.num_classes, rng=rng),
         )
 
-    def _prepare(self, x: np.ndarray) -> nn.Tensor:
-        x = np.asarray(x, dtype=float)
+    @property
+    def module_input_shape(self) -> tuple:
+        """``(c, h, w)`` for images; a tabular row is a one-pixel-tall,
+        one-channel signal, ``(1, 1, d)``."""
         if self.is_image_model:
-            return nn.Tensor(x.reshape(len(x), *self.input_shape))
-        # Tabular: treat the feature vector as a 1-pixel-tall signal.
-        return nn.Tensor(x.reshape(len(x), 1, 1, self.input_shape[0]))
+            return self.input_shape
+        return (1, 1) + self.input_shape
 
     def _config(self) -> dict:
         return {

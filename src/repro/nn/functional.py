@@ -6,10 +6,11 @@ the FreewayML reproduction: linear layers, the usual activations, softmax /
 cross-entropy losses, and 2-D convolution + max pooling for the CNN
 experiments in the paper's appendix.
 
-``fused_linear``, ``dropout``, ``cross_entropy`` and the inference
-``softmax`` are single autograd nodes that run the shared kernels of
-:mod:`repro.nn.kernels` on fresh buffers; ``linear``, ``log_softmax`` and
-``nll_loss`` are the general op chains those kernels stand for.
+``fused_linear``, ``dropout``, ``cross_entropy``, the inference
+``softmax``, ``conv2d`` and ``max_pool2d`` are single autograd nodes that
+run the shared kernels of :mod:`repro.nn.kernels` on fresh buffers;
+``linear``, ``log_softmax`` and ``nll_loss`` are the general op chains
+those kernels stand for.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ def dropout(x: Tensor, p: float, training: bool, rng) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Convolution via im2col.
+# Convolution via im2col, and max pooling.
 # ---------------------------------------------------------------------------
 
 
@@ -318,28 +319,27 @@ def _pair(value) -> tuple[int, int]:
 
 
 def _im2col_indices(x_shape, kernel_h, kernel_w, stride, padding):
-    """Gather indices for im2col — memoized, the args fully determine them.
+    """The ``(k, i, j)`` positions im2col reads, and the output size.
 
-    Streaming models call conv2d with the same shapes every batch; the
-    repeat/tile index construction is pure overhead after the first call.
-    Callers only ever *read* the returned arrays (fancy indexing), so
-    sharing cached instances is safe.
+    Memoized: the arguments fully determine them, and callers only ever
+    read the returned arrays.  The row count does not enter.
     """
     stride_h, stride_w = _pair(stride)
     pad_h, pad_w = _pair(padding)
-    return _im2col_indices_cached(tuple(x_shape), int(kernel_h), int(kernel_w),
-                                  stride_h, stride_w, pad_h, pad_w)
+    return _im2col_indices_cached(tuple(x_shape[1:]), int(kernel_h),
+                                  int(kernel_w), stride_h, stride_w, pad_h,
+                                  pad_w)
 
 
 @functools.lru_cache(maxsize=128)
-def _im2col_indices_cached(x_shape, kernel_h, kernel_w, stride_h, stride_w,
-                           pad_h, pad_w):
-    batch, channels, height, width = x_shape
+def _im2col_indices_cached(image_shape, kernel_h, kernel_w, stride_h,
+                           stride_w, pad_h, pad_w):
+    channels, height, width = image_shape
     out_h = (height + 2 * pad_h - kernel_h) // stride_h + 1
     out_w = (width + 2 * pad_w - kernel_w) // stride_w + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
-            f"conv2d output would be empty for input {x_shape} with "
+            f"conv2d output would be empty for input {image_shape} with "
             f"kernel ({kernel_h},{kernel_w}), stride ({stride_h},{stride_w}), "
             f"padding ({pad_h},{pad_w})"
         )
@@ -354,36 +354,17 @@ def _im2col_indices_cached(x_shape, kernel_h, kernel_w, stride_h, stride_w,
     return k, i, j, out_h, out_w
 
 
-def _im2col(x: np.ndarray, kernel_h, kernel_w, stride, padding):
-    k, i, j, out_h, out_w = _im2col_indices(
-        x.shape, kernel_h, kernel_w, stride, padding
-    )
-    pad_h, pad_w = _pair(padding)
-    if pad_h == 0 and pad_w == 0:
-        # No padding: gather straight from the input, skipping np.pad's
-        # full copy.  Fancy indexing yields the identical fresh array.
-        cols = x[:, k, i, j]  # (batch, C*kh*kw, out_h*out_w)
-        return cols, out_h, out_w
-    padded = np.zeros((x.shape[0], x.shape[1],
-                       x.shape[2] + 2 * pad_h, x.shape[3] + 2 * pad_w),
-                      dtype=x.dtype)
-    padded[:, :, pad_h:pad_h + x.shape[2], pad_w:pad_w + x.shape[3]] = x
-    cols = padded[:, k, i, j]
-    return cols, out_h, out_w
-
-
-def _col2im(cols: np.ndarray, x_shape, kernel_h, kernel_w, stride, padding):
+def _col2im(cols, x_shape, kernel_h, kernel_w, stride, padding):
+    """The input gradient from its im2col columns: a view of the
+    interior of a fresh padded buffer (:func:`~repro.nn.kernels.col2im`)."""
     batch, channels, height, width = x_shape
     pad_h, pad_w = _pair(padding)
-    k, i, j, _, _ = _im2col_indices(x_shape, kernel_h, kernel_w, stride, padding)
-    padded = np.zeros(
-        (batch, channels, height + 2 * pad_h, width + 2 * pad_w),
-        dtype=cols.dtype,
-    )
-    np.add.at(padded, (slice(None), k, i, j), cols)
-    row_end = padded.shape[2] - pad_h
-    col_end = padded.shape[3] - pad_w
-    return padded[:, :, pad_h:row_end, pad_w:col_end]
+    k, i, j, _, _ = _im2col_indices(x_shape, kernel_h, kernel_w, stride,
+                                    padding)
+    padded = np.empty((batch, channels, height + 2 * pad_h,
+                       width + 2 * pad_w), dtype=cols.dtype)
+    K.col2im(cols, (k, i, j), padded)
+    return padded[:, :, pad_h:pad_h + height, pad_w:pad_w + width]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -394,6 +375,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ``(out_channels, in_channels, kh, kw)``.  ``stride`` and ``padding`` may
     be ints or ``(h, w)`` pairs, so 1-D convolutions over tabular features
     can be expressed as ``(1, k)`` kernels.
+
+    One autograd node over the kernels :func:`~repro.nn.kernels.im2col`,
+    ``conv2d_forward``, ``conv2d_backward`` and ``col2im``, on fresh
+    buffers in the layouts a plan's arena keeps.  An input that takes no
+    gradient (every first layer's data) skips the input-gradient einsum
+    and the scatter.
     """
     x = _as_tensor(x)
     kernel_out, kernel_in, kernel_h, kernel_w = weight.shape
@@ -403,33 +390,61 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError(
             f"conv2d channel mismatch: input has {x.shape[1]}, weight expects {kernel_in}"
         )
-    cols, out_h, out_w = _im2col(x.data, kernel_h, kernel_w, stride, padding)
-    weight_mat = weight.data.reshape(kernel_out, -1)
-    out = np.einsum("of,bfp->bop", weight_mat, cols)
-    out = out.reshape(x.shape[0], kernel_out, out_h, out_w)
-    if bias is not None:
-        out = out + bias.data.reshape(1, -1, 1, 1)
+    stride, padding = _pair(stride), _pair(padding)
+    _, _, _, out_h, out_w = _im2col_indices(x.shape, kernel_h, kernel_w,
+                                            stride, padding)
+    rec = _record.current() if _record.ACTIVE else None
+    if rec is not None:
+        rec.begin()
+    xd, wd = x.data, weight.data
+    padded, cols = K.im2col_buffers(xd.shape, (kernel_h, kernel_w), padding,
+                                    (out_h, out_w), xd.dtype)
+    K.im2col(xd, (kernel_h, kernel_w), stride, padding, padded, cols)
+    dtype = np.result_type(xd, wd)
+    out = K.batch_fastest((len(xd), kernel_out, out_h, out_w), dtype)
+    K.conv2d_forward(wd, None if bias is None else bias.data, cols, out)
 
-    x_shape = x.shape
-    # A data input (every first conv layer's) takes no gradient, and
-    # Tensor._deliver would discard one: skip the einsum and the scatter.
+    x_shape = xd.shape
     input_grad = x.requires_grad
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray):
-        g_mat = g.reshape(g.shape[0], kernel_out, -1)  # (batch, out_c, positions)
-        grad_weight = np.einsum("bop,bfp->of", g_mat, cols).reshape(weight.shape)
+        grad_dtype = np.result_type(g, cols)
+        weight_cols = np.empty(cols.shape[1:2] + (kernel_out,),
+                               dtype=grad_dtype).T
+        grad_weight = np.empty(wd.shape, dtype=grad_dtype)
+        grad_bias = (None if bias is None
+                     else np.empty(bias.data.shape, dtype=g.dtype))
+        grad_cols = (np.empty(cols.shape, dtype=np.result_type(wd, g))
+                     if input_grad else None)
+        K.conv2d_backward(wd, g, cols, weight_cols, grad_weight, grad_bias,
+                          grad_cols)
         grad_x = None
         if input_grad:
-            grad_cols = np.einsum("of,bop->bfp", weight_mat, g_mat)
             grad_x = _col2im(grad_cols, x_shape, kernel_h, kernel_w, stride,
                              padding)
         if bias is None:
             return grad_x, grad_weight
-        grad_bias = g.sum(axis=(0, 2, 3))
         return grad_x, grad_weight, grad_bias
 
-    return Tensor._make(out, parents, backward)
+    out_t = Tensor._make(out, parents, backward)
+    if rec is not None:
+        rec.end(("conv", x, weight, bias, stride, padding, out_t))
+    return out_t
+
+
+def _pool_geometry(shape, kernel_size, stride):
+    """``((kh, kw), (sh, sw), (oh, ow))`` of a pool over ``shape``."""
+    kernel = _pair(kernel_size)
+    stride = _pair(kernel_size if stride is None else stride)
+    out_shape = tuple((size - k) // s + 1 for size, k, s
+                      in zip(shape[2:], kernel, stride))
+    if min(out_shape) <= 0:
+        raise ValueError(
+            f"max_pool2d output would be empty for input {tuple(shape)} with "
+            f"kernel ({kernel[0]},{kernel[1]}), stride ({stride[0]},{stride[1]})"
+        )
+    return kernel, stride, out_shape
 
 
 def max_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
@@ -441,66 +456,36 @@ def max_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
     while the running maximum is not NaN.  Ties, signed zeros and NaN
     windows therefore keep the earliest element's bits, and the gradient
     goes to that element alone.
+
+    One autograd node over :func:`~repro.nn.kernels.max_pool2d_forward`
+    and ``max_pool2d_backward``.  The running maximum keeps the input's
+    memory order (the windows are strided views of it), so its passes
+    walk memory sequentially; the output is C-ordered, as an im2col
+    gather returned it, because a matmul downstream can round
+    differently over another layout.
     """
     x = _as_tensor(x)
-    kernel_h, kernel_w = _pair(kernel_size)
-    stride_h, stride_w = _pair(kernel_size if stride is None else stride)
-    _, _, height, width = x.shape
-    out_h = (height - kernel_h) // stride_h + 1
-    out_w = (width - kernel_w) // stride_w + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"max_pool2d output would be empty for input {x.shape} with "
-            f"kernel ({kernel_h},{kernel_w}), stride ({stride_h},{stride_w})"
-        )
-    # One strided view per kernel offset, in row-major offset order: view
-    # ``k`` holds element ``k`` of every window.
-    windows = [
-        (slice(None), slice(None),
-         slice(ki, ki + stride_h * (out_h - 1) + 1, stride_h),
-         slice(kj, kj + stride_w * (out_w - 1) + 1, stride_w))
-        for ki in range(kernel_h) for kj in range(kernel_w)
-    ]
     data = x.data
-    # The running maximum keeps the input's memory order (a view, then
-    # select results), so its passes walk memory sequentially.  The
-    # winning offsets are C-ordered, like the gradients they route.
-    out = data[windows[0]]
-    winner = np.zeros(out.shape, dtype=np.min_scalar_type(len(windows) - 1))
-    for offset, window in enumerate(windows[1:], start=1):
-        candidate = data[window]
-        # ``<=`` is False when either side is NaN, so this takes strictly
-        # larger values and NaNs, except over a maximum that is NaN.
-        take = ~(candidate <= out) & (out == out)
-        # In the input's dtype, byte order included: the select moves bits.
-        selected = K.empty_result(candidate, out).view(data.dtype)
-        K.select(take, candidate, out, selected)
-        out = selected
-        # Offsets only grow, so each take raises its window's winner.
-        np.maximum(winner, take * winner.dtype.type(offset), out=winner)
-    # Hand back a fresh C-ordered array, as an im2col gather returns it:
-    # a matmul downstream can round differently over another layout.
-    out = out.copy() if len(windows) == 1 else np.ascontiguousarray(out)
-
-    overlapping = stride_h < kernel_h or stride_w < kernel_w
+    kernel, stride, out_shape = _pool_geometry(data.shape, kernel_size,
+                                               stride)
+    rec = _record.current() if _record.ACTIVE else None
+    if rec is not None:
+        rec.begin()
+    buffers = K.max_pool2d_buffers(data, kernel, stride, out_shape)
+    winner = buffers[-1]
+    out = np.empty(winner.shape, dtype=data.dtype)
+    K.max_pool2d_forward(data, kernel, stride, *buffers, out)
+    overlapping = stride[0] < kernel[0] or stride[1] < kernel[1]
 
     def backward(g: np.ndarray):
-        # Adding each offset's share into zeros, in offset order, is the
-        # ``0.0 + g`` sum an np.add.at scatter of the window columns
-        # computes.  Where windows overlap, two NaN shares can meet in one
-        # element: the scatter keeps the later NaN, but a vectorized add
-        # may keep either, so the later one is copied over.  Adding 0.0 to
-        # g first quiets its NaNs as the sum would, and changes no sum.
-        if overlapping:
-            g = g + 0.0
-        grad = np.zeros(data.shape, dtype=data.dtype)
+        grad = np.empty(data.shape, dtype=data.dtype)
         share = np.empty_like(g)
-        for offset, window in enumerate(windows):
-            K.select(winner == offset, g, None, share)
-            view = grad[window]
-            view += share
-            if overlapping:
-                np.copyto(view, share, where=np.isnan(share))
+        K.max_pool2d_backward(g, winner, kernel, stride,
+                              np.empty(g.shape, dtype=bool), share,
+                              np.empty_like(g) if overlapping else None, grad)
         return (grad,)
 
-    return Tensor._make(out, (x,), backward)
+    out_t = Tensor._make(out, (x,), backward)
+    if rec is not None:
+        rec.end(("pool", x, kernel, stride, out_t))
+    return out_t

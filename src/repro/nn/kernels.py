@@ -1,13 +1,14 @@
 """The float-op sequences every execution path shares, written once.
 
 Linear with its fused activation, the standalone activations, the Dropout
-mask, softmax cross-entropy and the inference softmax each have exactly
-one implementation: a forward (and backward) kernel here, and so do the
-SGD and Adam steps.  Three kinds of caller run the layer kernels:
+mask, softmax cross-entropy, the inference softmax, the im2col
+convolution and max pooling each have exactly one implementation: a
+forward (and backward) kernel here, and so do the SGD and Adam steps.
+Three kinds of caller run the layer kernels:
 
 - the define-by-run nodes (``F.fused_linear``, ``F.dropout``,
-  ``F.cross_entropy``, ``F.softmax`` and the ``Tensor`` activations),
-  with fresh buffers on every call;
+  ``F.cross_entropy``, ``F.softmax``, ``F.conv2d``, ``F.max_pool2d`` and
+  the ``Tensor`` activations), with fresh buffers on every call;
 - :class:`~repro.nn.stacked.ModelStack`, which runs those same nodes on
   tensors with a leading model axis;
 - the plan kernels of :mod:`repro.nn.plan`, with buffers from their
@@ -18,7 +19,8 @@ copies in step.  The step kernels are elementwise; ``SGD.step`` and
 ``Adam.step`` (:mod:`repro.nn.optim`) run them on every path.  Every
 kernel writes into buffers its caller owns and allocates nothing; the
 ``@replay_kernel`` marker lets lint rule REP012 check that.  Every
-kernel accepts an optional leading model axis: a batched ``matmul``
+kernel but the convolution's and the pool's, which models do not stack
+through, accepts an optional leading model axis: a batched ``matmul``
 computes each model slice with the gemm of the 2-D call, and the
 elementwise ufuncs and last-axis reductions are slice-identical, so
 slice ``m`` of a stacked run equals a 2-D run of model ``m``.
@@ -27,9 +29,11 @@ Each kernel replays the float operations of the general ``Tensor`` op
 chain it stands for, in the same order and with the same operand order.
 Where both operands of an op are NaN, which payload survives is up to
 numpy's loop (vectorized, scalar tail, or in place), so only NaN
-payloads may differ.  The reductions additionally depend on the memory
-layout they sum over; :func:`empty_result` gives a fresh-buffer caller
-the layout numpy would have returned.
+payloads may differ.  The reductions, gemms and einsums additionally
+depend on the memory layout they sum over; :func:`empty_result`,
+:func:`batch_fastest` and the ``*_buffers`` helpers give a fresh-buffer
+caller the layout numpy would have returned, and a plan's arena keeps
+the same layouts.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ import numpy as np
 __all__ = [
     "replay_kernel",
     "empty_result",
+    "batch_fastest",
+    "reshaped_view",
     "label_index",
     "activation_forward",
     "activation_backward",
@@ -50,6 +56,15 @@ __all__ = [
     "cross_entropy_backward",
     "softmax_forward",
     "select",
+    "im2col_buffers",
+    "im2col",
+    "col2im",
+    "conv2d_forward",
+    "conv2d_backward",
+    "pool_windows",
+    "max_pool2d_buffers",
+    "max_pool2d_forward",
+    "max_pool2d_backward",
     "sgd_step",
     "adam_step",
 ]
@@ -87,6 +102,34 @@ def empty_result(*operands: np.ndarray) -> np.ndarray:
         op_dtypes=[operand.dtype for operand in operands] + [dtype],
         order="K")
     return iterator.operands[-1]
+
+
+def batch_fastest(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A fresh ``(rows, …)`` buffer whose row axis is fastest in memory,
+    the other axes in C order.
+
+    It is how a fancy-index gather lays out the im2col columns and how
+    ``np.einsum`` lays out a convolution's output, and both conv einsums
+    sum in an order that follows those strides.
+    """
+    return np.moveaxis(np.empty(tuple(shape[1:]) + tuple(shape[:1]),
+                                dtype=dtype), -1, 0)
+
+
+def reshaped_view(array: np.ndarray, shape: tuple) -> np.ndarray:
+    """``array`` in ``shape`` over the same memory, never a copy.
+
+    Raises ``ValueError`` when ``array``'s strides cannot address that
+    shape, where ``reshape`` would copy.  (``np.reshape(..., copy=False)``
+    says the same from NumPy 2.1 on.)
+    """
+    view = array.view()
+    try:
+        view.shape = shape
+    except AttributeError:
+        raise ValueError(f"a {array.shape} array with strides "
+                         f"{array.strides} has no {shape} view") from None
+    return view
 
 
 def label_index(shape: tuple) -> tuple:
@@ -309,6 +352,203 @@ def select(mask, a, b, out) -> None:
     np.bitwise_xor(a.view(bits), b, out=result)
     np.multiply(result, mask, out=result)
     np.bitwise_xor(result, b, out=result)
+
+
+# -- convolution --------------------------------------------------------------
+
+
+def im2col_buffers(x_shape, kernel, padding, out_shape,
+                   dtype=np.float64) -> tuple:
+    """Fresh ``(padded, cols)`` for :func:`im2col` over ``x_shape`` input
+    with an ``out_shape = (oh, ow)`` output: the padded scratch with its
+    +0.0 border (None without padding) and the columns, both
+    :func:`batch_fastest`."""
+    rows, channels, height, width = x_shape
+    padded = None
+    if padding != (0, 0):
+        padded = batch_fastest((rows, channels, height + 2 * padding[0],
+                                width + 2 * padding[1]), dtype)
+        padded.fill(0.0)
+    cols = batch_fastest((rows, channels * kernel[0] * kernel[1],
+                          out_shape[0] * out_shape[1]), dtype)
+    return padded, cols
+
+
+@replay_kernel
+def im2col(x, kernel, stride, padding, padded, cols) -> None:
+    """Gather the convolution windows of ``(rows, C, H, W)`` input ``x``.
+
+    ``cols`` is ``(rows, C·kh·kw, oh·ow)`` in :func:`batch_fastest`
+    layout: column ``(c·kh + i)·kw + j`` holds kernel offset ``(i, j)``
+    of channel ``c`` at every output position, row-major.  With padding,
+    ``padded`` is a :func:`batch_fastest` ``(rows, C, H + 2ph, W + 2pw)``
+    scratch whose border holds +0.0; ``x`` is copied into its interior
+    and the windows are read from it (None without padding).  Only
+    copies: the values are ``x``'s, and the layout is ``cols``'.
+    """
+    kernel_h, kernel_w = kernel
+    stride_h, stride_w = stride
+    pad_h, pad_w = padding
+    if padded is not None:
+        np.copyto(padded[:, :, pad_h:pad_h + x.shape[2],
+                         pad_w:pad_w + x.shape[3]], x)
+        x = padded
+    out_h = (x.shape[2] - kernel_h) // stride_h + 1
+    out_w = (x.shape[3] - kernel_w) // stride_w + 1
+    # Row-last views: each kernel offset is one strided block copy.
+    target = reshaped_view(np.moveaxis(cols, 0, -1),
+                           (x.shape[1], kernel_h, kernel_w, out_h, out_w,
+                            x.shape[0]))
+    source = np.moveaxis(x, 0, -1)
+    for i in range(kernel_h):
+        for j in range(kernel_w):
+            np.copyto(target[:, i, j],
+                      source[:, i:i + stride_h * (out_h - 1) + 1:stride_h,
+                             j:j + stride_w * (out_w - 1) + 1:stride_w])
+
+
+@replay_kernel
+def col2im(cols, index, padded) -> None:
+    """Scatter-add im2col columns back onto ``(rows, C, Hp, Wp)`` ``padded``.
+
+    ``padded`` is zeroed, then ``np.add.at`` adds every column into the
+    position ``index = (k, i, j)`` gathered it from: per element, the
+    windows' shares in offset order.  A vectorized add would keep a
+    different NaN than ``np.add.at`` where two meet.
+    """
+    padded.fill(0.0)
+    np.add.at(padded, (slice(None),) + tuple(index), cols)
+
+
+@replay_kernel
+def conv2d_forward(weight, bias, cols, out) -> None:
+    """``out = einsum("of,bfp->bop", weight, cols) + bias`` per channel.
+
+    ``weight`` is ``(O, C, kh, kw)``, ``cols`` from :func:`im2col` and
+    ``out`` a :func:`batch_fastest` ``(rows, O, oh, ow)`` buffer, the
+    layout the einsum returns; ``bias`` may be None.
+    """
+    out = reshaped_view(out, out.shape[:2] + (-1,))
+    np.einsum("of,bfp->bop", weight.reshape(weight.shape[0], -1), cols,
+              out=out)
+    if bias is not None:
+        np.add(out, bias[:, None], out=out)
+
+
+@replay_kernel
+def conv2d_backward(weight, g, cols, weight_cols, gw, gb, gcols) -> None:
+    """Gradients of :func:`conv2d_forward` for the output gradient ``g``.
+
+    ``gw = einsum("bop,bfp->of", g, cols)`` in ``weight``'s shape, through
+    ``weight_cols``, an F-ordered ``(O, C·kh·kw)`` buffer: the layout the
+    einsum returns, whose bits an ``out=`` of another layout does not
+    keep.  ``gb`` sums ``g`` over rows and positions (skipped when None),
+    and ``gcols = einsum("of,bop->bfp", weight, g)``, C-ordered, are the
+    input gradient's columns for :func:`col2im` (skipped when None).
+    """
+    # A layout that cannot view as (rows, O, positions) is copied, as
+    # the define-by-run node's reshape always did.
+    g_cols = g.reshape(g.shape[0], g.shape[1], -1)
+    np.einsum("bop,bfp->of", g_cols, cols, out=weight_cols)
+    np.copyto(gw, weight_cols.reshape(gw.shape))
+    if gcols is not None:
+        np.einsum("of,bop->bfp", weight.reshape(weight.shape[0], -1),
+                  g_cols, out=gcols)
+    if gb is not None:
+        np.add.reduce(g, axis=(0, 2, 3), out=gb)
+
+
+# -- max pooling --------------------------------------------------------------
+
+
+def pool_windows(x, kernel, stride, out_shape) -> list:
+    """One strided view of ``(rows, C, H, W)`` ``x`` per kernel offset, in
+    row-major offset order: view ``k`` holds element ``k`` of every
+    ``(oh, ow)`` window."""
+    kernel_h, kernel_w = kernel
+    stride_h, stride_w = stride
+    out_h, out_w = out_shape
+    return [x[:, :, i:i + stride_h * (out_h - 1) + 1:stride_h,
+              j:j + stride_w * (out_w - 1) + 1:stride_w]
+            for i in range(kernel_h) for j in range(kernel_w)]
+
+
+def max_pool2d_buffers(x, kernel, stride, out_shape) -> tuple:
+    """Fresh ``(running, keep, scratch, taken, winner)`` for
+    :func:`max_pool2d_forward` over ``x``: the running maximum in the
+    memory order of ``x``'s windows (so its passes walk memory
+    sequentially) and in ``x``'s dtype, byte order included; the masks
+    and ``taken`` in its layout; ``winner`` C-ordered, like the gradients
+    it routes, in the smallest unsigned type that holds an offset."""
+    running = empty_result(
+        pool_windows(x, kernel, stride, out_shape)[0]).view(x.dtype)
+    keep = np.empty_like(running, dtype=bool)
+    winner = np.empty(x.shape[:2] + tuple(out_shape),
+                      dtype=np.min_scalar_type(kernel[0] * kernel[1] - 1))
+    return (running, keep, np.empty_like(keep),
+            np.empty_like(keep, dtype=winner.dtype), winner)
+
+
+@replay_kernel
+def max_pool2d_forward(x, kernel, stride, running, keep, scratch, taken,
+                       winner, out) -> None:
+    """Each window's first maximum into ``out``, its offset into ``winner``.
+
+    A later offset wins only with a strictly larger value, or with a NaN
+    while the running maximum is not NaN: ``argmax``'s first-maximum
+    rule, so ties, signed zeros and NaN windows keep the earliest
+    element's bits.  The running maximum lives in ``running`` (``x``'s
+    dtype, byte order included, since :func:`select` moves bits), with
+    the boolean ``keep`` and ``scratch`` and ``taken``, of ``winner``'s
+    unsigned integer dtype, in its layout.  With one offset, only
+    ``winner`` and ``out`` are written.
+    """
+    windows = pool_windows(x, kernel, stride, out.shape[2:])
+    maximum = windows[0]
+    winner.fill(0)
+    for offset, candidate in enumerate(windows[1:], start=1):
+        # The maximum stays where the candidate is not larger (``<=`` is
+        # False when either side is NaN) or where it is NaN itself.
+        np.less_equal(candidate, maximum, out=keep)
+        np.not_equal(maximum, maximum, out=scratch)
+        np.logical_or(keep, scratch, out=keep)
+        select(keep, maximum, candidate, running)
+        maximum = running
+        # Offsets only grow, so a take makes this offset the winner.  (A
+        # masked copyto of the offset runs about ten times slower.)
+        np.logical_not(keep, out=scratch)
+        np.multiply(scratch, winner.dtype.type(offset), out=taken)
+        np.maximum(winner, taken, out=winner)
+    np.copyto(out, maximum)
+
+
+@replay_kernel
+def max_pool2d_backward(g, winner, kernel, stride, hit, share, quiet,
+                        gx) -> None:
+    """Input gradient ``gx`` of :func:`max_pool2d_forward`.
+
+    Offset ``k``'s share, ``g`` where ``winner == k`` and +0.0 elsewhere,
+    is added into the zeroed ``gx`` through the same views, in offset
+    order: per element the sum ``((0.0 + c0) + c1) + …`` the im2col
+    scatter computed.  ``hit`` is a boolean and ``share`` a ``g``-typed
+    buffer of ``g``'s shape.  Where windows overlap, two NaN shares can
+    meet in one element: the scatter kept the later NaN, a vectorized add
+    may keep either.  So for overlapping windows ``quiet`` receives
+    ``g + 0.0`` (quieting NaNs as the sum does, changing no sum) and each
+    NaN share is copied over; it is None where windows do not overlap.
+    """
+    gx.fill(0.0)
+    if quiet is not None:
+        np.add(g, 0.0, out=quiet)
+        g = quiet
+    for offset, view in enumerate(pool_windows(gx, kernel, stride,
+                                               g.shape[2:])):
+        np.equal(winner, offset, out=hit)
+        select(hit, g, None, share)
+        np.add(view, share, out=view)
+        if quiet is not None:
+            np.isnan(share, out=hit)
+            np.copyto(view, share, where=hit)
 
 
 # -- optimizer steps ----------------------------------------------------------

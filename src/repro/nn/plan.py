@@ -13,9 +13,16 @@ graph construction.
 
 **Row counts.**  A single model's plan key holds no row count: a plan's
 arena is sized for the rows it was captured at, a batch with fewer rows
-replays on ``[:n]`` views of the arena's leading rows, and a batch with
-more recaptures at its own row count and replaces the plan (a growth).
-A stacked plan's key holds its whole input shape.
+replays on views of the arena's first rows, laid out as fresh arrays of
+that many rows would be (:func:`_rows`), and a batch with more
+recaptures at its own row count and replaces the plan (a growth).  A
+stacked plan's key holds its whole input shape.
+
+**Layouts.**  Every arena buffer has the memory layout the define-by-run
+node gives its array: most are C-ordered, a conv's im2col columns and
+output are batch-fastest, and its weight gradient runs through an
+F-ordered buffer.  A gemm, einsum or reduction sums in an order that
+follows its operands' strides, so the layout is part of the bits.
 
 **Safety model.**  Capture is self-verifying: the reference run and a
 trial replay are compared — parameters, optimizer state, Dropout RNG
@@ -24,9 +31,9 @@ before a plan is cached.  Any mismatch (or any op the compiler does not
 recognize) marks the signature unsupported, for every row count, and
 the model keeps using the reference path.  Every growth is a capture,
 so every arena size is verified once; a smaller batch replays on views
-without a reference run, trusting the shared kernels to give an
-``[:n]`` view the bits of a fresh ``n``-row array — same shape, same
-strides, same ``out=`` kernels (docs/PERF.md, "Plan capture").
+without a reference run, trusting the shared kernels to give a row view
+the bits of a fresh ``n``-row array — same shape, same strides, same
+``out=`` kernels (docs/PERF.md, "Plan capture").
 Capture therefore never changes results, only speed.
 
 **Sharing.**  A plan holds no model: it records the *positions* of the
@@ -56,12 +63,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import functional as F
 from . import kernels as K
 from . import record as _record
 from .kernels import replay_kernel
 from .modules import Dropout
 from .optim import Adam, Optimizer
 from .serialization import generator_state, load_generator_state
+from .tensor import Tensor, release_tapes
 
 __all__ = [
     "PlanUnsupported",
@@ -82,10 +91,16 @@ __all__ = [
 PLAN_CACHE_COUNTER = "freeway_plan_cache"
 
 #: Arena bytes one thread's plan cache may hold — plans and stacked
-#: arenas together — before it evicts least recently used entries.  16 MiB
-#: holds a 1024-row MLP stream's one fit plan, grown to its largest
-#: long-window fit (9.3 MB at 6,477 rows), beside its proba plan (0.76 MB).
-_PLAN_CACHE_BYTES = 16 << 20
+#: arenas together — before it evicts least recently used entries.  Sized
+#: for the tabular CNN stream (batch 512, 16 features): its fit plan grown
+#: to its largest long-window fit beside its 512-row proba plan (4.87 MiB).
+#: The fit arena takes 18.6 KiB a row: 57.5 MiB at 3,164 rows (perfbench
+#: seed 1), 60.4 MiB at 3,321 (seed 102), and 74.4 MiB at 4,096, the most
+#: an 8-batch window can hold, so 79.3 MiB in all.  A budget the two plans
+#: overflow evicts the proba plan at every growth and then each plan on
+#: the other's capture, so every call recaptures.  The 1024-row MLP
+#: stream's plans (8.9 MiB at 6,477 rows, beside 0.73 MiB) fit many times.
+_PLAN_CACHE_BYTES = 80 << 20
 
 
 class PlanUnsupported(Exception):
@@ -170,19 +185,45 @@ class _Snapshot:
 
 
 def _buffer_like(array: np.ndarray) -> np.ndarray:
-    """A fresh arena buffer for ``array``'s shape; float64 only."""
+    """A fresh arena buffer laid out as the define-by-run array ``array``
+    is (a conv output batch-fastest, most others C-ordered); float64
+    only."""
     if array.dtype != np.float64:
         raise PlanUnsupported(f"non-float64 buffer dtype {array.dtype}")
-    return np.empty(array.shape)
+    return np.empty_like(array)
+
+
+def _rows(array: np.ndarray, n: int) -> np.ndarray:
+    """``array``'s first ``n`` rows, laid out as a fresh ``n``-row array.
+
+    A C-ordered buffer's ``[:n]`` has a fresh array's strides.  A
+    batch-fastest one's does not: its strides keep the arena's row
+    count, and an einsum over them can sum in another order (it did for
+    the conv weight gradient at one row).  So those rows are re-strided
+    over the start of the same memory, as :func:`kernels.batch_fastest`
+    would lay out ``n`` rows.  Any other view (a padded interior) takes
+    ``[:n]``, leading rows of its C-ordered base.  Deterministic per
+    buffer, so kernels sharing a buffer share its view.
+    """
+    if array.flags.c_contiguous:
+        return array[:n]
+    rows_last = np.moveaxis(array, 0, -1)
+    if not rows_last.flags.c_contiguous:
+        return array[:n]
+    return np.moveaxis(
+        rows_last.reshape(-1)[:n * array[0].size].reshape(
+            array.shape[1:] + (n,)), -1, 0)
 
 
 def _arena_bytes(parts) -> int:
-    """Bytes of the distinct numpy buffers held in ``parts``' slots."""
+    """Bytes of the distinct memory blocks held in ``parts``' slots."""
     buffers: dict[int, int] = {}
     for part in parts:
         for name in part.__slots__:
             value = getattr(part, name, None)
             if isinstance(value, np.ndarray):
+                if value.base is not None:  # a view: count its memory once
+                    value = value.base
                 buffers[id(value)] = value.nbytes
     return sum(buffers.values())
 
@@ -206,8 +247,9 @@ class _Kernel:
     ROWS: tuple
 
     def view(self, n: int):
-        """This kernel for an ``n``-row batch: ``[:n]`` views of its
-        ``ROWS`` buffers, every other slot shared.
+        """This kernel for an ``n``-row batch: views of the first ``n``
+        rows of its ``ROWS`` buffers (:func:`_rows`), every other slot
+        shared.
 
         Views of one arena alias as its buffers do, and allocate no array
         data.
@@ -216,9 +258,20 @@ class _Kernel:
         for name in self.__slots__:
             value = getattr(self, name)
             if value is not None and name in self.ROWS:
-                value = value[:n]
+                value = _rows(value, n)
             setattr(view, name, value)
         return view
+
+    def input_grad(self) -> np.ndarray:
+        """A buffer for the gradient into ``x``, laid out as the
+        define-by-run node lays out the one it returns: C-ordered unless
+        a kernel says otherwise.  Called once ``g_out`` is wired."""
+        return np.empty(self.x.shape)
+
+    def grads(self) -> tuple:
+        """``(parameter position, gradient buffer)`` pairs this kernel
+        fills; a position of -1 is a missing bias."""
+        return ()
 
 
 class _LinearKernel(_Kernel):
@@ -268,17 +321,26 @@ class _LinearKernel(_Kernel):
         K.linear_backward(self.x, params[self.windex].data, g, self.g_in,
                           self.wt, self.gw, self.gb)
 
+    def grads(self) -> tuple:
+        return (self.windex, self.gw), (self.bindex, self.gb)
+
 
 class _ActKernel(_Kernel):
-    """A standalone activation."""
+    """A standalone activation.
+
+    With ``in_place`` it overwrites its input buffer, which the compiler
+    allows where nothing else reads that buffer afterwards.  Its backward
+    runs in place on its output gradient where that buffer has the
+    layout the define-by-run node gives the input gradient.
+    """
 
     __slots__ = ("name", "x", "out", "mask", "scratch", "g_out", "g_in")
     ROWS = ("x", "out", "mask", "scratch", "g_out", "g_in")
 
-    def __init__(self, name, x_buf, out_ref, grads=True):
+    def __init__(self, name, x_buf, out_ref, grads=True, in_place=False):
         self.name = name
         self.x = x_buf
-        self.out = _buffer_like(out_ref)
+        self.out = x_buf if in_place else _buffer_like(out_ref)
         self.mask = self.scratch = None
         if grads:
             if name == "relu":
@@ -291,6 +353,11 @@ class _ActKernel(_Kernel):
     @replay_kernel
     def forward(self, params, rngs) -> None:
         K.activation_forward(self.name, self.x, self.out, self.mask)
+
+    def input_grad(self) -> np.ndarray:
+        # Nothing reads the output gradient after this backward.
+        fresh = K.empty_result(self.g_out, self.out)
+        return self.g_out if fresh.strides == self.g_out.strides else fresh
 
     @replay_kernel
     def backward(self, params) -> None:
@@ -323,10 +390,126 @@ class _DropoutKernel(_Kernel):
         K.dropout_forward(self.x, self.p, rngs[self.index], self.mask,
                           self.mask, self.out)
 
+    def input_grad(self) -> np.ndarray:
+        return K.empty_result(self.g_out, self.mask)
+
     @replay_kernel
     def backward(self, params) -> None:
         if self.g_in is not None:
             K.dropout_backward(self.g_out, self.mask, self.g_in)
+
+
+class _ConvKernel(_Kernel):
+    """An im2col convolution: the gather, the einsum and bias, and their
+    weight, bias and input gradients.
+
+    The columns and the output are batch-fastest and the weight gradient
+    runs through an F-ordered buffer, the layouts the define-by-run node
+    gives them.  The padded scratch keeps a +0.0 border, so its row views
+    are leading rows, which keep the border where it was zeroed.
+    """
+
+    __slots__ = ("windex", "bindex", "kernel", "stride", "padding", "index",
+                 "x", "padded", "cols", "out", "weight_cols", "gw", "gb",
+                 "g_out", "g_in", "gcols", "gpad")
+    ROWS = ("x", "cols", "out", "g_out", "g_in", "gcols", "gpad")
+
+    def __init__(self, x_buf, out_ref, weight_ref, bias_ref, windex, bindex,
+                 stride, padding, grads=True):
+        self.windex = windex
+        self.bindex = bindex    # -1 without a bias
+        kernel_out, _, kernel_h, kernel_w = weight_ref.shape
+        self.kernel, self.stride, self.padding = ((kernel_h, kernel_w),
+                                                  stride, padding)
+        self.index = F._im2col_indices(x_buf.shape, kernel_h, kernel_w,
+                                       stride, padding)[:3]
+        self.x = x_buf
+        self.padded, self.cols = K.im2col_buffers(
+            x_buf.shape, self.kernel, padding, out_ref.shape[2:])
+        self.out = _buffer_like(out_ref)
+        self.weight_cols = self.gw = self.gb = None
+        if grads:
+            self.weight_cols = np.empty(
+                (self.cols.shape[1], kernel_out)).T
+            self.gw = np.empty(weight_ref.shape)
+            if bias_ref is not None:
+                self.gb = np.empty(bias_ref.shape)
+        self.g_out = self.g_in = self.gcols = self.gpad = None
+
+    def view(self, n: int):
+        view = super().view(n)
+        if self.padded is not None:
+            view.padded = self.padded[:n]
+        return view
+
+    def input_grad(self) -> np.ndarray:
+        """The interior of a padded buffer ``col2im`` scatters into."""
+        rows, channels, height, width = self.x.shape
+        pad_h, pad_w = self.padding
+        self.gcols = np.empty(self.cols.shape)
+        self.gpad = np.empty((rows, channels, height + 2 * pad_h,
+                              width + 2 * pad_w))
+        return self.gpad[:, :, pad_h:pad_h + height, pad_w:pad_w + width]
+
+    def grads(self) -> tuple:
+        return (self.windex, self.gw), (self.bindex, self.gb)
+
+    @replay_kernel
+    def forward(self, params, rngs) -> None:
+        bias = params[self.bindex].data if self.bindex >= 0 else None
+        K.im2col(self.x, self.kernel, self.stride, self.padding, self.padded,
+                 self.cols)
+        K.conv2d_forward(params[self.windex].data, bias, self.cols, self.out)
+
+    @replay_kernel
+    def backward(self, params) -> None:
+        K.conv2d_backward(params[self.windex].data, self.g_out, self.cols,
+                          self.weight_cols, self.gw, self.gb, self.gcols)
+        if self.g_in is not None:
+            K.col2im(self.gcols, self.index, self.gpad)
+
+
+class _PoolKernel(_Kernel):
+    """Max pooling: the running maximum in its input's memory order, the
+    winning offsets and the output C-ordered, as the define-by-run node
+    lays them out."""
+
+    __slots__ = ("kernel", "stride", "x", "running", "keep", "scratch",
+                 "taken", "winner", "out", "hit", "share", "quiet", "g_out",
+                 "g_in")
+    ROWS = ("x", "running", "keep", "scratch", "taken", "winner", "out",
+            "hit", "share", "quiet", "g_out", "g_in")
+
+    def __init__(self, x_buf, out_ref, kernel, stride):
+        self.kernel, self.stride = kernel, stride
+        self.x = x_buf
+        (self.running, self.keep, self.scratch, self.taken,
+         self.winner) = K.max_pool2d_buffers(x_buf, kernel, stride,
+                                             out_ref.shape[2:])
+        self.out = _buffer_like(out_ref)
+        self.hit = self.share = self.quiet = None
+        self.g_out = self.g_in = None
+
+    def input_grad(self) -> np.ndarray:
+        self.hit = np.empty(self.g_out.shape, dtype=bool)
+        self.share = np.empty_like(self.g_out)
+        if (self.stride[0] < self.kernel[0]
+                or self.stride[1] < self.kernel[1]):
+            self.quiet = np.empty_like(self.g_out)
+        return np.empty(self.x.shape)
+
+    @replay_kernel
+    def forward(self, params, rngs) -> None:
+        K.max_pool2d_forward(self.x, self.kernel, self.stride, self.running,
+                             self.keep, self.scratch, self.taken, self.winner,
+                             self.out)
+
+    @replay_kernel
+    def backward(self, params) -> None:
+        if self.g_in is not None:
+            K.max_pool2d_backward(self.g_out, self.winner, self.kernel,
+                                  self.stride, self.hit, self.share,
+                                  self.quiet, self.g_in)
 
 
 class _CrossEntropyKernel(_Kernel):
@@ -416,7 +599,7 @@ def _op_input(op):
         return op[2]
     if kind == "dropout":
         return op[3]
-    return op[1]  # linear, flatten, ce
+    return op[1]  # linear, conv, pool, flatten, ce
 
 
 def _op_struct(op) -> tuple:
@@ -426,6 +609,12 @@ def _op_struct(op) -> tuple:
         _, x_t, weight, bias, activation, out_t = op
         return (kind, id(weight), id(bias) if bias is not None else None,
                 activation, x_t.data.shape, out_t.data.shape)
+    if kind == "conv":
+        _, x_t, weight, bias, stride, padding, out_t = op
+        return (kind, id(weight), id(bias) if bias is not None else None,
+                stride, padding, x_t.data.shape, out_t.data.shape)
+    if kind == "pool":
+        return (kind, op[2], op[3], op[1].data.shape)
     if kind == "act":
         return (kind, op[1], op[2].data.shape)
     if kind == "dropout":
@@ -455,12 +644,13 @@ def _position(items, target, what: str) -> int:
     raise PlanUnsupported(f"{what} outside the plan's binding")
 
 
-def _compile_forward(ops, x_shape, params, rngs, grads=True):
+def _compile_forward(ops, x_shape, params, rngs, grads=True, result=None):
     """Kernels + buffer arena for a forward op chain starting at ``x_shape``.
 
     ``params``/``rngs`` are the capturing model's binding; kernels keep
     only positions in them.  ``grads`` gives the kernels their backward
-    buffers.  Also returns each kernel's ``(input, output)`` tensor ids
+    buffers.  ``result`` is the tensor the loss or softmax reads after
+    the chain.  Also returns each kernel's ``(input, output)`` tensor ids
     for :func:`_wire_backward` — the trace's tensors themselves must not
     outlive compilation.
     """
@@ -473,6 +663,8 @@ def _compile_forward(ops, x_shape, params, rngs, grads=True):
             f"entry shape {first_in.data.shape} != input {tuple(x_shape)}")
     buf_of = {id(first_in): x_buf}
     alias: dict[int, int] = {}
+    readers = Counter(id(_op_input(op)) for op in ops)
+    readers[id(result)] += 1
     kernels, edges = [], []
     for op in ops:
         kind = op[0]
@@ -484,22 +676,35 @@ def _compile_forward(ops, x_shape, params, rngs, grads=True):
         if id(out_t) in buf_of:
             raise PlanUnsupported("tensor produced twice")
         if kind == "flatten":
-            if out_t.data.shape != x_t.data.shape:
-                raise PlanUnsupported("non-identity flatten")
-            buf_of[id(out_t)] = x_b
+            # A reshape view of the C-ordered input buffer; the gradient
+            # is wired back through the same view (_wire_backward).
+            try:
+                buf_of[id(out_t)] = K.reshaped_view(x_b, out_t.data.shape)
+            except ValueError:
+                raise PlanUnsupported("flatten of a strided buffer") from None
             alias[id(out_t)] = id(x_t)
             continue
-        if kind == "linear":
-            _, _x, weight, bias, activation, _o = op
-            windex = _position(params, weight, "linear parameter")
-            bindex = (_position(params, bias, "linear parameter")
+        if kind in ("linear", "conv"):
+            weight, bias = op[2], op[3]
+            windex = _position(params, weight, f"{kind} parameter")
+            bindex = (_position(params, bias, f"{kind} parameter")
                       if bias is not None else -1)
-            kernel = _LinearKernel(
-                x_b, out_t.data, weight.data,
-                bias.data if bias is not None else None, windex, bindex,
-                activation, grads)
+            bias_ref = bias.data if bias is not None else None
+            if kind == "linear":
+                kernel = _LinearKernel(x_b, out_t.data, weight.data,
+                                       bias_ref, windex, bindex, op[4], grads)
+            else:
+                kernel = _ConvKernel(x_b, out_t.data, weight.data, bias_ref,
+                                     windex, bindex, op[4], op[5], grads)
+        elif kind == "pool":
+            kernel = _PoolKernel(x_b, out_t.data, op[2], op[3])
         elif kind == "act":
-            kernel = _ActKernel(op[1], x_b, out_t.data, grads)
+            # A conv's backward never reads its output, so an activation
+            # that is its only reader may overwrite it.
+            in_place = (readers[id(x_t)] == 1 and kernels
+                        and isinstance(kernels[-1], _ConvKernel)
+                        and kernels[-1].out is x_b)
+            kernel = _ActKernel(op[1], x_b, out_t.data, grads, in_place)
         elif kind == "dropout":
             kernel = _DropoutKernel(
                 op[1], _position(rngs, op[2], "dropout generator"), x_b,
@@ -520,11 +725,14 @@ def _wire_backward(kernels, edges, x_buf, loss_kernel, logits_id,
         g = grad_of.get(_resolve(out_id, alias))
         if g is None:
             raise PlanUnsupported("gradient chain broken")
-        kernel.g_out = g
+        # Through a flatten, the gradient is the consumer's buffer viewed
+        # in this kernel's output shape.
+        kernel.g_out = (g if g.shape == kernel.out.shape
+                        else K.reshaped_view(g, kernel.out.shape))
         if kernel.x is x_buf:
             kernel.g_in = None  # nothing consumes the input gradient
         else:
-            kernel.g_in = np.empty(kernel.x.shape)
+            kernel.g_in = kernel.input_grad()
             source = _resolve(x_id, alias)
             if source in grad_of:
                 raise PlanUnsupported("tensor consumed twice")
@@ -544,7 +752,7 @@ class _FitPlan:
     """
 
     __slots__ = ("rows", "x_buf", "kernels", "loss", "step", "sgd_steps",
-                 "softmax", "nbytes", "views")
+                 "softmax", "nbytes", "views", "ceiling")
 
     def __init__(self, x_buf, kernels, loss_kernel, step_kernel, sgd_steps,
                  softmax_kernel=None):
@@ -560,6 +768,7 @@ class _FitPlan:
             parts.append(softmax_kernel)
         self.nbytes = _arena_bytes(parts)
         self.views = {}
+        self.ceiling = sys.maxsize  # lowered by a refused growth (_refused)
 
     def _arena(self, n: int) -> tuple:
         """``(x_buf, kernels, loss, softmax)`` for an ``n``-row batch: the
@@ -570,7 +779,8 @@ class _FitPlan:
         views = self.views.get(n)
         if views is None:
             views = self.views[n] = (
-                self.x_buf[:n], [kernel.view(n) for kernel in self.kernels],
+                _rows(self.x_buf, n),
+                [kernel.view(n) for kernel in self.kernels],
                 self.loss.view(n),
                 None if self.softmax is None else self.softmax.view(n))
         return views
@@ -604,7 +814,8 @@ class _ProbaPlan:
     """A compiled inference pass ending in the softmax chain; its arena
     holds ``rows`` batch rows, as a :class:`_FitPlan`'s does."""
 
-    __slots__ = ("rows", "x_buf", "kernels", "softmax", "nbytes", "views")
+    __slots__ = ("rows", "x_buf", "kernels", "softmax", "nbytes", "views",
+                 "ceiling")
 
     def __init__(self, x_buf, kernels, softmax_kernel):
         self.rows = len(x_buf)
@@ -613,6 +824,7 @@ class _ProbaPlan:
         self.softmax = softmax_kernel
         self.nbytes = _arena_bytes([self, softmax_kernel, *kernels])
         self.views = {}
+        self.ceiling = sys.maxsize  # lowered by a refused growth (_refused)
 
     def _arena(self, n: int) -> tuple:
         """``(x_buf, kernels, softmax)`` for an ``n``-row batch, as
@@ -622,7 +834,8 @@ class _ProbaPlan:
         views = self.views.get(n)
         if views is None:
             views = self.views[n] = (
-                self.x_buf[:n], [kernel.view(n) for kernel in self.kernels],
+                _rows(self.x_buf, n),
+                [kernel.view(n) for kernel in self.kernels],
                 self.softmax.view(n))
         return views
 
@@ -665,7 +878,7 @@ def _compile_fit(trace, optimizer, rngs, sgd_steps: int, x_shape,
         raise PlanUnsupported("trace does not end in the expected loss")
     logits_t = first[-1][1]
     x_buf, kernels, edges, buf_of, alias = _compile_forward(
-        first[:-1], x_shape, optimizer.parameters, rngs)
+        first[:-1], x_shape, optimizer.parameters, rngs, result=logits_t)
     logits_buf = buf_of.get(id(logits_t))
     if logits_buf is None:
         raise PlanUnsupported("loss input not produced by the plan")
@@ -674,10 +887,7 @@ def _compile_fit(trace, optimizer, rngs, sgd_steps: int, x_shape,
 
     grads = [None] * len(optimizer.parameters)
     for kernel in kernels:
-        if not isinstance(kernel, _LinearKernel):
-            continue
-        for index, grad in ((kernel.windex, kernel.gw),
-                            (kernel.bindex, kernel.gb)):
+        for index, grad in kernel.grads():
             if index < 0:
                 continue
             if grads[index] is not None:
@@ -701,7 +911,7 @@ def _compile_proba(trace, params, rngs, x_shape):
     if len(ops) == 1:
         raise PlanUnsupported("empty forward trace")
     x_buf, kernels, _edges, buf_of, _alias = _compile_forward(
-        ops[:-1], x_shape, params, rngs, grads=False)
+        ops[:-1], x_shape, params, rngs, grads=False, result=sm_in)
     logits_buf = buf_of.get(id(sm_in))
     if logits_buf is None:
         raise PlanUnsupported("softmax input not produced by the plan")
@@ -725,8 +935,10 @@ class _PlanCache:
     one budget bounds both.  Bounded by the bytes its entries hold (an
     unsupported marker costs its key); the entry just stored is never
     evicted, so a plan larger than the whole budget still serves its next
-    replay.  Plans evicted or replaced under their key (a growth) are
-    ``"invalidate"`` events.
+    replay.  A single model's fit plan and proba plan that are over the
+    budget together are not both captured (:meth:`refuses`).  Plans
+    evicted or replaced under their key (a growth) are ``"invalidate"``
+    events.
     """
 
     __slots__ = ("entries", "nbytes")
@@ -742,18 +954,46 @@ class _PlanCache:
         self.entries.move_to_end(key)
         return entry[0]
 
-    def put(self, key, entry) -> None:
-        """Store ``entry`` as the most recently used, replacing what
-        ``key`` held."""
+    def discard(self, key) -> None:
+        """Drop what ``key`` holds, if anything."""
         replaced = self.entries.pop(key, None)
         if replaced is not None:
             self.nbytes -= replaced[1]
             if _is_plan(replaced[0]):
                 _notify("invalidate")
+
+    def refuses(self, key, nbytes: int) -> bool:
+        """Whether a plan of ``nbytes`` under the single-model key ``key``
+        can never be held beside the plans cached for the same model
+        structure under the other kind (a fit plan's proba plan, or the
+        reverse).
+
+        Together they are over the whole budget, so keeping both would
+        evict one on every call and every call would capture.
+        """
+        if key[0] not in ("fit", "proba"):
+            return False
+        twins = sum(size for other, (entry, size) in self.entries.items()
+                    if other[0] in ("fit", "proba") and other[0] != key[0]
+                    and other[1] == key[1] and entry is not _UNSUPPORTED)
+        return twins > 0 and nbytes + twins > _PLAN_CACHE_BYTES
+
+    def put(self, key, entry) -> None:
+        """Store ``entry`` as the most recently used, replacing what
+        ``key`` held.
+
+        Storing a plan or an arena evicts least recently used entries
+        while the cache is over budget.  An unsupported marker evicts
+        nothing: it frees no arena, and the entry it would evict can be
+        the plan its key was just refused beside (a plan larger than the
+        whole budget keeps the cache over it).
+        """
+        self.discard(key)
         nbytes = sys.getsizeof(key) if entry is _UNSUPPORTED else entry.nbytes
         self.entries[key] = (entry, nbytes)
         self.nbytes += nbytes
-        while self.nbytes > _PLAN_CACHE_BYTES and len(self.entries) > 1:
+        while (entry is not _UNSUPPORTED and self.nbytes > _PLAN_CACHE_BYTES
+               and len(self.entries) > 1):
             _, (evicted, evicted_bytes) = self.entries.popitem(last=False)
             self.nbytes -= evicted_bytes
             if _is_plan(evicted):
@@ -832,6 +1072,37 @@ def _unsupported(cache, key, result):
     return result
 
 
+def _kept_through_growth(cache, key, plan, rows: int):
+    """The cached ``plan`` a capture at ``rows`` rows must keep, or None.
+
+    A growth frees the plan it replaces (one ``"invalidate"`` event)
+    before the capture's reference run and new arena are allocated,
+    unless the cache may refuse the grown plan (:meth:`_PlanCache.refuses`)
+    and ``plan`` must then keep replaying.  An arena's bytes are a fixed
+    part plus a part per row, so ``plan``'s scaled to ``rows`` bound the
+    grown arena's from above.
+    """
+    if plan is None:
+        return None
+    if cache.refuses(key, -(-plan.nbytes * rows // plan.rows)):
+        return plan
+    cache.discard(key)
+    return None
+
+
+def _refused(cache, key, kept, rows: int, result):
+    """Hand back the reference ``result`` of a capture at ``rows`` rows
+    the cache refuses.  The ``kept`` plan still replays smaller batches,
+    and batches of ``rows`` or more take the reference path without
+    another capture; with no plan to keep, ``key`` is marked unsupported.
+    """
+    if kept is None:
+        return _unsupported(cache, key, result)
+    kept.ceiling = rows
+    _notify("unsupported")
+    return result
+
+
 def _generators(rngs) -> list:
     """Every generator in a binding's ``rngs`` (a stacked op holds a list)."""
     return [rng for entry in rngs
@@ -845,6 +1116,14 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _release(trace) -> None:
+    """Drop a compiled trace's tensors and break their graphs' tape
+    cycles (:func:`~repro.nn.tensor.release_tapes`)."""
+    release_tapes([item for op in trace.ops for item in op
+                   if isinstance(item, Tensor)])
+    trace.ops.clear()
+
+
 def _fit(key, optimizer, rngs, reference, xr, labels, sgd_steps,
          predict=None):
     """Train through the plan cached under ``key``, capturing it on a miss
@@ -854,26 +1133,32 @@ def _fit(key, optimizer, rngs, reference, xr, labels, sgd_steps,
     and, given the ``predict`` reference, the probabilities from the
     pre-step weights (else None) — plan buffers, which the next replay
     overwrites, or the reference runs' results on a capture that fails.
-    Returns None when ``key`` is marked unsupported and the caller must
-    run its references itself.
+    Returns None when ``key`` is marked unsupported, or ``xr`` is as
+    large as a refused growth (:func:`_refused`), and the caller must run
+    its references itself.
     """
     cache = _cache()
     plan = cache.get(key)
-    if plan is _UNSUPPORTED:
+    if plan is _UNSUPPORTED or (plan is not None and len(xr) >= plan.ceiling):
         return None
     if plan is None or len(xr) > plan.rows:
-        return _capture_fit(cache, key, optimizer, rngs, reference, xr,
+        # No local reference may keep a replaced plan's arena alive
+        # through the capture.
+        kept, plan = _kept_through_growth(cache, key, plan, len(xr)), None
+        return _capture_fit(cache, key, kept, optimizer, rngs, reference, xr,
                             labels, sgd_steps, predict)
     return _replayed(plan.replay, optimizer, rngs, xr, labels)
 
 
-def _capture_fit(cache, key, optimizer, rngs, reference, xr, labels,
+def _capture_fit(cache, key, kept, optimizer, rngs, reference, xr, labels,
                  sgd_steps, predict=None):
     """Trace + compile + verify; always advances state exactly once.
 
-    With ``predict``, the reference inference pass, the plan is a
-    predict-and-train plan: ``predict`` runs on the pre-step state, and
-    the trial replay's probabilities must match its bytes too.
+    ``kept`` is the plan a refused growth leaves in place
+    (:func:`_kept_through_growth`).  With ``predict``, the reference
+    inference pass, the plan is a predict-and-train plan: ``predict``
+    runs on the pre-step state, and the trial replay's probabilities must
+    match its bytes too.
     """
     generators = _generators(rngs)
     pre = _Snapshot(optimizer, generators)
@@ -883,14 +1168,21 @@ def _capture_fit(cache, key, optimizer, rngs, reference, xr, labels,
     with _record.capturing(trace):
         loss_ref = reference()
     ref = (loss_ref, proba_ref)
-    if not trace.ok:
+    plan = None
+    if trace.ok:
+        try:
+            plan = _compile_fit(trace, optimizer, rngs, sgd_steps, xr.shape,
+                                predict is not None)
+        except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
+            pass
+    # The reference run's graph is dead: free it now rather than at the
+    # next cyclic collection, before the trial replay fills the arena.
+    _release(trace)
+    if plan is None:
         return _unsupported(cache, key, ref)
+    if cache.refuses(key, plan.nbytes):
+        return _refused(cache, key, kept, len(xr), ref)
     post = _Snapshot(optimizer, generators)
-    try:
-        plan = _compile_fit(trace, optimizer, rngs, sgd_steps, xr.shape,
-                            predict is not None)
-    except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
-        return _unsupported(cache, key, ref)
     # Trial replay from the pre-capture state: it must land bit-for-bit
     # on the reference run's post state before the plan may be cached.
     pre.restore()
@@ -916,20 +1208,23 @@ def _proba(key, params, rngs, reference, xr):
     on a miss or a growth, as :func:`_fit` does.
 
     Returns a fresh array — the ``reference`` run's on a capture that
-    fails — or None when ``key`` is marked unsupported and the caller
-    must run ``reference`` itself.
+    fails — or None when ``key`` is marked unsupported, or ``xr`` is as
+    large as a refused growth, and the caller must run ``reference``
+    itself.
     """
     cache = _cache()
     plan = cache.get(key)
-    if plan is _UNSUPPORTED:
+    if plan is _UNSUPPORTED or (plan is not None and len(xr) >= plan.ceiling):
         return None
     if plan is None or len(xr) > plan.rows:
-        return _capture_proba(cache, key, params, rngs, reference, xr)
+        kept, plan = _kept_through_growth(cache, key, plan, len(xr)), None
+        return _capture_proba(cache, key, kept, params, rngs, reference, xr)
     return _replayed(plan.replay, params, rngs, xr)
 
 
-def _capture_proba(cache, key, params, rngs, reference, xr):
-    """Trace + compile + verify an inference pass."""
+def _capture_proba(cache, key, kept, params, rngs, reference, xr):
+    """Trace + compile + verify an inference pass; ``kept`` as for
+    :func:`_capture_fit`."""
     trace = _record.Trace()
     start = perf_counter()
     with _record.capturing(trace):
@@ -939,6 +1234,9 @@ def _capture_proba(cache, key, params, rngs, reference, xr):
     out_plan = None
     try:
         plan = _compile_proba(trace, params, rngs, xr.shape)
+        _release(trace)
+        if cache.refuses(key, plan.nbytes):
+            return _refused(cache, key, kept, len(xr), out_ref)
         out_plan = plan.replay(params, rngs, xr)
     except Exception:  # repro: noqa[REP004] — compile/replay failure → plan rejected below
         pass
@@ -965,12 +1263,11 @@ def fit_with_plan(model, x, y):
     n = len(x)
     if n == 0:
         return None
-    xr = np.asarray(x, dtype=float)
-    key = ("fit", binding.structure, xr.size // n,
-           bool(model.module.training), model.sgd_steps)
+    xr = np.asarray(x, dtype=float).reshape(n, *model.module_input_shape)
+    key = ("fit", binding.structure, bool(model.module.training),
+           model.sgd_steps)
     result = _fit(key, model.optimizer, binding.rngs,
-                  lambda: model._fit_steps(x, y), xr.reshape(n, -1), y,
-                  model.sgd_steps)
+                  lambda: model._fit_steps(x, y), xr, y, model.sgd_steps)
     return None if result is None else float(result[0])
 
 
@@ -984,10 +1281,9 @@ def proba_with_plan(model, x):
     n = len(x)
     if n == 0:
         return None
-    xr = np.asarray(x, dtype=float).reshape(n, -1)
-    result = _proba(("proba", binding.structure, xr.shape[1]),
-                    binding.params, binding.rngs,
-                    lambda: model._forward_proba(x), xr)
+    xr = np.asarray(x, dtype=float).reshape(n, *model.module_input_shape)
+    result = _proba(("proba", binding.structure), binding.params,
+                    binding.rngs, lambda: model._forward_proba(x), xr)
     # The reference path leaves the module in train mode unconditionally.
     model.module.train()
     return result

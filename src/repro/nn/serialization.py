@@ -104,21 +104,55 @@ def training_state(model) -> "OrderedDict[str, np.ndarray]":
     return state
 
 
+def _checked_generator_state(rng: np.random.Generator, key: str,
+                             array) -> dict:
+    """The bit-generator state a ``__rng__`` entry holds, once it has
+    loaded into a fresh bit generator of ``rng``'s own type."""
+    kind = type(rng.bit_generator)
+    try:
+        probe = kind(0)
+        probe.state = _from_json_array(array)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"training state entry {key!r} is not a "
+                         f"{kind.__name__} state: {error!r}") from None
+    return probe.state
+
+
+def _checked_updates(array) -> int:
+    value = np.asarray(array)
+    if value.ndim != 0 or value.dtype.kind not in "iu":
+        raise ValueError(f"training state entry {_UPDATES!r} must be a 0-d "
+                         f"integer; got {value.dtype} of shape "
+                         f"{value.shape}")
+    return int(value)
+
+
 def load_training_state(model, state: dict) -> None:
     """Load a :func:`training_state` mapping into ``model`` in place.
 
-    The parameter entries are checked first
-    (:meth:`~repro.nn.Module.validate_state_dict`), then the optimizer
-    checks its entries, each before anything is written, so a bad
-    parameter or optimizer entry leaves the model untouched.  Without
-    optimizer entries (a parameters-only checkpoint) the optimizer starts
-    fresh; generators and ``updates`` without an entry are left as they
-    are.
+    Every entry is checked before anything is written, so a bad entry
+    raises and leaves the model untouched: the parameters
+    (:meth:`~repro.nn.Module.validate_state_dict`), each Dropout
+    generator's state (it must load into a bit generator of its layer's
+    type) and ``updates`` (a 0-d integer), then the optimizer's entries,
+    which it checks itself.  Bad generator and ``updates`` entries raise
+    :class:`ValueError` naming the key.  Without optimizer entries (a
+    parameters-only checkpoint) the optimizer starts fresh; generators
+    and ``updates`` without an entry are left as they are.
     """
     parameters = parameters_of(state)
     optimizer = getattr(model, "optimizer", None)
     if optimizer is not None:
         model.module.validate_state_dict(parameters)
+    generators = []
+    for position, rng in enumerate(_generators(model)):
+        key = f"{_RNG}{position}"
+        if key in state:
+            generators.append(
+                (rng, _checked_generator_state(rng, key, state[key])))
+    updates = (_checked_updates(state[_UPDATES]) if _UPDATES in state
+               else None)
+    if optimizer is not None:
         entries = {}
         for key, value in state.items():
             if key.startswith(_OPT):
@@ -127,12 +161,10 @@ def load_training_state(model, state: dict) -> None:
                 entries[key[len(_META):]] = value
         optimizer.load_state_dict(entries)
     model.load_state_dict(parameters)
-    for position, rng in enumerate(_generators(model)):
-        key = f"{_RNG}{position}"
-        if key in state:
-            load_generator_state(rng, state[key])
-    if _UPDATES in state:
-        model.updates = int(state[_UPDATES])
+    for rng, generator in generators:
+        rng.bit_generator.state = generator
+    if updates is not None:
+        model.updates = updates
 
 
 def state_dict_nbytes(state: dict) -> int:

@@ -33,8 +33,8 @@ reference path (:mod:`repro.nn.plan`).
 
 Only architectures built from ``Linear``, the fusable activations,
 ``Dropout``, ``Flatten``, and ``Sequential`` can stack; anything else
-(e.g. ``Conv2d``) raises :class:`StackedModelError` and callers fall
-back to the serial loop.
+(e.g. ``Conv2d``, which captured plans do replay) raises
+:class:`StackedModelError` and callers fall back to the serial loop.
 
 **Persistent arenas.**  A caller that stacks the same kind of group over
 and over (the serving dispatcher, every round) keeps the stack instead
@@ -59,9 +59,11 @@ from . import plan as _plan
 from . import record as _record
 from .modules import (
     _ACTIVATION_NAMES,
+    Conv2d,
     Dropout,
     Flatten,
     Linear,
+    MaxPool2d,
     Module,
     Parameter,
     Sequential,
@@ -100,13 +102,21 @@ def _flatten_layers(module: Module) -> list[Module]:
     return [module]
 
 
-def architecture_key(module: Module) -> tuple:
-    """Hashable fingerprint of a module's stackable architecture.
+#: Layers a captured plan replays but the stacked engine cannot stack,
+#: by the op name :func:`architecture_key` gives them.
+_UNSTACKABLE = {"conv": "Conv2d", "pool": "MaxPool2d"}
 
-    Two modules share a key iff they can stack together: same layer
-    sequence (types + Linear dimensions + Dropout rates) and same
-    per-parameter shapes/dtypes.  Raises :class:`StackedModelError` for
-    architectures the stacked engine does not support.
+
+def architecture_key(module: Module) -> tuple:
+    """Hashable fingerprint of a module's architecture.
+
+    Two modules share a key iff they run the same op sequence: same
+    layer sequence (types + Linear dimensions + Dropout rates + conv and
+    pool geometry) and same per-parameter shapes/dtypes.  The key is
+    what plans are shared by and, for architectures without ``Conv2d``
+    or ``MaxPool2d`` layers, what models stack by.
+    Raises :class:`StackedModelError` for layers neither engine
+    supports.
     """
     ops = []
     for layer in _flatten_layers(module):
@@ -120,13 +130,31 @@ def architecture_key(module: Module) -> tuple:
             ops.append(("dropout", layer.p))
         elif kind is Flatten:
             ops.append(("flatten",))
+        elif kind is Conv2d:
+            ops.append(("conv", layer.in_channels, layer.out_channels,
+                        layer.kernel_size, F._pair(layer.stride),
+                        F._pair(layer.padding), layer.bias is not None))
+        elif kind is MaxPool2d:
+            ops.append(("pool", F._pair(layer.kernel_size),
+                        F._pair(layer.kernel_size if layer.stride is None
+                                else layer.stride)))
         else:
             raise StackedModelError(
-                f"cannot stack {kind.__name__} layers (supported: Linear, "
-                f"ReLU/Tanh/Sigmoid, Dropout, Flatten, Sequential)")
+                f"cannot run {kind.__name__} layers on plans or stacks "
+                f"(supported: Linear, ReLU/Tanh/Sigmoid, Dropout, Flatten, "
+                f"Conv2d, MaxPool2d, Sequential)")
     spec = tuple((name, parameter.data.shape, parameter.data.dtype.str)
                  for name, parameter in module.named_parameters())
     return (tuple(ops), spec)
+
+
+def _unstackable_layer(key: tuple) -> str | None:
+    """The first layer of an :func:`architecture_key` the stacked engine
+    cannot stack, by class name; None when it can stack them all."""
+    for op in key[0]:
+        if op[0] in _UNSTACKABLE:
+            return _UNSTACKABLE[op[0]]
+    return None
 
 
 def stacked_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -162,6 +190,11 @@ class ModelStack(Module):
         if not modules:
             raise StackedModelError("stack_models needs at least one model")
         key = architecture_key(modules[0])
+        unstackable = _unstackable_layer(key)
+        if unstackable is not None:
+            raise StackedModelError(
+                f"cannot stack {unstackable} layers (supported: Linear, "
+                f"ReLU/Tanh/Sigmoid, Dropout, Flatten, Sequential)")
         for module in modules[1:]:
             other = architecture_key(module)
             if other[0] != key[0]:
@@ -524,15 +557,18 @@ def stacking_group(model) -> tuple | None:
     """What a streaming model stacks by; None when it cannot stack.
 
     ``model`` is a :class:`~repro.models.base.NeuralStreamingModel`.  The
-    group is its plan structure — class, ``architecture_key`` and
-    optimizer class, computed once per model and cached with its plan
-    binding (:mod:`repro.nn.plan`) — plus its optimizer's
+    group is its plan structure — class, ``architecture_key``, optimizer
+    class and module input shape, computed once per model and cached
+    with its plan binding (:mod:`repro.nn.plan`) — plus its optimizer's
     hyperparameters.  A model whose ``_plan_structure`` opts out (a
     custom ``_prepare``, which the stacked program would skip, an exotic
-    optimizer, or a layer the engine cannot stack) has no group.
+    optimizer, or a layer neither engine runs) has no group, and neither
+    has one whose plans replay layers the stacked engine cannot stack
+    (a CNN).
     """
     binding = _plan._binding(model)
-    if binding is None:
+    if (binding is None
+            or _unstackable_layer(binding.structure[1]) is not None):
         return None
     hyperparameters = _hyperparameters(model.optimizer)
     if hyperparameters is None:

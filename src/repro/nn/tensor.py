@@ -43,7 +43,8 @@ from ..perf import can_own as _can_own
 from . import kernels as _kernels
 from . import record as _record
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "release_tapes", "tensor",
+           "zeros", "ones"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 
@@ -72,6 +73,26 @@ def _cycle_tape(tape: list) -> None:
     """Start a fresh tape after a backward pass consumed ``tape``."""
     if getattr(_grad_state, "tape", None) is tape:
         _grad_state.tape = []
+
+
+def release_tapes(tensors) -> None:
+    """Free the finished graphs ``tensors`` belong to without the cyclic
+    collector.
+
+    A recorded node and its tape list refer to each other, so a graph
+    whose backward has run stays alive, arrays and all, until the cyclic
+    garbage collector runs.  Emptying each such tape breaks the cycle
+    and reference counting frees the graph once nothing else holds it.
+    The thread's current tape is left alone: other live graphs may still
+    be recording on it.  The graphs must be dead: a backward through a
+    released tape fails.
+    """
+    current = getattr(_grad_state, "tape", None)
+    tapes = {id(tensor._tape): tensor._tape for tensor in tensors
+             if tensor._tape is not None}
+    for tape in tapes.values():
+        if tape is not current:
+            tape.clear()
 
 
 @contextlib.contextmanager

@@ -47,14 +47,16 @@ def reference_ops():
     softmax ``log_softmax(...).exp()``; ``backward`` runs the DFS instead
     of the tape; ``EmbeddingHistory.nearest`` calls ``nearest_distance``;
     and the CNN and optimizer kernels become the implementations they
-    replaced (``reference_kernels``): the im2col/``argmax`` max-pool, the
-    ``np.where`` ReLU with its mask in the input's layout, and SGD's and
-    Adam's per-parameter expressions on fresh arrays.  What stays
+    replaced (``reference_kernels``): the fresh-array im2col conv, the
+    im2col/``argmax`` max-pool, the ``np.where`` ReLU with its mask in the
+    input's layout, and SGD's and Adam's per-parameter expressions on
+    fresh arrays.  What stays
     is the fast path's only reference: a model run end to end under this
     context must match the default run bit for bit.
     """
     from reference_kernels import (
         ref_adam_step,
+        ref_conv2d,
         ref_max_pool2d,
         ref_relu,
         ref_sgd_step,
@@ -95,6 +97,7 @@ def reference_ops():
         patch.setattr(kernels, "sgd_step", ref_sgd_step)
         patch.setattr(kernels, "adam_step", ref_adam_step)
         patch.setattr(EmbeddingHistory, "nearest", nearest)
+        patch.setattr(F, "conv2d", ref_conv2d)
         patch.setattr(F, "max_pool2d", ref_max_pool2d)
         patch.setattr(Tensor, "relu", ref_relu)
         yield

@@ -3,9 +3,11 @@
 ``max_pool2d`` once folded channels into the batch, gathered im2col
 columns, took their ``argmax`` and scattered the gradient back with
 ``np.add.at``; ``Tensor.relu`` once built its output with a masked
-``np.where`` select and kept its mask in the input's memory layout.  The
-fast kernels promise these implementations' bits, including the memory
-layout of every output and gradient.  SGD and Adam once stepped each
+``np.where`` select and kept its mask in the input's memory layout;
+``conv2d`` once gathered its columns with fancy indexing and ran its
+einsums on fresh arrays.  The fast kernels promise these
+implementations' bits, including the memory layout of every output and
+gradient.  SGD and Adam once stepped each
 parameter through whole-array expressions on fresh arrays;
 ``kernels.sgd_step`` and ``kernels.adam_step`` promise those
 expressions' bits.  No flag switches the old implementations back on, so
@@ -19,7 +21,8 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
-__all__ = ["ref_max_pool2d", "ref_relu", "ref_sgd_step", "ref_adam_step"]
+__all__ = ["ref_conv2d", "ref_max_pool2d", "ref_relu", "ref_sgd_step",
+           "ref_adam_step"]
 
 
 def _ref_im2col_indices(x_shape, kernel_h, kernel_w, stride_h, stride_w):
@@ -69,6 +72,99 @@ def ref_max_pool2d(x, kernel_size, stride=None):
         return (grad.reshape(batch, channels, height, width),)
 
     return Tensor._make(out, (x,), backward)
+
+
+def _ref_conv_indices(x_shape, kernel_h, kernel_w, stride, padding):
+    stride_h, stride_w = F._pair(stride)
+    pad_h, pad_w = F._pair(padding)
+    batch, channels, height, width = x_shape
+    out_h = (height + 2 * pad_h - kernel_h) // stride_h + 1
+    out_w = (width + 2 * pad_w - kernel_w) // stride_w + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(
+            f"conv2d output would be empty for input {x_shape} with "
+            f"kernel ({kernel_h},{kernel_w}), stride ({stride_h},{stride_w}), "
+            f"padding ({pad_h},{pad_w})"
+        )
+    i0 = np.repeat(np.arange(kernel_h), kernel_w)
+    i0 = np.tile(i0, channels)
+    i1 = stride_h * np.repeat(np.arange(out_h), out_w)
+    j0 = np.tile(np.arange(kernel_w), kernel_h * channels)
+    j1 = stride_w * np.tile(np.arange(out_w), out_h)
+    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
+    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
+    k = np.repeat(np.arange(channels), kernel_h * kernel_w).reshape(-1, 1)
+    return k, i, j, out_h, out_w
+
+
+def _ref_im2col(x, kernel_h, kernel_w, stride, padding):
+    k, i, j, out_h, out_w = _ref_conv_indices(
+        x.shape, kernel_h, kernel_w, stride, padding
+    )
+    pad_h, pad_w = F._pair(padding)
+    if pad_h == 0 and pad_w == 0:
+        cols = x[:, k, i, j]  # (batch, C*kh*kw, out_h*out_w)
+        return cols, out_h, out_w
+    padded = np.zeros((x.shape[0], x.shape[1],
+                       x.shape[2] + 2 * pad_h, x.shape[3] + 2 * pad_w),
+                      dtype=x.dtype)
+    padded[:, :, pad_h:pad_h + x.shape[2], pad_w:pad_w + x.shape[3]] = x
+    cols = padded[:, k, i, j]
+    return cols, out_h, out_w
+
+
+def _ref_conv_col2im(cols, x_shape, kernel_h, kernel_w, stride, padding):
+    batch, channels, height, width = x_shape
+    pad_h, pad_w = F._pair(padding)
+    k, i, j, _, _ = _ref_conv_indices(x_shape, kernel_h, kernel_w, stride,
+                                      padding)
+    padded = np.zeros(
+        (batch, channels, height + 2 * pad_h, width + 2 * pad_w),
+        dtype=cols.dtype,
+    )
+    np.add.at(padded, (slice(None), k, i, j), cols)
+    row_end = padded.shape[2] - pad_h
+    col_end = padded.shape[3] - pad_w
+    return padded[:, :, pad_h:row_end, pad_w:col_end]
+
+
+def ref_conv2d(x, weight, bias=None, stride=1, padding=0):
+    """The fresh-array conv: fancy-index im2col gather, einsums on fresh
+    arrays, ``np.add.at`` col2im."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    kernel_out, kernel_in, kernel_h, kernel_w = weight.shape
+    if x.ndim != 4:
+        raise ValueError(f"conv2d expects (batch, C, H, W) input; got shape {x.shape}")
+    if x.shape[1] != kernel_in:
+        raise ValueError(
+            f"conv2d channel mismatch: input has {x.shape[1]}, weight expects {kernel_in}"
+        )
+    cols, out_h, out_w = _ref_im2col(x.data, kernel_h, kernel_w, stride,
+                                     padding)
+    weight_mat = weight.data.reshape(kernel_out, -1)
+    out = np.einsum("of,bfp->bop", weight_mat, cols)
+    out = out.reshape(x.shape[0], kernel_out, out_h, out_w)
+    if bias is not None:
+        out = out + bias.data.reshape(1, -1, 1, 1)
+
+    x_shape = x.shape
+    input_grad = x.requires_grad
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g):
+        g_mat = g.reshape(g.shape[0], kernel_out, -1)  # (batch, out_c, positions)
+        grad_weight = np.einsum("bop,bfp->of", g_mat, cols).reshape(weight.shape)
+        grad_x = None
+        if input_grad:
+            grad_cols = np.einsum("of,bop->bfp", weight_mat, g_mat)
+            grad_x = _ref_conv_col2im(grad_cols, x_shape, kernel_h,
+                                      kernel_w, stride, padding)
+        if bias is None:
+            return grad_x, grad_weight
+        grad_bias = g.sum(axis=(0, 2, 3))
+        return grad_x, grad_weight, grad_bias
+
+    return Tensor._make(out, parents, backward)
 
 
 def ref_relu(self):

@@ -6,9 +6,12 @@ replay.  Every fuzz below drives all three and holds each to the general
 ``Tensor`` chain the kernel stands for — forward bytes and the bytes of
 every gradient — over ties, signed zeros, infinities, NaNs with several
 payloads, magnitudes near 1e±300, and C-ordered, F-ordered and
-batch-fastest inputs.  A plan replay, whose arena is C-ordered, is
-compared with the general chain on C-ordered inputs, and a model-axis run
-slice by slice with the general chain on that model's 2-D slice.
+batch-fastest inputs.  A plan replay is compared with the general chain
+on the inputs its arena holds (C-ordered, or the layout the node gives
+them), and a model-axis run slice by slice with the general chain on
+that model's 2-D slice.  The convolution and the pool, which have no
+model axis, are held to the fresh-array implementations they replaced
+(``reference_kernels``).
 
 NaN payloads and signs are not compared, only where NaNs are: when both
 operands of an op are NaN, IEEE 754 leaves the result's payload to the
@@ -23,7 +26,12 @@ from conftest import reference_ops
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from reference_kernels import ref_adam_step, ref_sgd_step
+from reference_kernels import (
+    ref_adam_step,
+    ref_conv2d,
+    ref_max_pool2d,
+    ref_sgd_step,
+)
 
 from repro import nn
 from repro.models import StreamingMLP
@@ -469,6 +477,129 @@ class TestSoftmaxKernel:
                 assert _bits(out[m]) == _general_softmax(x[m])
                 assert _bits(planned[m]) == _general_softmax(
                     np.ascontiguousarray(x[m]))
+
+
+# -- convolution and pooling ----------------------------------------------------
+
+
+@st.composite
+def conv_cases(draw):
+    """Input, weight, bias, output gradient and geometry of one conv,
+    with or without padding and an input gradient."""
+    kernel = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    padding = (draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+    rows, channels, out_channels = (draw(st.integers(1, 5)),
+                                    draw(st.integers(1, 3)),
+                                    draw(st.integers(1, 4)))
+    height = draw(st.integers(max(1, kernel[0] - 2 * padding[0]), 5))
+    width = draw(st.integers(max(1, kernel[1] - 2 * padding[1]), 6))
+    out_shape = (rows, out_channels) + tuple(
+        (n + 2 * p - k) // s + 1
+        for n, p, k, s in zip((height, width), padding, kernel, stride))
+    x = draw(arrays(np.float64, (rows, channels, height, width),
+                    elements=_VALUE))
+    w = draw(arrays(np.float64, (out_channels, channels) + kernel,
+                    elements=_VALUE))
+    b = (draw(arrays(np.float64, (out_channels,), elements=_VALUE))
+         if draw(st.booleans()) else None)
+    g = draw(arrays(np.float64, out_shape, elements=_VALUE))
+    return (_laid_out(x, draw(_LAYOUTS), 0), w, b,
+            _laid_out(g, draw(_LAYOUTS), 0), stride, padding,
+            draw(st.booleans()))
+
+
+def _conv_run(conv, x, w, b, g, stride, padding, input_grad):
+    """Output and gradients of one conv node, with the output's order."""
+    x_leaf = Tensor(x, requires_grad=input_grad)
+    leaves = [_leaf(w)] + ([] if b is None else [_leaf(b)])
+    out = conv(x_leaf, *leaves, stride=stride, padding=padding)
+    out.backward(g)
+    grads = [leaf.grad for leaf in ([x_leaf] if input_grad else []) + leaves]
+    return [_order(out.data), _bits(out.data)] + [_bits(grad)
+                                                  for grad in grads]
+
+
+def _plan_conv(x, w, b, g, stride, padding, input_grad):
+    """The plan's conv kernel on arena buffers laid out as the node's."""
+    out_ref = kernels.batch_fastest(
+        (x.shape[0], w.shape[0]) + g.shape[2:])
+    kernel = nn_plan._ConvKernel(np.ascontiguousarray(x), out_ref, w, b, 0,
+                                 -1 if b is None else 1, stride, padding)
+    params = [_param(w)] + ([] if b is None else [_param(b)])
+    kernel.g_out = np.array(g, order="C")
+    if input_grad:
+        kernel.g_in = kernel.input_grad()
+    kernel.forward(params, [])
+    kernel.backward(params)
+    grads = ([kernel.g_in] if input_grad else []) + [kernel.gw] + (
+        [] if b is None else [kernel.gb])
+    return [_order(kernel.out), _bits(kernel.out)] + [_bits(grad)
+                                                      for grad in grads]
+
+
+class TestConvKernel:
+    @given(conv_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_node_and_plan_match_the_fresh_array_conv(self, case):
+        x, w, b, g, stride, padding, input_grad = case
+        with np.errstate(all="ignore"):
+            assert (_conv_run(F.conv2d, *case)
+                    == _conv_run(ref_conv2d, *case))
+            c_ordered = (np.ascontiguousarray(x), w, b,
+                         np.ascontiguousarray(g), stride, padding,
+                         input_grad)
+            assert _plan_conv(*c_ordered) == _conv_run(ref_conv2d,
+                                                       *c_ordered)
+
+
+@st.composite
+def pool_cases(draw):
+    kernel = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+             draw(st.integers(kernel[0], 6)), draw(st.integers(kernel[1], 7)))
+    out_shape = shape[:2] + tuple(
+        (n - k) // s + 1 for n, k, s in zip(shape[2:], kernel, stride))
+    x = draw(arrays(np.float64, shape, elements=_VALUE))
+    g = draw(arrays(np.float64, out_shape, elements=_VALUE))
+    return _laid_out(x, draw(_LAYOUTS), 0), g, kernel, stride
+
+
+class TestPoolKernel:
+    @given(pool_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_plan_matches_the_im2col_pool(self, case):
+        """The plan's pool kernel, its input in any layout a conv or
+        activation buffer has, against the im2col/``argmax`` pool.  Full
+        bits: a pool only moves and adds them."""
+        x, g, kernel, stride = case
+        leaf = Tensor(x.copy(order="K"), requires_grad=True)
+        out = ref_max_pool2d(leaf, kernel, stride)
+        with np.errstate(invalid="ignore"):
+            out.backward(g)
+            plan = nn_plan._PoolKernel(x.copy(order="K"), out.data, kernel,
+                                       stride)
+            plan.g_out = g
+            plan.g_in = plan.input_grad()
+            plan.forward([], [])
+            plan.backward([])
+        assert plan.out.tobytes() == out.data.tobytes()
+        assert plan.g_in.tobytes() == leaf.grad.tobytes()
+
+
+class TestReshapedView:
+    def test_views_the_same_memory_or_raises(self):
+        """A batch-fastest conv output views as ``(rows, O, oh·ow)``; an
+        array whose strides cannot take the shape raises rather than
+        being copied, which the plan compiler turns into a fallback."""
+        out = kernels.batch_fastest((5, 3, 2, 4))
+        view = kernels.reshaped_view(out, (5, 3, 8))
+        view[...] = np.arange(view.size).reshape(view.shape)
+        assert np.shares_memory(view, out)
+        assert out.reshape(5, 3, 8).tobytes() == view.tobytes()
+        with pytest.raises(ValueError, match="has no"):
+            kernels.reshaped_view(np.zeros((3, 4)).T, (12,))
 
 
 # -- one ReLU everywhere ------------------------------------------------------

@@ -13,6 +13,7 @@ then fuzz it over random architectures.
 import copy
 import pickle
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.data.drift import (GaussianMixtureConcept, Segment,
                               stream_from_schedule)
 from repro.eval import model_factory_for
 from repro.models.base import NeuralStreamingModel
+from repro.models.cnn import StreamingCNN
 from repro.models.logistic import StreamingLR
 from repro.models.mlp import StreamingMLP
 from repro.nn import plan as nn_plan
@@ -345,6 +347,7 @@ ROW_MODELS = {
     "dropout-mlp": lambda: DropoutMLP(num_features=8, num_classes=3, seed=4),
     "tanh-sigmoid-mlp": lambda: TanhSigmoidMLP(num_features=8, num_classes=3,
                                                seed=4),
+    "cnn": lambda: StreamingCNN((8,), 3, seed=4),
 }
 
 #: Small row counts, and counts in the thousands, past the BLAS blocking
@@ -392,6 +395,84 @@ class TestRowCountViews:
             assert events == {"capture": captures, "replay": 2 - captures,
                               "unsupported": 0,
                               "invalidate": 2 if index == growth_at else 0}
+
+    @pytest.mark.parametrize("input_shape,sizes", [
+        ((8,), [1500, 1, 999, 2, 1499, 3100, 1, 3099, 2048, 3100]),
+        ((2, 8, 8), [24, 1, 7, 23, 2, 40, 1, 39, 13, 40]),
+    ], ids=["tabular", "image"])
+    def test_cnn_views_match_the_reference_byte_for_byte(self, input_shape,
+                                                         sizes):
+        """Batch-fastest 4-D buffers, re-strided per row count (one row
+        is where ``[:n]`` views of them change the weight gradient's
+        bits), and the image CNN's second conv, whose input gradient runs
+        ``col2im``, on views."""
+        with_plans, reference = (StreamingCNN(input_shape, 3, seed=4,
+                                              image_channels=4)
+                                 for _ in range(2))
+        width = int(np.prod(input_shape))
+        rng = np.random.default_rng(5)
+        before = nn_plan.plan_cache_stats()
+        for size in sizes:
+            x = rng.normal(size=(size, width))
+            y = rng.integers(0, 3, size)
+            with configure(plan_capture=True):
+                proba = with_plans.predict_proba(x).copy()
+                loss = with_plans.partial_fit(x, y)
+            with configure(plan_capture=False):
+                proba_ref = reference.predict_proba(x)
+                loss_ref = reference.partial_fit(x, y)
+            assert np.float64(loss).tobytes() == \
+                np.float64(loss_ref).tobytes(), size
+            assert proba.tobytes() == proba_ref.tobytes(), size
+            assert state_bytes(with_plans) == state_bytes(reference), size
+        # Fit and proba plans at the first size, each grown once.
+        assert plan_events(before) == {"capture": 4,
+                                       "replay": 2 * len(sizes) - 4,
+                                       "unsupported": 0, "invalidate": 2}
+
+
+class TestCnnStreams:
+    """Whole CNN streams on plans against ``reference_ops()``: plans off,
+    and the conv, pool and ReLU the shared kernels replaced patched in."""
+
+    # The tabular CNN's 3,000-row fit plan (about 54 MiB) does not fit the
+    # budget beside its 3,000-row proba plan (about 28 MiB): that one fit
+    # is refused and runs define-by-run, and the fits after it replay the
+    # 128-row plan it would have replaced.
+    @pytest.mark.parametrize("input_shape,num_classes,batches,seed,refused", [
+        ((16,), 4, [128] * 12 + [3000] + [128] * 7, 3, 1),
+        ((3, 8, 8), 10, [16, 16, 24, 16], 4, 0),
+    ], ids=["tabular", "image"])
+    def test_stream_matches_the_reference_kernels(self, input_shape,
+                                                  num_classes, batches,
+                                                  seed, refused):
+        def stream():
+            rng = np.random.default_rng(seed)
+            model = StreamingCNN(input_shape, num_classes, lr=0.1, seed=0)
+            width = int(np.prod(input_shape))
+            probas = []
+            for rows in batches:
+                x = rng.normal(size=(rows, width))
+                y = rng.integers(0, num_classes, rows)
+                probas.append(model.predict_proba(x).tobytes())
+                model.partial_fit(x, y)
+            return probas, state_bytes(model)
+
+        before = nn_plan.plan_cache_stats()
+        with configure(plan_capture=True):
+            fast = stream()
+        events = plan_events(before)
+        before = nn_plan.plan_cache_stats()
+        with reference_ops():
+            reference = stream()
+        assert fast == reference
+        # Every fast call but a refused one ran a plan; no reference call
+        # did.
+        assert events["unsupported"] == refused
+        assert (events["capture"] + events["replay"]
+                == 2 * len(batches) - refused)
+        assert plan_events(before) == {"capture": 0, "replay": 0,
+                                       "unsupported": 0, "invalidate": 0}
 
 
 BATCH = 64
@@ -453,6 +534,30 @@ class TestLearnerWindows:
         assert events["invalidate"] == new_maxima(windows)
         assert events["unsupported"] == 0
 
+    def test_warm_cnn_learner_builds_no_conv_graph(self, monkeypatch):
+        """A second CNN learner over the same stream finds every plan at
+        its largest size: no define-by-run ``conv2d`` call, no capture."""
+        stream = window_stream()
+
+        def run():
+            learner = Learner(model_factory_for("cnn", 16, 4, lr=0.1,
+                                                seed=0),
+                              window_batches=4, seed=0)
+            return [learner.process(batch).accuracy for batch in stream]
+
+        warm = run()
+        calls = []
+        conv2d = nn.functional.conv2d
+        monkeypatch.setattr(nn.functional, "conv2d",
+                            lambda *args, **kwargs: calls.append(1)
+                            or conv2d(*args, **kwargs))
+        before = nn_plan.plan_cache_stats()
+        assert run() == warm
+        events = plan_events(before)
+        assert calls == []
+        assert events["capture"] == 0 and events["invalidate"] == 0
+        assert events["replay"] > 0
+
 
 class TestPlanCacheAccounting:
     def test_growth_replaces_the_plan_and_its_bytes(self):
@@ -474,6 +579,25 @@ class TestPlanCacheAccounting:
                                    in cache.entries.values())
         assert cache.nbytes == sum(entry.nbytes for entry, _
                                    in cache.entries.values())
+
+    def test_growth_frees_the_replaced_arena_before_its_reference_run(
+            self, monkeypatch):
+        """The replaced arena, the reference run's graph and the new arena
+        are never alive at once."""
+        model = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        with configure(plan_capture=True):
+            model.partial_fit(*make_batches(1, 8, 6, 3)[0])
+            (plan, _), = nn_plan._cache().entries.values()
+            arena = weakref.ref(plan.x_buf)
+            del plan
+            alive = []
+            fit_steps = model._fit_steps
+            monkeypatch.setattr(
+                model, "_fit_steps",
+                lambda x, y: alive.append(arena() is not None)
+                or fit_steps(x, y))
+            model.partial_fit(*make_batches(1, 40, 6, 3, seed=1)[0])
+        assert alive == [False]
 
     def test_failed_growth_marks_every_row_count_unsupported(
             self, monkeypatch):
@@ -507,19 +631,110 @@ class TestPlanCacheAccounting:
         assert cache.nbytes == sum(nbytes for _, nbytes
                                    in cache.entries.values())
 
+    def test_a_plan_that_cannot_fit_beside_its_twin_is_refused(
+            self, monkeypatch):
+        """A fit plan and a proba plan of one model that are over the
+        budget together would evict each other on every call; the second
+        one is refused, so the first keeps replaying and nothing
+        recaptures."""
+        model = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        reference = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        batches = make_batches(5, 64, 6, 3, seed=2)
+        with configure(plan_capture=True):
+            model.predict_proba(batches[0][0])
+        proba_bytes = nn_plan._cache().nbytes
+        monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES", proba_bytes + 1024)
+        model._weights_version += 1
+        before = nn_plan.plan_cache_stats()
+        results = run_stream(model, batches, plans_on=True)
+        results_ref = run_stream(reference, batches, plans_on=False)
+        assert_bitwise_equal(model, reference, results[0], results_ref[0],
+                             results[1], results_ref[1])
+        assert plan_events(before) == {"capture": 0,
+                                       "replay": len(batches),
+                                       "unsupported": 1, "invalidate": 0}
+
+    def test_a_refused_growth_keeps_the_plan_it_would_replace(
+            self, monkeypatch):
+        """Batches the refused growth's size or larger take the reference
+        path without another capture; smaller ones still replay."""
+        model = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        reference = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        first = make_batches(1, 64, 6, 3)[0]
+        with configure(plan_capture=True):
+            model.predict_proba(first[0])
+            model.partial_fit(*first)
+        cache = nn_plan._cache()
+        monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES", cache.nbytes + 1024)
+        batches = [make_batches(1, rows, 6, 3, seed=seed)[0]
+                   for seed, rows in enumerate([256, 64, 300, 256, 32])]
+        before = nn_plan.plan_cache_stats()
+        with configure(plan_capture=True):
+            losses = [model.partial_fit(*batch) for batch in batches]
+        with configure(plan_capture=False):
+            reference.predict_proba(first[0])
+            reference.partial_fit(*first)
+            losses_ref = [reference.partial_fit(*batch) for batch in batches]
+        assert [np.float64(l).tobytes() for l in losses] == \
+            [np.float64(l).tobytes() for l in losses_ref]
+        assert state_bytes(model) == state_bytes(reference)
+        assert plan_events(before) == {"capture": 0, "replay": 2,
+                                       "unsupported": 1, "invalidate": 0}
+        assert [entry.rows for entry, _ in cache.entries.values()] == [64, 64]
+
+    def test_a_plan_that_fits_beside_its_twin_evicts_other_plans(
+            self, monkeypatch):
+        """Whether a plan is kept depends on its bytes and its twin's, not
+        on where the twin sits in the eviction order: here the proba plan
+        is the least recently used entry when its fit plan is stored."""
+        sizing = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        with configure(plan_capture=True):
+            sizing.partial_fit(*make_batches(1, 64, 6, 3)[0])
+        fit_bytes = nn_plan._cache().nbytes
+        nn_plan.clear_plans()
+        model, *others = (StreamingMLP(num_features=features, num_classes=3,
+                                       seed=0) for features in (6, 7, 8))
+        reference = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        with configure(plan_capture=True):
+            model.predict_proba(make_batches(1, 64, 6, 3)[0][0])
+            for other in others:
+                features = other.num_features
+                other.partial_fit(*make_batches(1, 64, features, 3)[0])
+                other.predict_proba(make_batches(1, 64, features, 3)[0][0])
+        monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES",
+                            nn_plan._cache().nbytes + fit_bytes - 1)
+        batches = make_batches(3, 64, 6, 3, seed=3)
+        before = nn_plan.plan_cache_stats()
+        with configure(plan_capture=True):
+            first = model.partial_fit(*batches[0])
+        losses, probas = run_stream(model, batches[1:], plans_on=True)
+        with configure(plan_capture=False):
+            first_ref = reference.partial_fit(*batches[0])
+        losses_ref, probas_ref = run_stream(reference, batches[1:],
+                                            plans_on=False)
+        assert_bitwise_equal(model, reference, [first, *losses],
+                             [first_ref, *losses_ref], probas, probas_ref)
+        # The fit plan evicts the proba plan, whose recapture evicts one
+        # of the other models' plans; from then on both replay.
+        assert plan_events(before) == {"capture": 2, "replay": 3,
+                                       "unsupported": 0, "invalidate": 2}
+
 
 # -- plans shared across instances and threads ---------------------------------
 
 
 class TestSharedPlans:
     @pytest.mark.parametrize("cls", [StreamingLR, StreamingMLP, DropoutMLP,
-                                     AdamLR])
+                                     AdamLR, StreamingCNN])
     def test_second_instance_replays_without_capture(self, cls):
         batches = make_batches(10, 16, 8, 3, seed=2)
-        first = cls(num_features=8, num_classes=3, seed=4)
-        second = cls(num_features=8, num_classes=3, seed=11)
-        first_ref = cls(num_features=8, num_classes=3, seed=4)
-        second_ref = cls(num_features=8, num_classes=3, seed=11)
+        if cls is StreamingCNN:
+            build = lambda seed: cls((8,), 3, seed=seed)  # noqa: E731
+        else:
+            build = lambda seed: cls(  # noqa: E731
+                num_features=8, num_classes=3, seed=seed)
+        first, second = build(4), build(11)
+        first_ref, second_ref = build(4), build(11)
         results = {id(first): ([], []), id(second): ([], [])}
         # The first instance captures the fit and proba plans; from then
         # on the two instances interleave through the same plans.

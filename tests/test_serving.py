@@ -18,7 +18,9 @@ import pytest
 
 from repro import nn
 from repro.core.learner import Learner
-from repro.models import StreamingLR, StreamingMLP
+from repro.models import StreamingCNN, StreamingLR, StreamingMLP
+from repro.nn import plan as nn_plan
+from repro.nn.stacked import ModelStack, StackedModelError
 from repro.obs import (
     Observability,
     RequestShed,
@@ -26,6 +28,7 @@ from repro.obs import (
     TenantActivated,
     TenantEvicted,
 )
+from repro.perf import optimizations_disabled
 from repro.serving import (
     DirCheckpointStore,
     MemoryCheckpointStore,
@@ -787,6 +790,64 @@ class TestStackedServing:
                     np.testing.assert_array_equal(
                         result.labels, labels[offset:offset + len(ex)])
                     offset += len(ex)
+
+    def test_cnn_tenants_replay_plans_but_never_stack(self, monkeypatch):
+        """A CNN has a plan binding but no stacking group: stacked
+        execution serves its tenants one by one, on replayed plans."""
+        def cnn_factory(_tenant: str = "") -> ModelEstimator:
+            return ModelEstimator(StreamingCNN((8,), 3, lr=0.1, momentum=0.9,
+                                               seed=3))
+
+        stacks = []
+        build = ModelStack.__init__
+
+        def counted(self, *args, **kwargs):
+            stacks.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModelStack, "__init__", counted)
+        requests = make_requests(zipf_tenants(120, 6, seed=4),
+                                 rows_per_request=8, num_features=8,
+                                 num_classes=3, seed=4)
+        nn_plan.clear_plans()
+        # A 16-row micro-batch is the largest: grow both plans to it.
+        _, x, y = requests[0]
+        predict_and_update(cnn_factory(), np.vstack([x, x]),
+                           np.concatenate([y, y]))
+        before = nn_plan.plan_cache_stats()
+        registry = SessionRegistry(cnn_factory, capacity=8,
+                                   store=MemoryCheckpointStore())
+        config = ServeConfig(max_active_tenants=8, microbatch_size=16,
+                             stacked_execution=True)
+        results, service = serve_requests(config, registry, requests,
+                                          window=64)
+        after = nn_plan.plan_cache_stats()
+        assert all(result.accepted for result in results)
+        assert service.batches_stacked == 0
+        assert stacks == []
+        assert after.get("capture", 0) == before.get("capture", 0)
+        assert after.get("unsupported", 0) == before.get("unsupported", 0)
+        assert after.get("replay", 0) > before.get("replay", 0)
+        by_tenant: dict = {}
+        for (tenant, x, y), result in zip(requests, results):
+            by_tenant.setdefault(tenant, []).append((x, y, result))
+        with optimizations_disabled():
+            for tenant, entries in by_tenant.items():
+                replica, cursor = cnn_factory(tenant), 0
+                for group in service.grouping(tenant):
+                    chunk = entries[cursor:cursor + group]
+                    cursor += group
+                    labels = predict_and_update(
+                        replica, np.vstack([entry[0] for entry in chunk]),
+                        np.concatenate([entry[1] for entry in chunk]))
+                    offset = 0
+                    for ex, _ey, result in chunk:
+                        assert result.labels.tobytes() == \
+                            labels[offset:offset + len(ex)].tobytes()
+                        offset += len(ex)
+        with pytest.raises(StackedModelError, match="Conv2d"):
+            nn.stack_models([cnn_factory().model.module
+                             for _ in range(2)])
 
     def test_learner_tenants_fall_back_to_serial(self):
         registry = SessionRegistry(make_learner, capacity=4)

@@ -14,7 +14,6 @@ import pytest
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.stacked import architecture_key
 from repro.perf.config import optimizations_disabled
 
 NUM_FEATURES = 6
@@ -175,10 +174,12 @@ class TestDegenerateAndRejection:
             nn.stack_models([make_lr(0), make_mlp(1)])
 
     def test_unsupported_layers_rejected(self):
+        # Plans replay conv layers, so architecture_key keys them; the
+        # stacking entry point is what refuses them.
         conv = nn.Sequential(
             nn.Conv2d(1, 2, 3, rng=np.random.default_rng(0)))
         with pytest.raises(nn.StackedModelError, match="Conv2d"):
-            architecture_key(conv)
+            nn.stack_models([conv])
 
     def test_mismatched_optimizer_hyperparameters_rejected(self):
         modules = [make_lr(seed) for seed in range(2)]

@@ -10,6 +10,8 @@ byte for byte as the original does.  These tests run each path over the
 momentum, Adam and Dropout fleets of ``tests/test_stacked_arenas.py``.
 """
 
+import re
+
 import numpy as np
 import pytest
 from test_stacked_arenas import FLEETS, NUM_CLASSES, NUM_FEATURES
@@ -206,6 +208,34 @@ class TestRejectedOptimizerState:
             del state["layer0.weight"]
         before = state_bytes(training_state(model))
         with pytest.raises((ValueError, KeyError), match="layer0.weight"):
+            load_training_state(model, state)
+        assert state_bytes(training_state(model)) == before
+
+    @pytest.mark.parametrize("case", ["keys missing", "another generator",
+                                      "undecodable", "float updates",
+                                      "updates array"])
+    def test_a_bad_generator_or_updates_entry_leaves_the_model_untouched(
+            self, case):
+        model, other = FLEETS["dropout"](0), FLEETS["dropout"](1)
+        for x, y in requests(2):
+            model.partial_fit(x, y)
+            other.partial_fit(x, y)
+        state = training_state(other)
+        key = "__rng__.0"
+        if case == "keys missing":
+            state[key] = np.frombuffer(b'{"bit_generator": "PCG64"}',
+                                       dtype=np.uint8)
+        elif case == "another generator":
+            state[key] = generator_state(
+                np.random.Generator(np.random.MT19937(0)))
+        elif case == "undecodable":
+            state[key] = np.frombuffer(b"\xff\xfe{", dtype=np.uint8)
+        else:
+            key = "__meta__.updates"
+            state[key] = (np.array(2.5) if case == "float updates"
+                          else np.array([2, 3]))
+        before = state_bytes(training_state(model))
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
             load_training_state(model, state)
         assert state_bytes(training_state(model)) == before
 
