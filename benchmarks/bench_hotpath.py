@@ -280,13 +280,13 @@ PLAN_SPEEDUP_FLOOR = 1.3  # required for MLP (fit axis) in full runs
 
 def measure_plans(kind: str, num_batches: int, repeats: int,
                   batch_size: int = BATCH_SIZE) -> dict:
-    """Captured-plan replay vs. the optimized define-by-run path.
+    """Captured-plan replay vs. the define-by-run path.
 
     Runs the serving pattern (predict, then train) directly on one
     streaming model over the slight-shift stream, with ``plan_capture``
-    on versus off — every other perf flag stays at its default, so the
-    speedup is plans-only.  The equivalence gate compares every loss,
-    every prediction, and the final parameters bitwise.
+    on versus off, the only perf flag, so the speedup is plans-only.
+    The equivalence gate compares every loss, every prediction, and the
+    final parameters bitwise.
     """
     from repro.nn import plan as nn_plan
     from repro.perf import configure
@@ -467,7 +467,7 @@ def main(argv=None) -> int:
                              "the per-model serial loop instead")
     parser.add_argument("--plans", action="store_true",
                         help="measure captured-plan replay (plan_capture) "
-                             "vs the optimized define-by-run path instead")
+                             "vs the define-by-run path instead")
     parser.add_argument("--json", metavar="PATH",
                         help="write results as JSON to PATH ('-' = stdout)")
     parser.add_argument("--batches", type=int, default=None,

@@ -70,7 +70,6 @@ from .kernels import replay_kernel
 from .modules import Dropout
 from .optim import Adam, Optimizer
 from .serialization import generator_state, load_generator_state
-from .tensor import Tensor, release_tapes
 
 __all__ = [
     "PlanUnsupported",
@@ -1116,14 +1115,6 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _release(trace) -> None:
-    """Drop a compiled trace's tensors and break their graphs' tape
-    cycles (:func:`~repro.nn.tensor.release_tapes`)."""
-    release_tapes([item for op in trace.ops for item in op
-                   if isinstance(item, Tensor)])
-    trace.ops.clear()
-
-
 def _fit(key, optimizer, rngs, reference, xr, labels, sgd_steps,
          predict=None):
     """Train through the plan cached under ``key``, capturing it on a miss
@@ -1175,9 +1166,9 @@ def _capture_fit(cache, key, kept, optimizer, rngs, reference, xr, labels,
                                 predict is not None)
         except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
             pass
-    # The reference run's graph is dead: free it now rather than at the
-    # next cyclic collection, before the trial replay fills the arena.
-    _release(trace)
+    # The trace holds the reference run's dead graph: drop it before the
+    # trial replay fills the arena.
+    trace.ops.clear()
     if plan is None:
         return _unsupported(cache, key, ref)
     if cache.refuses(key, plan.nbytes):
@@ -1234,7 +1225,7 @@ def _capture_proba(cache, key, kept, params, rngs, reference, xr):
     out_plan = None
     try:
         plan = _compile_proba(trace, params, rngs, xr.shape)
-        _release(trace)
+        trace.ops.clear()
         if cache.refuses(key, plan.nbytes):
             return _refused(cache, key, kept, len(xr), out_ref)
         out_plan = plan.replay(params, rngs, xr)

@@ -10,21 +10,18 @@ The design mirrors PyTorch's eager autograd:
 - every differentiable operation returns a new :class:`Tensor` whose
   ``_backward`` closure knows how to route the output gradient to the
   operation's inputs;
-- :meth:`Tensor.backward` topologically sorts the graph and runs those
-  closures in reverse order;
+- :meth:`Tensor.backward` topologically sorts the graph with a DFS and
+  runs those closures in reverse order;
 - broadcasting is supported, with gradients summed back to the original
   operand shapes.
 
-Hot path (see ``docs/PERF.md``): nodes are also recorded on a per-thread
-*tape* in creation order — a creation order is already a valid
-topological order, so ``backward()`` replays the tape slice in reverse
-instead of re-deriving the order with a DFS every step.  Graphs that span
-a tape boundary (nodes created before a previous ``backward`` cycled the
-tape) fall back to the DFS for the remainder, so the tape is a pure fast
-path, never a correctness assumption.  ``_accumulate`` adopts
-privately-owned gradient buffers instead of defensively copying them (see
-:func:`repro.perf.can_own`).  The activations run the shared kernels of
-:mod:`repro.nn.kernels`.
+A node refers to its parents and its backward closure, never to a child,
+so a graph holds no reference cycle and is freed as soon as nothing
+refers to its output.  A leaf copies the first gradient it receives,
+keeping its memory layout, so no op closure or sibling operand
+(``a + a``) aliases a leaf's ``grad``.  The activations run the shared
+kernels of :mod:`repro.nn.kernels`; the hot path itself replays captured
+plans (:mod:`repro.nn.plan`, docs/PERF.md).
 
 Only the operations needed by the streaming models in this repository are
 implemented, but each is implemented fully (correct broadcasting, correct
@@ -39,60 +36,16 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from ..perf import can_own as _can_own
 from . import kernels as _kernels
 from . import record as _record
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "release_tapes", "tensor",
-           "zeros", "ones"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 
 # Grad mode is per-thread, like torch's: concurrent replicas (the thread
-# execution backend) must not see each other's ``no_grad`` sections.  The
-# same thread-local also carries the autograd tape (``.tape``) so each
-# replica records its own graphs.
+# execution backend) must not see each other's ``no_grad`` sections.
 _grad_state = threading.local()
-
-# A graph that records this many nodes without a backward() forces a fresh
-# tape — bounds current-tape growth for grad-enabled forwards that never
-# backpropagate.  Old tapes stay alive only while their tensors do.
-_TAPE_LIMIT = 4096
-
-
-def _current_tape() -> list:
-    """This thread's recording tape, cycling it when it grows unbounded."""
-    tape = getattr(_grad_state, "tape", None)
-    if tape is None or len(tape) >= _TAPE_LIMIT:
-        tape = []
-        _grad_state.tape = tape
-    return tape
-
-
-def _cycle_tape(tape: list) -> None:
-    """Start a fresh tape after a backward pass consumed ``tape``."""
-    if getattr(_grad_state, "tape", None) is tape:
-        _grad_state.tape = []
-
-
-def release_tapes(tensors) -> None:
-    """Free the finished graphs ``tensors`` belong to without the cyclic
-    collector.
-
-    A recorded node and its tape list refer to each other, so a graph
-    whose backward has run stays alive, arrays and all, until the cyclic
-    garbage collector runs.  Emptying each such tape breaks the cycle
-    and reference counting frees the graph once nothing else holds it.
-    The thread's current tape is left alone: other live graphs may still
-    be recording on it.  The graphs must be dead: a backward through a
-    released tape fails.
-    """
-    current = getattr(_grad_state, "tape", None)
-    tapes = {id(tensor._tape): tensor._tape for tensor in tensors
-             if tensor._tape is not None}
-    for tape in tapes.values():
-        if tape is not current:
-            tape.clear()
 
 
 @contextlib.contextmanager
@@ -151,8 +104,7 @@ class Tensor:
         be computed by :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "_tape", "_tape_pos")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
     __array_priority__ = 100  # numpy defers binary ops to Tensor
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
@@ -163,8 +115,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._tape: list | None = None
-        self._tape_pos = 0
 
     # -- construction helpers ------------------------------------------------
 
@@ -182,10 +132,6 @@ class Tensor:
         if requires:
             out._parents = parents
             out._backward = backward
-            tape = _current_tape()
-            out._tape = tape
-            out._tape_pos = len(tape)
-            tape.append(out)
         return out
 
     # -- basic protocol ------------------------------------------------------
@@ -241,16 +187,13 @@ class Tensor:
         """Reset the accumulated gradient."""
         self.grad = None
 
-    def _accumulate(self, grad: np.ndarray, own: bool = False) -> None:
+    def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
-            # ``own=True`` certifies the buffer is private (no op closure or
-            # sibling parent aliases it), so adopting it skips the defensive
-            # copy.  Re-check base: _unbroadcast can hand back a view.
-            if own and grad.base is None:
-                self.grad = grad
-            else:
-                self.grad = grad.copy()
+            # A copy, because an op closure or a sibling parent (``a + a``)
+            # may hold the same buffer; in its own layout, which the next
+            # op on the gradient sums in.
+            self.grad = grad.copy(order="K")
         else:
             self.grad = self.grad + grad
 
@@ -271,44 +214,10 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(_as_array(grad), dtype=self.data.dtype)
 
-        tape = self._tape
-        if tape is not None and self._backward is not None:
-            self._backward_tape(grad, tape)
-        else:
-            Tensor._run_dfs([(self, grad)])
-
-    def _backward_tape(self, grad: np.ndarray, tape: list) -> None:
-        """Replay the creation-order tape in reverse — no DFS topo sort.
-
-        Nodes are appended to the tape at creation, and every parent is
-        created before its child, so reverse tape order is a valid reverse
-        topological order.  Gradients land in ``grads`` keyed by id; each
-        tape node pops its entry (or skips if unreachable from ``self``).
-        Delivery order at a join matches the DFS path bitwise for the
-        graphs built here: float addition of two contributions is
-        commutative under IEEE-754, and no op in the serving path has a
-        node with more than two consumers.
-        """
-        grads: dict[int, np.ndarray] = {id(self): grad}
-        registry: dict[int, Tensor] = {}
-        for node in reversed(tape[: self._tape_pos + 1]):
-            node_grad = grads.pop(id(node), None)
-            if node_grad is None:
-                continue
-            node._deliver(node_grad, grads, registry)
-        if grads:
-            # The graph reaches op nodes recorded before this tape started
-            # (a previous backward cycled it): finish those with the DFS.
-            Tensor._run_dfs([(registry[key], value)
-                             for key, value in grads.items()])
-        _cycle_tape(tape)
-
-    @staticmethod
-    def _run_dfs(seeds: list[tuple["Tensor", np.ndarray]]) -> None:
-        """Reference backward: DFS topo sort from ``seeds``, then deliver."""
+        # DFS topological sort from this tensor, then deliver in reverse.
         order: list[Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(node, False) for node, _ in seeds]
+        stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -322,45 +231,33 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
 
-        grads: dict[int, np.ndarray] = {id(node): g for node, g in seeds}
+        grads: dict[int, np.ndarray] = {id(self): grad}
         for node in reversed(order):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
             if node._backward is None:
                 node._accumulate(node_grad)
-                continue
-            # Leaf-style accumulation for tensors the user holds onto is done
-            # inside each op's backward via _accumulate on parents; here we
-            # deliver the gradient to the op closure.
-            node._deliver(node_grad, grads)
+            else:
+                node._deliver(node_grad, grads)
 
-    def _deliver(self, grad: np.ndarray,
-                 grads: dict[int, np.ndarray],
-                 registry: dict[int, "Tensor"] | None = None) -> None:
+    def _deliver(self, grad: np.ndarray, grads: dict[int, np.ndarray]) -> None:
         """Run the backward closure, routing parent grads into ``grads``."""
         contributions = self._backward(grad)
         for parent, contribution in zip(self._parents, contributions):
             if contribution is None or not parent.requires_grad:
                 continue
-            raw = contribution
             contribution = _unbroadcast(
                 np.asarray(contribution, dtype=parent.data.dtype), parent.data.shape
             )
             if parent._backward is None:
-                # A contribution transformed by asarray/_unbroadcast is a
-                # fresh local array; otherwise ask the aliasing oracle
-                # whether the closure's buffer is private.
-                own = contribution is not raw or _can_own(raw, grad)
-                parent._accumulate(contribution, own=own)
+                parent._accumulate(contribution)
             else:
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + contribution
                 else:
                     grads[key] = contribution
-                    if registry is not None:
-                        registry[key] = parent
 
     # -- arithmetic ------------------------------------------------------------
 

@@ -10,11 +10,11 @@ out when a model misbehaves in the field, and the define-by-run pass it
 leaves is what equivalence checks compare plans against
 (``with optimizations_disabled(): ...``).
 
-Every other fast path in the hot-path pass — the autograd tape, the
-fused Linear, cross-entropy and softmax nodes, gradient-buffer
-ownership, cached nearest-neighbour norms — is always on, and so are the
-SGD and Adam step kernels, which have no other path; tests compare each
-with its general op or reference implementation in-process.
+Every other fast path in the hot-path pass — the fused Linear,
+cross-entropy and softmax nodes, cached nearest-neighbour norms — is
+always on, and so are the SGD and Adam step kernels, which have no other
+path; tests compare each with its general op or reference implementation
+in-process.
 
 The flag is a plain attribute on a module-level singleton
 (:data:`config`) — one attribute load per check on the hot path, no

@@ -44,15 +44,14 @@ def reference_ops():
 
     ``Sequential`` runs its layers one by one, ``Linear`` through
     ``F.linear``; cross-entropy is ``nll_loss(log_softmax(...))`` and
-    softmax ``log_softmax(...).exp()``; ``backward`` runs the DFS instead
-    of the tape; ``EmbeddingHistory.nearest`` calls ``nearest_distance``;
-    and the CNN and optimizer kernels become the implementations they
-    replaced (``reference_kernels``): the fresh-array im2col conv, the
-    im2col/``argmax`` max-pool, the ``np.where`` ReLU with its mask in the
-    input's layout, and SGD's and Adam's per-parameter expressions on
-    fresh arrays.  What stays
-    is the fast path's only reference: a model run end to end under this
-    context must match the default run bit for bit.
+    softmax ``log_softmax(...).exp()``; ``EmbeddingHistory.nearest`` calls
+    ``nearest_distance``; and the CNN and optimizer kernels become the
+    implementations they replaced (``reference_kernels``): the fresh-array
+    im2col conv, the im2col/``argmax`` max-pool, the ``np.where`` ReLU with
+    its mask in the input's layout, and SGD's and Adam's per-parameter
+    expressions on fresh arrays.  What stays is the fast path's only
+    reference: a model run end to end under this context must match the
+    default run bit for bit.
     """
     from reference_kernels import (
         ref_adam_step,
@@ -74,11 +73,6 @@ def reference_ops():
             x = layer(x)
         return x
 
-    def dfs_backward(self, grad=None):
-        if grad is None:
-            grad = np.ones_like(self.data)
-        Tensor._run_dfs([(self, np.asarray(grad, dtype=self.data.dtype))])
-
     def nearest(self, embedding):
         usable = len(self) - self.exclude_recent
         if usable <= 0:
@@ -93,7 +87,6 @@ def reference_ops():
             F.log_softmax(logits, axis=-1), labels))
         patch.setattr(F, "softmax",
                       lambda x, axis=-1: F.log_softmax(x, axis=axis).exp())
-        patch.setattr(Tensor, "backward", dfs_backward)
         patch.setattr(kernels, "sgd_step", ref_sgd_step)
         patch.setattr(kernels, "adam_step", ref_adam_step)
         patch.setattr(EmbeddingHistory, "nearest", nearest)

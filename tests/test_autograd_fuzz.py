@@ -6,10 +6,7 @@ hypothesis builds random expression trees over a leaf tensor and we check
 the gradient of the scalarized output.
 """
 
-import contextlib
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,19 +14,6 @@ from repro.nn import Tensor
 
 from conftest import numeric_gradient
 
-
-@contextlib.contextmanager
-def _gradients_copied(copying: bool):
-    """With ``copying``, ``_accumulate`` copies every gradient it receives
-    instead of adopting the private ones."""
-    if not copying:
-        yield
-        return
-    accumulate = Tensor._accumulate
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Tensor, "_accumulate",
-                      lambda self, grad, own=False: accumulate(self, grad))
-        yield
 
 # Each op maps a Tensor to a Tensor and is smooth on the safe domain below.
 UNARY_OPS = {
@@ -123,14 +107,14 @@ class TestRandomExpressionGradients:
 
 
 class TestAliasedGradientOwnership:
-    """The grad-ownership fast path must never adopt an aliased buffer.
+    """A leaf's gradient must never alias a buffer something else holds.
 
     ``a + a`` (and friends) deliver the *same* gradient array to both
     parent slots; expressions that fan one tensor into many consumers
     accumulate several contributions into one grad.  If ``_accumulate``
-    ever adopted a buffer it does not privately own, one contribution
-    would overwrite another.  These cases pin the hazard, against a
-    backward that copies every gradient it accumulates.
+    ever kept a buffer it does not privately own instead of copying it,
+    one contribution would overwrite another.  These cases pin the
+    hazard against central differences.
     """
 
     def _aliased_value(self, leaf: Tensor) -> Tensor:
@@ -149,36 +133,22 @@ class TestAliasedGradientOwnership:
         )
         np.testing.assert_allclose(leaf.grad, numeric, rtol=1e-4, atol=1e-7)
 
-    def test_ownership_flag_is_bitwise_neutral(self):
-        rng = np.random.default_rng(6)
-        data = rng.uniform(-0.7, 0.7, size=(8,))
-        grads = []
-        for copying in (False, True):
-            with _gradients_copied(copying):
-                leaf = Tensor(data.copy(), requires_grad=True)
-                self._aliased_value(leaf).backward()
-                grads.append(leaf.grad.tobytes())
-        assert grads[0] == grads[1]
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_fuzzed_self_references(self, seed):
-        """Random self-referencing chains: adopting == copying gradients."""
+        """Random self-referencing chains match central differences."""
         rng = np.random.default_rng(seed)
         data = rng.uniform(-0.9, 0.9, size=(3,))
+        steps = int(rng.integers(1, 5))
 
         def build(leaf):
             value = leaf
-            for step in range(int(rng.integers(1, 5))):
+            for step in range(steps):
                 value = value + value if step % 2 == 0 else value * leaf
             return (value + leaf).sum()
 
-        state = rng.bit_generator.state
-        grads = []
-        for copying in (False, True):
-            rng.bit_generator.state = state
-            with _gradients_copied(copying):
-                leaf = Tensor(data.copy(), requires_grad=True)
-                build(leaf).backward()
-                grads.append(leaf.grad.tobytes())
-        assert grads[0] == grads[1]
+        leaf = Tensor(data.copy(), requires_grad=True)
+        build(leaf).backward()
+        numeric = numeric_gradient(lambda: build(Tensor(data)).item(), data,
+                                   eps=1e-6)
+        np.testing.assert_allclose(leaf.grad, numeric, rtol=1e-4, atol=1e-7)

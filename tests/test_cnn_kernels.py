@@ -22,6 +22,7 @@ from repro.models import StreamingCNN
 from repro.nn import functional as F
 from repro.nn import kernels as K
 from repro.nn.tensor import Tensor
+from repro.perf import config
 
 
 def _bits(array):
@@ -275,6 +276,9 @@ class TestConvSkipsDiscardedInputGradient:
 
 
 def _patch_reference_kernels(monkeypatch):
+    # Plans off: a replay of the plans the fast run cached would call no
+    # reference kernel.
+    monkeypatch.setattr(config, "plan_capture", False)
     monkeypatch.setattr(F, "max_pool2d", ref_max_pool2d)
     monkeypatch.setattr(Tensor, "relu", ref_relu)
 

@@ -165,8 +165,8 @@ class TestDistributedLearner:
             DistributedLearner(factory, partitioner="bogus")
 
     def test_thread_backend_matches_serial_bitwise(self):
-        """Replicas on the thread backend (a tape per thread) must produce
-        exactly the serial backend's parameters."""
+        """Replicas on the thread backend (a plan cache and grad mode per
+        thread) must produce exactly the serial backend's parameters."""
 
         def run(backend):
             distributed = DistributedLearner(factory, num_workers=2,

@@ -3,9 +3,9 @@
 The contract of every fast path in the hot-path pass is *bitwise*
 equivalence with the general op it stands for.  No flag switches those
 general ops back on, so these tests call them directly, in the same
-process — first per op (tape vs DFS, fused linear, fused loss, inference
-softmax, in-place optimizers), then end to end through
-``Learner.process`` under :func:`conftest.reference_ops`.
+process — first per op (fused linear, fused loss, inference softmax,
+in-place optimizers), then end to end through ``Learner.process`` under
+:func:`conftest.reference_ops`.
 """
 
 import numpy as np
@@ -21,9 +21,7 @@ from repro.data.drift import (GaussianMixtureConcept, Segment,
 from repro.eval import model_factory_for
 from repro.nn import functional as F
 from repro.nn import kernels
-from repro.nn.tensor import Tensor
-from repro.perf import (PerfConfig, can_own, config, configure,
-                        optimizations_disabled)
+from repro.perf import PerfConfig, config, configure, optimizations_disabled
 
 
 # -- the plan-capture switch --------------------------------------------------
@@ -87,29 +85,7 @@ class TestPerfConfig:
             assert service.batches_stacked == (2 if stacked else 0)
 
 
-# -- gradient-buffer ownership ----------------------------------------------
-
-
-class TestCanOwn:
-    def test_private_buffer_is_adoptable(self):
-        g = np.zeros(3)
-        assert can_own(np.ones(3), g)
-
-    def test_views_and_self_are_not(self):
-        g = np.zeros((2, 3))
-        assert not can_own(g, g)          # a + a delivers the same array twice
-        assert not can_own(g[0], np.zeros(3))  # view: base still exposed
-
-
 # -- each fast op against its general op ---------------------------------------
-
-
-def _backward(loss):
-    loss.backward()
-
-
-def _dfs_backward(loss):
-    Tensor._run_dfs([(loss, np.ones_like(loss.data))])
 
 
 def _fused_forward(model, x):
@@ -126,12 +102,12 @@ def _unfused_forward(model, x):
     return x
 
 
-def _grads(model, x, y, forward=_fused_forward, backward=_backward):
+def _grads(model, x, y, forward=_fused_forward):
     """Forward + backward one batch; returns (loss_bits, grad arrays)."""
     for p in model.parameters():
         p.grad = None
     loss = F.cross_entropy(forward(model, nn.Tensor(x)), y)
-    backward(loss)
+    loss.backward()
     return (loss.data.tobytes(),
             [p.grad.copy() for p in model.parameters()])
 
@@ -150,15 +126,6 @@ def _mlp(seed=0):
 
 
 class TestBitwiseEquivalence:
-    def test_tape_matches_dfs_backward(self):
-        x, y = _small_problem()
-        model = _mlp()
-        loss_tape, grads_tape = _grads(model, x, y)
-        loss_dfs, grads_dfs = _grads(model, x, y, backward=_dfs_backward)
-        assert loss_tape == loss_dfs
-        for a, b in zip(grads_tape, grads_dfs):
-            assert a.tobytes() == b.tobytes()
-
     def test_fused_linear_matches_unfused(self):
         x, y = _small_problem(seed=5)
         model = _mlp()

@@ -1,12 +1,18 @@
 """Tests for the reverse-mode autograd engine (repro.nn.tensor)."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, no_grad, ones, tensor, zeros
+from repro.models import StreamingCNN, StreamingMLP
+from repro.nn import (Tensor, make_stacked_optimizer, no_grad, ones,
+                      stack_models, tensor, zeros)
+from repro.nn.stacked import _stacked_fit_steps
+from repro.perf import configure
 
 from conftest import numeric_gradient
 
@@ -353,3 +359,51 @@ class TestBackwardSemantics:
         assert (a > 2.0).tolist() == [False, True]
         assert (a <= 1.0).tolist() == [True, False]
         assert (a == 3.0).tolist() == [False, True]
+
+
+def _cyclic_garbage(step) -> int:
+    """What the cyclic collector finds after one ``step``, with collection
+    off while it runs: objects only a reference cycle kept alive."""
+    step()  # warm: first calls may build caches that live on
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        step()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestGraphsDieByReferenceCounting:
+    """A finished define-by-run graph holds no reference cycle, so it is
+    freed when its last reference goes, not at a later collection."""
+
+    @pytest.mark.parametrize("make_model", [
+        lambda: StreamingMLP(num_features=16, num_classes=4, seed=0),
+        lambda: StreamingCNN((16,), 4, seed=0),
+    ], ids=["mlp", "tabular-cnn"])
+    def test_plans_off_partial_fit(self, make_model):
+        model = make_model()
+        rng = np.random.default_rng(1)
+        x, y = rng.normal(size=(64, 16)), rng.integers(0, 4, 64)
+        with configure(plan_capture=False):
+            assert _cyclic_garbage(lambda: model.partial_fit(x, y)) == 0
+
+    def test_stacked_fit_round(self):
+        models = [StreamingMLP(num_features=6, num_classes=3, seed=s)
+                  for s in range(3)]
+        stack = stack_models([m.module for m in models])
+        optimizer = make_stacked_optimizer(stack,
+                                           [m.optimizer for m in models])
+        rng = np.random.default_rng(2)
+        xs, ys = rng.normal(size=(3, 8, 6)), rng.integers(0, 3, (3, 8))
+        assert _cyclic_garbage(
+            lambda: _stacked_fit_steps(stack, optimizer, xs, ys, 1)) == 0
+
+    def test_gradient_on(self):
+        model = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(32, 6)), rng.integers(0, 3, 32)
+        assert _cyclic_garbage(lambda: model.gradient_on(x, y)) == 0
