@@ -18,11 +18,13 @@ slight-shift stream.  A benchmark that got faster by changing results is
 reported as a failure, not a speedup.
 
 ``--stacked`` measures a different axis: N small same-architecture
-models served by the stacked multi-model engine (:mod:`repro.nn.stacked`)
-versus the per-model serial loop, with its own equivalence gate — every
-per-model prediction and every updated parameter must be bitwise
-identical between the two paths — plus a throughput floor (the stacked
-engine must be at least 2x the serial loop at N >= 32).
+streaming models served by the stacked multi-model engine
+(:mod:`repro.nn.stacked`), loaded into their arena once, trained there
+and stored back, versus the per-model serial loop, with its own
+equivalence gate — every per-model prediction and every updated
+parameter must be bitwise identical between the two paths — plus a
+throughput floor (the stacked engine must be at least 2x the serial
+loop at N >= 32).
 
 Usage::
 
@@ -149,15 +151,17 @@ STACKED_SIZES = (8, 32)
 STACKED_SPEEDUP_FLOOR = 2.0  # required at N >= 32
 
 
-def _small_module(kind: str, seed: int):
-    """A tenant-sized model for the stacked axis (LR or one-hidden MLP)."""
-    from repro import nn
+def _tenant(kind: str, seed: int):
+    """A tenant-sized streaming model for the stacked axis: LR, or an MLP
+    with one hidden layer of 16 units; momentum SGD."""
+    from repro.models.logistic import StreamingLR
+    from repro.models.mlp import StreamingMLP
 
-    rng = np.random.default_rng(seed)
     if kind == "lr":
-        return nn.Sequential(nn.Linear(NUM_FEATURES, NUM_CLASSES, rng=rng))
-    return nn.Sequential(nn.Linear(NUM_FEATURES, 16, rng=rng), nn.ReLU(),
-                         nn.Linear(16, NUM_CLASSES, rng=rng))
+        return StreamingLR(NUM_FEATURES, NUM_CLASSES, lr=0.1, momentum=0.9,
+                           seed=seed)
+    return StreamingMLP(NUM_FEATURES, NUM_CLASSES, hidden=(16,), lr=0.1,
+                        momentum=0.9, seed=seed)
 
 
 def _softmax(data: np.ndarray) -> np.ndarray:
@@ -177,23 +181,21 @@ def measure_stacked(kind: str, num_models: int, steps: int, repeats: int,
     """
     from repro import nn
     from repro.nn import functional as F
+    from repro.nn.stacked import stacked_arena
 
     rng = np.random.default_rng(11)
     xs = rng.normal(size=(steps, num_models, batch_size, NUM_FEATURES))
     ys = rng.integers(0, NUM_CLASSES, size=(steps, num_models, batch_size))
 
     def build():
-        modules = [_small_module(kind, seed) for seed in range(num_models)]
-        optimizers = [nn.SGD(module.parameters(), lr=0.1, momentum=0.9)
-                      for module in modules]
-        return modules, optimizers
+        return [_tenant(kind, seed) for seed in range(num_models)]
 
-    def serial_run(modules, optimizers):
+    def serial_run(models):
         predictions = np.empty((steps, num_models, batch_size), dtype=int)
         start = time.perf_counter()
         for step in range(steps):
-            for index, (module, optimizer) in enumerate(
-                    zip(modules, optimizers)):
+            for index, model in enumerate(models):
+                module, optimizer = model.module, model.optimizer
                 x, y = xs[step, index], ys[step, index]
                 module.eval()
                 with nn.no_grad():
@@ -207,35 +209,33 @@ def measure_stacked(kind: str, num_models: int, steps: int, repeats: int,
                 optimizer.step()
         return time.perf_counter() - start, predictions
 
-    def stacked_run(modules, optimizers):
+    def stacked_run(models):
         predictions = np.empty((steps, num_models, batch_size), dtype=int)
         start = time.perf_counter()
-        stack = nn.stack_models(modules)
-        optimizer = nn.make_stacked_optimizer(stack, optimizers)
+        arena = stacked_arena(models)
+        arena.load(models, train=True)
         for step in range(steps):
-            predictions[step] = stack.predict_proba(
+            predictions[step] = arena.stack.predict_proba(
                 xs[step]).argmax(axis=-1)
-            nn.stacked_fit(stack, optimizer, xs[step], ys[step])
-        nn.unstack_models(stack)
-        optimizer.export_to(optimizers)
+            nn.stacked_fit(arena.stack, arena.optimizer, xs[step], ys[step])
+        arena.store(models)
         return time.perf_counter() - start, predictions
 
-    serial_models, serial_opts = build()
-    stacked_models, stacked_opts = build()
+    serial_models = build()
+    stacked_models = build()
     serial_times, stacked_times = [], []
-    elapsed, serial_preds = serial_run(serial_models, serial_opts)
+    elapsed, serial_preds = serial_run(serial_models)
     serial_times.append(elapsed)
-    elapsed, stacked_preds = stacked_run(stacked_models, stacked_opts)
+    elapsed, stacked_preds = stacked_run(stacked_models)
     stacked_times.append(elapsed)
     equivalent = bool(np.array_equal(serial_preds, stacked_preds)) and all(
         np.array_equal(mine.data, theirs.data)
-        for serial_module, stacked_module in zip(serial_models,
-                                                 stacked_models)
-        for mine, theirs in zip(serial_module.parameters(),
-                                stacked_module.parameters()))
+        for serial_model, stacked_model in zip(serial_models, stacked_models)
+        for mine, theirs in zip(serial_model.module.parameters(),
+                                stacked_model.module.parameters()))
     for _ in range(repeats - 1):
-        serial_times.append(serial_run(*build())[0])
-        stacked_times.append(stacked_run(*build())[0])
+        serial_times.append(serial_run(build())[0])
+        stacked_times.append(stacked_run(build())[0])
     rows = steps * num_models * batch_size
     speedup = min(serial_times) / min(stacked_times)
     return {
@@ -355,6 +355,7 @@ def measure_plans_stacked(num_models: int = 8, steps: int = 30,
     """
     from repro import nn
     from repro.nn import plan as nn_plan
+    from repro.nn.stacked import stacked_arena
     from repro.perf import configure
 
     rng = np.random.default_rng(5)
@@ -363,11 +364,10 @@ def measure_plans_stacked(num_models: int = 8, steps: int = 30,
 
     def one_pass(plans_on: bool):
         nn_plan.clear_plans()
-        modules = [_small_module("mlp", seed) for seed in range(num_models)]
-        optimizers = [nn.SGD(module.parameters(), lr=0.1, momentum=0.9)
-                      for module in modules]
-        stack = nn.stack_models(modules)
-        optimizer = nn.make_stacked_optimizer(stack, optimizers)
+        models = [_tenant("mlp", seed) for seed in range(num_models)]
+        arena = stacked_arena(models)
+        arena.load(models, train=True)
+        stack, optimizer = arena.stack, arena.optimizer
         losses = np.empty((steps, num_models))
         with configure(plan_capture=plans_on):
             # Untimed warm-up: first call captures, later calls replay.
@@ -378,11 +378,10 @@ def measure_plans_stacked(num_models: int = 8, steps: int = 30,
                 losses[step] = nn.stacked_fit(stack, optimizer,
                                               xs[step], ys[step])
             elapsed = time.perf_counter() - start
-        nn.unstack_models(stack)
-        optimizer.export_to(optimizers)
+        arena.store(models)
         params = np.concatenate([parameter.data.ravel()
-                                 for module in modules
-                                 for parameter in module.parameters()])
+                                 for model in models
+                                 for parameter in model.module.parameters()])
         return elapsed, losses, params
 
     on_times, off_times = [], []

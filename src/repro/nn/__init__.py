@@ -31,14 +31,9 @@ from .modules import (
 from .optim import RDA, SGD, Adam, FOBOS, Optimizer
 from .stacked import (
     ModelStack,
-    StackedAdam,
     StackedModelError,
-    StackedSGD,
-    make_stacked_optimizer,
-    stack_models,
     stacked_cross_entropy,
     stacked_fit,
-    unstack_models,
 )
 from .tensor import Tensor, is_grad_enabled, no_grad, ones, tensor, zeros
 
@@ -73,11 +68,6 @@ __all__ = [
     "stacked",
     "ModelStack",
     "StackedModelError",
-    "StackedSGD",
-    "StackedAdam",
-    "stack_models",
-    "unstack_models",
     "stacked_cross_entropy",
     "stacked_fit",
-    "make_stacked_optimizer",
 ]

@@ -1093,7 +1093,9 @@ def _refused(cache, key, kept, rows: int, result):
     """Hand back the reference ``result`` of a capture at ``rows`` rows
     the cache refuses.  The ``kept`` plan still replays smaller batches,
     and batches of ``rows`` or more take the reference path without
-    another capture; with no plan to keep, ``key`` is marked unsupported.
+    another capture, also after the plan grows to fewer rows (a grown
+    plan keeps its predecessor's ceiling); with no plan to keep, ``key``
+    is marked unsupported.
     """
     if kept is None:
         return _unsupported(cache, key, result)
@@ -1133,20 +1135,22 @@ def _fit(key, optimizer, rngs, reference, xr, labels, sgd_steps,
     if plan is _UNSUPPORTED or (plan is not None and len(xr) >= plan.ceiling):
         return None
     if plan is None or len(xr) > plan.rows:
+        ceiling = sys.maxsize if plan is None else plan.ceiling
         # No local reference may keep a replaced plan's arena alive
         # through the capture.
         kept, plan = _kept_through_growth(cache, key, plan, len(xr)), None
-        return _capture_fit(cache, key, kept, optimizer, rngs, reference, xr,
-                            labels, sgd_steps, predict)
+        return _capture_fit(cache, key, kept, ceiling, optimizer, rngs,
+                            reference, xr, labels, sgd_steps, predict)
     return _replayed(plan.replay, optimizer, rngs, xr, labels)
 
 
-def _capture_fit(cache, key, kept, optimizer, rngs, reference, xr, labels,
-                 sgd_steps, predict=None):
+def _capture_fit(cache, key, kept, ceiling, optimizer, rngs, reference, xr,
+                 labels, sgd_steps, predict=None):
     """Trace + compile + verify; always advances state exactly once.
 
     ``kept`` is the plan a refused growth leaves in place
-    (:func:`_kept_through_growth`).  With ``predict``, the reference
+    (:func:`_kept_through_growth`); ``ceiling`` is the replaced plan's,
+    which a grown plan keeps.  With ``predict``, the reference
     inference pass, the plan is a predict-and-train plan: ``predict``
     runs on the pre-step state, and the trial replay's probabilities must
     match its bytes too.
@@ -1189,6 +1193,7 @@ def _capture_fit(cache, key, kept, optimizer, rngs, reference, xr, labels,
                 and not _same_bytes(result[1], proba_ref))):
         post.restore()
         return _unsupported(cache, key, ref)
+    plan.ceiling = ceiling
     cache.put(key, plan)
     _notify("capture", perf_counter() - start)
     return result
@@ -1208,14 +1213,16 @@ def _proba(key, params, rngs, reference, xr):
     if plan is _UNSUPPORTED or (plan is not None and len(xr) >= plan.ceiling):
         return None
     if plan is None or len(xr) > plan.rows:
+        ceiling = sys.maxsize if plan is None else plan.ceiling
         kept, plan = _kept_through_growth(cache, key, plan, len(xr)), None
-        return _capture_proba(cache, key, kept, params, rngs, reference, xr)
+        return _capture_proba(cache, key, kept, ceiling, params, rngs,
+                              reference, xr)
     return _replayed(plan.replay, params, rngs, xr)
 
 
-def _capture_proba(cache, key, kept, params, rngs, reference, xr):
-    """Trace + compile + verify an inference pass; ``kept`` as for
-    :func:`_capture_fit`."""
+def _capture_proba(cache, key, kept, ceiling, params, rngs, reference, xr):
+    """Trace + compile + verify an inference pass; ``kept`` and
+    ``ceiling`` as for :func:`_capture_fit`."""
     trace = _record.Trace()
     start = perf_counter()
     with _record.capturing(trace):
@@ -1233,6 +1240,7 @@ def _capture_proba(cache, key, kept, params, rngs, reference, xr):
         pass
     if out_plan is None or not _same_bytes(out_plan, out_ref):
         return _unsupported(cache, key, out_ref)
+    plan.ceiling = ceiling
     cache.put(key, plan)
     _notify("capture", perf_counter() - start)
     return out_plan

@@ -2,19 +2,30 @@
 
 Most tenants of the serving layer run the *same architecture* (LR / MLP)
 with different parameters, so executing them one at a time pays the
-Python/autograd overhead N times for tiny tensors.  :func:`stack_models`
-stacks N models' parameters along a leading model axis — the canonical
-per-model layout is exactly what ``state_spec``/``flatten_state`` in
-:mod:`repro.distributed.backends` flatten, here extended with a model
-axis — and :class:`ModelStack` runs one batched forward/backward for all
-N at once.  It is not a second engine: it runs the define-by-run nodes of
-:mod:`repro.nn.functional` (``fused_linear``, ``dropout``, the
+Python/autograd overhead N times for tiny tensors.  A :class:`ModelStack`
+holds N models' parameters stacked along a leading model axis — the
+canonical per-model layout is exactly what ``state_spec``/
+``flatten_state`` in :mod:`repro.distributed.backends` flatten, here
+extended with a model axis — and runs one batched forward/backward for
+all N at once.  It is not a second engine: it runs the define-by-run
+nodes of :mod:`repro.nn.functional` (``fused_linear``, ``dropout``, the
 activations, the cross-entropy node) on model-axis tensors, and those
-nodes run the shared kernels of :mod:`repro.nn.kernels`.
-:class:`StackedSGD` / :class:`StackedAdam` run the SGD and Adam steps
-over the stacked parameters and import/export per-model optimizer state,
-so a group of mid-training models can be stacked, stepped, and unstacked
-at any point.
+nodes run the shared kernels of :mod:`repro.nn.kernels`.  A plain
+:class:`~repro.nn.SGD` or :class:`~repro.nn.Adam` over the stacked
+parameters steps every model at once.
+
+**Arenas: the one way to stack.**  :func:`stacked_arena` returns the
+calling thread's :class:`StackedArena` for a group's
+:func:`stacking_group` and size — a :class:`ModelStack`, its layer plan,
+and an optimizer with the group's hyperparameters and flat state.  A
+round calls :meth:`StackedArena.load`, which copies the members'
+parameters, Dropout generators and (to train) optimizer state into the
+arena's rows, runs the stacked program on the arena's stack and
+optimizer, and after a training step calls :meth:`StackedArena.store`,
+which copies every row back into its member's arrays, in place.  An
+arena keeps no reference to a member's model, module or parameters.
+Arenas live in the per-thread plan cache of :mod:`repro.nn.plan` and
+share its byte budget; an evicted arena is rebuilt on its next use.
 
 **Equivalence contract.**  Every kernel computes each model slice with
 the float operations of the serial per-model call: batched ``np.matmul``
@@ -22,8 +33,9 @@ over a leading axis computes each slice with the same gemm as the 2-D
 call, elementwise ufuncs and per-row reductions are slice-identical, and
 Dropout draws each model's mask from that model's own generator in the
 serial order.  Predictions, losses, updated parameters, and optimizer
-state after :func:`unstack_models` are therefore **bitwise-identical** to
-running each model alone (asserted in ``tests/test_stacked.py`` and
+state after :meth:`StackedArena.store` are therefore
+**bitwise-identical** to running each model alone (asserted in
+``tests/test_stacked.py`` and ``tests/test_stacked_arenas.py``, and
 gated in ``benchmarks/bench_hotpath.py --stacked``).
 
 With ``plan_capture`` on, :func:`stacked_fit`, :func:`stacked_predict_proba`
@@ -35,18 +47,6 @@ Only architectures built from ``Linear``, the fusable activations,
 ``Dropout``, ``Flatten``, and ``Sequential`` can stack; anything else
 (e.g. ``Conv2d``, which captured plans do replay) raises
 :class:`StackedModelError` and callers fall back to the serial loop.
-
-**Persistent arenas.**  A caller that stacks the same kind of group over
-and over (the serving dispatcher, every round) keeps the stack instead
-of rebuilding it: :func:`stacked_arena` returns the calling thread's
-:class:`StackedArena` for a group's :func:`stacking_group` and size —
-stacked parameter buffers, layer plan, and stacked optimizer with its
-flat state — and each round copies the members' parameters and
-optimizer state into the arena's rows and back, in place.  Arenas live
-in the per-thread plan cache of :mod:`repro.nn.plan` and share its byte
-budget; an evicted arena is rebuilt on its next use.  Arenas and
-:meth:`StackedSGD.from_optimizers`/:meth:`~StackedSGD.export_to` move
-optimizer state through the same two helpers.
 """
 
 from __future__ import annotations
@@ -74,16 +74,11 @@ from .tensor import Tensor
 __all__ = [
     "StackedModelError",
     "ModelStack",
-    "stack_models",
-    "unstack_models",
     "architecture_key",
     "stacked_cross_entropy",
     "stacked_fit",
     "stacked_predict_proba",
     "stacked_predict_fit",
-    "StackedSGD",
-    "StackedAdam",
-    "make_stacked_optimizer",
     "stacking_group",
     "StackedArena",
     "stacked_arena",
@@ -177,86 +172,69 @@ def stacked_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 class ModelStack(Module):
-    """N same-architecture modules executing as one batched program.
+    """``num_models`` models of one architecture as one batched program.
 
-    Build with :func:`stack_models`; write parameters back with
-    :func:`unstack_models`.  The stack owns *copies* of the source
-    parameters stacked along a leading model axis — source modules are
-    untouched until unstacking.
+    Built from one ``module`` of the architecture, whose values it does
+    not copy: the stacked parameters, one per ``module`` parameter with
+    the model axis in front, start at zeros.  Its owner, a
+    :class:`StackedArena`, fills their rows and the Dropout ops'
+    generator slots each round.  The stack keeps no reference to
+    ``module`` or to any model.
     """
 
-    def __init__(self, modules: list[Module]):
+    def __init__(self, module: Module, num_models: int):
         super().__init__()
-        if not modules:
-            raise StackedModelError("stack_models needs at least one model")
-        key = architecture_key(modules[0])
+        key = architecture_key(module)
         unstackable = _unstackable_layer(key)
         if unstackable is not None:
             raise StackedModelError(
                 f"cannot stack {unstackable} layers (supported: Linear, "
                 f"ReLU/Tanh/Sigmoid, Dropout, Flatten, Sequential)")
-        for module in modules[1:]:
-            other = architecture_key(module)
-            if other[0] != key[0]:
-                raise StackedModelError(
-                    f"architecture mismatch: {other[0]} != {key[0]}")
-            if other[1] != key[1]:
-                mine = [s for _n, _s, s in key[1]]
-                theirs = [s for _n, _s, s in other[1]]
-                if mine != theirs:
-                    raise StackedModelError(
-                        f"mixed parameter dtypes across models: "
-                        f"{theirs} != {mine} — stacking needs a uniform "
-                        f"dtype")
-                raise StackedModelError(
-                    f"parameter spec mismatch: {other[1]} != {key[1]}")
-        self.num_models = len(modules)
-        self.sources = list(modules)
+        self.num_models = num_models
         object.__setattr__(self, "key", key)
-        self._source_params = [list(m.parameters()) for m in modules]
+        params = module.parameters()
         stacked: list[Parameter] = []
-        for index in range(len(self._source_params[0])):
-            parameter = Parameter(np.stack(
-                [params[index].data for params in self._source_params]))
-            setattr(self, f"stacked{index}", parameter)
-            stacked.append(parameter)
+        for index, parameter in enumerate(params):
+            data = parameter.data
+            stacked_param = Parameter(
+                np.zeros((num_models, *data.shape), dtype=data.dtype))
+            setattr(self, f"stacked{index}", stacked_param)
+            stacked.append(stacked_param)
         self.stacked_params = stacked
-        self._plan = self._build_plan(modules)
+        self._plan = self._build_plan(module, params)
         #: Per Dropout op, the generators its model rows draw from.
         self.rngs = [op[2] for op in self._plan if op[0] == "dropout"]
 
-    def _build_plan(self, modules: list[Module]) -> list[tuple]:
-        """Fold the lockstep layer sequences into stacked ops.
+    def _build_plan(self, module: Module, params: list) -> list[tuple]:
+        """Fold the layer sequence into stacked ops.
 
         A ``Linear`` directly followed by a fusable activation folds into
         one node, as ``Sequential.forward`` folds it.  A Dropout op holds
-        one generator per model row (an arena rebinds them each round).
+        one generator slot per model row, empty until an arena binds them.
         """
-        index_of = {id(parameter): position for position, parameter
-                    in enumerate(self._source_params[0])}
-        layer_seqs = [_flatten_layers(module) for module in modules]
+        index_of = {id(parameter): position
+                    for position, parameter in enumerate(params)}
+        layers = _flatten_layers(module)
         plan: list[tuple] = []
         position = 0
-        first = layer_seqs[0]
-        while position < len(first):
-            layer = first[position]
+        while position < len(layers):
+            layer = layers[position]
             kind = type(layer)
             if kind is Linear:
                 weight = self.stacked_params[index_of[id(layer.weight)]]
                 bias = (self.stacked_params[index_of[id(layer.bias)]]
                         if layer.bias is not None else None)
                 activation = None
-                if position + 1 < len(first):
+                if position + 1 < len(layers):
                     activation = _ACTIVATION_NAMES.get(
-                        type(first[position + 1]))
+                        type(layers[position + 1]))
                 plan.append(("linear", weight, bias, activation))
                 position += 2 if activation is not None else 1
             elif kind in _ACTIVATION_NAMES:
                 plan.append(("act", _ACTIVATION_NAMES[kind]))
                 position += 1
             elif kind is Dropout:
-                plan.append(("dropout", layer.p,
-                             [seq[position].rng for seq in layer_seqs]))
+                plan.append(("dropout", layer.p, [None] * self.num_models))
                 position += 1
             elif kind is Flatten:
                 plan.append(("flatten",))
@@ -307,25 +285,6 @@ class ModelStack(Module):
         return probabilities.data
 
 
-def stack_models(modules: list[Module]) -> ModelStack:
-    """Stack N same-architecture modules into one :class:`ModelStack`."""
-    return ModelStack(list(modules))
-
-
-def unstack_models(stack: ModelStack) -> list[Module]:
-    """Write the stack's parameters back into the source modules.
-
-    Each source parameter receives a fresh copy of its model's slice, so
-    the round trip ``stack → (train) → unstack`` leaves every model
-    holding exactly the values the stacked program computed for it.
-    Returns the source modules.
-    """
-    for index, params in enumerate(stack._source_params):
-        for stacked, source in zip(stack.stacked_params, params):
-            source.data = stacked.data[index].copy()
-    return stack.sources
-
-
 def stacked_fit(stack: ModelStack, optimizer, xs: np.ndarray,
                 ys: np.ndarray, sgd_steps: int = 1) -> np.ndarray:
     """``sgd_steps`` batched training steps; returns the last per-model losses.
@@ -337,8 +296,7 @@ def stacked_fit(stack: ModelStack, optimizer, xs: np.ndarray,
     """
     xs = _model_axis(stack, xs)
     ys = np.asarray(ys, dtype=np.int64).reshape(stack.num_models, -1)
-    if _perf_config.plan_capture and type(optimizer) in (StackedSGD,
-                                                         StackedAdam):
+    if _perf_config.plan_capture and type(optimizer) in (SGD, Adam):
         result = _plan.stacked_fit_with_plan(stack, optimizer, xs, ys,
                                              sgd_steps, _stacked_fit_steps)
         if result is not None:
@@ -379,7 +337,7 @@ def stacked_predict_fit(stack: ModelStack, optimizer, xs: np.ndarray,
     xs = _model_axis(stack, xs)
     ys = np.asarray(ys, dtype=np.int64).reshape(stack.num_models, -1)
     if (_perf_config.plan_capture and not stack.rngs
-            and type(optimizer) in (StackedSGD, StackedAdam)):
+            and type(optimizer) in (SGD, Adam)):
         result = _plan.stacked_fit_with_plan(stack, optimizer, xs, ys,
                                              sgd_steps, _stacked_fit_steps,
                                              predict=True)
@@ -411,138 +369,13 @@ def _stacked_fit_steps(stack: ModelStack, optimizer, xs: np.ndarray,
     return losses
 
 
-# -- stacked optimizers ------------------------------------------------------
-
-
-def _check_uniform(optimizers, expected_type, fields, num_models):
-    if len(optimizers) != num_models:
-        raise StackedModelError(
-            f"got {len(optimizers)} optimizers for {num_models} models")
-    for optimizer in optimizers:
-        if type(optimizer) is not expected_type:
-            raise StackedModelError(
-                f"expected {expected_type.__name__} optimizers; got "
-                f"{type(optimizer).__name__}")
-    first = optimizers[0]
-    for name in fields:
-        values = {getattr(optimizer, name) for optimizer in optimizers}
-        if len(values) > 1:
-            raise StackedModelError(
-                f"optimizer hyperparameter {name!r} differs across models: "
-                f"{sorted(values)}")
-    return first
-
-
-def _shared_step_count(optimizers) -> int:
-    """The Adam step count every optimizer sits at; raises when they differ."""
-    counts = {optimizer._step_count for optimizer in optimizers}
-    if len(counts) > 1:
-        raise StackedModelError(
-            f"Adam step counts differ across models: {sorted(counts)} "
-            f"— bias correction cannot be shared")
-    return counts.pop()
-
-
-def _export_to(stacked, optimizers) -> None:
-    """Slice accumulated state back into the per-model optimizers' flat
-    buffers.
-
-    :func:`unstack_models` hands each member fresh parameter arrays; the
-    member's next step copies them into its buffer.
-    """
-    _store_state(stacked, optimizers)
-
-
-class StackedSGD(SGD):
-    """SGD over a :class:`ModelStack`'s stacked parameters.
-
-    The step is :func:`repro.nn.kernels.sgd_step` over the stacked
-    parameters' flat buffer.  It is elementwise, so each model slice is
-    bitwise-identical to that model's own ``SGD.step()``.
-    """
-
-    def __init__(self, stack: ModelStack, lr: float, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(stack.stacked_params, lr=lr, momentum=momentum,
-                         weight_decay=weight_decay)
-        self.stack = stack
-
-    @classmethod
-    def like(cls, stack: ModelStack, optimizer: SGD) -> "StackedSGD":
-        """``optimizer``'s hyperparameters over ``stack``, with no state."""
-        return cls(stack, lr=optimizer.lr, momentum=optimizer.momentum,
-                   weight_decay=optimizer.weight_decay)
-
-    @classmethod
-    def from_optimizers(cls, stack: ModelStack,
-                        optimizers: list[SGD]) -> "StackedSGD":
-        """Build from N per-model optimizers, importing their state."""
-        first = _check_uniform(optimizers, SGD,
-                               ("lr", "momentum", "weight_decay"),
-                               stack.num_models)
-        stacked = cls.like(stack, first)
-        _load_state(stacked, optimizers)
-        return stacked
-
-    export_to = _export_to
-
-
-class StackedAdam(Adam):
-    """Adam over a :class:`ModelStack`'s stacked parameters.
-
-    Importing requires every per-model optimizer to sit at the same
-    ``_step_count`` (the bias-correction terms are shared across the
-    stack); exporting writes the advanced count back to each.
-    """
-
-    def __init__(self, stack: ModelStack, lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        super().__init__(stack.stacked_params, lr=lr, betas=betas, eps=eps,
-                         weight_decay=weight_decay)
-        self.stack = stack
-
-    @classmethod
-    def like(cls, stack: ModelStack, optimizer: Adam) -> "StackedAdam":
-        """``optimizer``'s hyperparameters over ``stack``, with no state."""
-        return cls(stack, lr=optimizer.lr,
-                   betas=(optimizer.beta1, optimizer.beta2),
-                   eps=optimizer.eps, weight_decay=optimizer.weight_decay)
-
-    @classmethod
-    def from_optimizers(cls, stack: ModelStack,
-                        optimizers: list[Adam]) -> "StackedAdam":
-        """Build from N per-model optimizers, importing their state."""
-        first = _check_uniform(optimizers, Adam,
-                               ("lr", "beta1", "beta2", "eps",
-                                "weight_decay"), stack.num_models)
-        stacked = cls.like(stack, first)
-        _load_state(stacked, optimizers)
-        return stacked
-
-    export_to = _export_to
-
-
-def make_stacked_optimizer(stack: ModelStack, optimizers):
-    """Dispatch on the per-model optimizer type; imports their state."""
-    optimizers = list(optimizers)
-    if not optimizers:
-        raise StackedModelError("no optimizers to stack")
-    kind = type(optimizers[0])
-    if kind is SGD:
-        return StackedSGD.from_optimizers(stack, optimizers)
-    if kind is Adam:
-        return StackedAdam.from_optimizers(stack, optimizers)
-    raise StackedModelError(
-        f"cannot stack {kind.__name__} optimizers (supported: SGD, Adam)")
-
-
 # -- persistent arenas -------------------------------------------------------
 
 
 def _hyperparameters(optimizer) -> tuple | None:
-    """Hashable configuration a stacked optimizer shares; None for types
-    that cannot stack.  Adam's step count is state, not configuration."""
+    """Hashable optimizer configuration a stacking group shares; None for
+    types that cannot stack.  Adam's step count is state, not
+    configuration."""
     kind = type(optimizer)
     if kind is SGD:
         return ("sgd", optimizer.lr, optimizer.momentum,
@@ -574,6 +407,16 @@ def stacking_group(model) -> tuple | None:
     if hyperparameters is None:
         return None
     return (binding.structure, hyperparameters)
+
+
+def _shared_step_count(optimizers) -> int:
+    """The Adam step count every optimizer sits at; raises when they differ."""
+    counts = {optimizer._step_count for optimizer in optimizers}
+    if len(counts) > 1:
+        raise StackedModelError(
+            f"Adam step counts differ across models: {sorted(counts)} "
+            f"— bias correction cannot be shared")
+    return counts.pop()
 
 
 def _load_state(stacked, optimizers) -> None:
@@ -616,7 +459,12 @@ class StackedArena:
     """A stack kept for one group shape: parameters, plan and optimizer.
 
     One arena serves every group of ``num_models`` models that share a
-    :func:`stacking_group`.  A round calls :meth:`load`, runs the stacked
+    :func:`stacking_group`: its :class:`ModelStack` has the group's
+    architecture, and its plain :class:`~repro.nn.SGD` or
+    :class:`~repro.nn.Adam` over the stacked parameters the group's
+    hyperparameters.  Members move in and out only through :meth:`load`
+    and :meth:`store`; the arena keeps no reference to a member's model,
+    module or parameters.  A round calls :meth:`load`, runs the stacked
     program on :attr:`stack` and :attr:`optimizer`, and — after a
     successful training step — calls :meth:`store`.  Members are only
     read until :meth:`store`, so a round that fails leaves them as they
@@ -626,13 +474,16 @@ class StackedArena:
     __slots__ = ("group", "stack", "optimizer", "nbytes")
 
     def __init__(self, models, group: tuple):
-        stack = ModelStack([model.module for model in models])
-        # Each round binds its own members; the arena must not keep the
-        # first group alive.
-        stack.sources, stack._source_params = [], []
+        stack = ModelStack(models[0].module, len(models))
         first = models[0].optimizer
-        kind = StackedAdam if isinstance(first, Adam) else StackedSGD
-        optimizer = kind.like(stack, first)
+        if type(first) is Adam:
+            optimizer = Adam(stack.stacked_params, lr=first.lr,
+                             betas=(first.beta1, first.beta2), eps=first.eps,
+                             weight_decay=first.weight_decay)
+        else:
+            optimizer = SGD(stack.stacked_params, lr=first.lr,
+                            momentum=first.momentum,
+                            weight_decay=first.weight_decay)
         flat = optimizer._flat_state()
         self.group = group
         self.stack = stack

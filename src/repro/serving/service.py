@@ -499,16 +499,16 @@ class StreamingService:
             pinned.append(tenant)
             entries.append((tenant, state, requests, estimator))
         try:
-            plan = plan_stacked_groups(
+            groups, singles = plan_stacked_groups(
                 entries,
                 key_of=lambda entry: stacking_key(
                     entry[3],
                     rows=sum(request.rows for request in entry[2]),
                     labeled=entry[2][0].y is not None),
                 min_group=self.config.stacked_min_group)
-            for group in plan.groups:
+            for group in groups:
                 self._run_stacked_group(group)
-            for tenant, state, requests, estimator in plan.singles:
+            for tenant, state, requests, estimator in singles:
                 self._run_serial_job(tenant, state, requests, estimator)
         finally:
             for tenant in pinned:

@@ -15,15 +15,15 @@ to the serial loop, so the serving-equivalence replay gate in
 ``bench_serving.py`` holds with stacking on.
 
 A group runs in the calling thread's persistent arena for its stacking
-group and size (:func:`~repro.nn.stacked.stacked_arena`): each round
-copies the tenants' parameters and optimizer state into the arena's rows
-and back, in place, instead of rebuilding a stack and a stacked
-optimizer.  Co-scheduling composes with the captured-plan engine: with
-the ``plan_capture`` flag on, a recurring tenant-group signature runs the
-stacked round through replayed plans (:mod:`repro.nn.plan`) — an
-inference plan for an unlabeled round, one predict-and-train plan for a
-labeled one — stacking the amortization wins: one tensor program for N
-tenants, compiled once and replayed allocation-free.
+group and size (:func:`~repro.nn.stacked.stacked_arena`), the one way to
+stack: each round copies the tenants' parameters and optimizer state
+into the arena's rows and back, in place.  Co-scheduling composes with
+the captured-plan engine: with the ``plan_capture`` flag on, a recurring
+tenant-group signature runs the stacked round through replayed plans
+(:mod:`repro.nn.plan`) — an inference plan for an unlabeled round, one
+predict-and-train plan for a labeled one — stacking the amortization
+wins: one tensor program for N tenants, compiled once and replayed
+allocation-free.
 
 :class:`ModelEstimator` adapts a bare
 :class:`~repro.models.base.NeuralStreamingModel` to the
@@ -45,8 +45,8 @@ from ..nn.serialization import load_training_state, training_state
 from ..nn.stacked import (stacked_arena, stacked_predict_fit,
                           stacked_predict_proba, stacking_group)
 
-__all__ = ["ModelEstimator", "StackedGroupPlan", "stacking_key",
-           "plan_stacked_groups", "execute_stacked"]
+__all__ = ["ModelEstimator", "stacking_key", "plan_stacked_groups",
+           "execute_stacked"]
 
 
 class ModelEstimator:
@@ -140,39 +140,26 @@ def stacking_key(estimator, rows: int, labeled: bool):
     return (group, step, model.sgd_steps, rows, labeled)
 
 
-class StackedGroupPlan:
-    """Partition of a dispatch round into stacked groups and serial jobs."""
-
-    __slots__ = ("groups", "singles")
-
-    def __init__(self, groups, singles):
-        self.groups = groups
-        self.singles = singles
-
-
 def plan_stacked_groups(jobs, key_of, *, min_group: int = 2
-                        ) -> StackedGroupPlan:
+                        ) -> tuple[list[list], list]:
     """Group jobs by stacking key; undersized groups go serial.
 
     ``jobs`` is any sequence; ``key_of(job)`` returns the job's stacking
-    key (or None for never-stackable jobs).  Grouping preserves dispatch
-    order within each group and within the serial remainder.
+    key (or None for never-stackable jobs).  Returns ``(groups,
+    singles)``: the lists of jobs that run stacked, one per key, and the
+    jobs that run serially.  Grouping preserves dispatch order within
+    each group and within the serial remainder.
     """
+    keyed = [(job, key_of(job)) for job in jobs]
     by_key: dict = {}
-    singles = []
-    for job in jobs:
-        key = key_of(job)
-        if key is None:
-            singles.append(job)
-        else:
+    for job, key in keyed:
+        if key is not None:
             by_key.setdefault(key, []).append(job)
-    groups = []
-    for grouped in by_key.values():
-        if len(grouped) >= min_group:
-            groups.append(grouped)
-        else:
-            singles.extend(grouped)
-    return StackedGroupPlan(groups, singles)
+    groups = [grouped for grouped in by_key.values()
+              if len(grouped) >= min_group]
+    singles = [job for job, key in keyed
+               if key is None or len(by_key[key]) < min_group]
+    return groups, singles
 
 
 def execute_stacked(estimators, xs, ys) -> np.ndarray:

@@ -38,6 +38,7 @@ from repro.models import StreamingMLP
 from repro.nn import functional as F
 from repro.nn import kernels
 from repro.nn import plan as nn_plan
+from repro.nn.stacked import stacked_arena
 from repro.nn.tensor import Tensor
 from repro.perf import configure
 
@@ -621,9 +622,10 @@ class TestOneRelu:
             no_plans = nan_row_model().predict_proba(x)
         with reference_ops():
             reference = nan_row_model().predict_proba(x)
-        stack = nn.stack_models([nan_row_model().module,
-                                 StreamingMLP(8, 3, seed=1).module])
-        stacked = stack.predict_proba(np.stack([x, x]))[0]
+        models = [nan_row_model(), StreamingMLP(8, 3, seed=1)]
+        arena = stacked_arena(models)
+        arena.load(models, train=False)
+        stacked = arena.stack.predict_proba(np.stack([x, x]))[0]
         assert np.isfinite(default).all()
         for other in (no_plans, reference, stacked):
             assert other.tobytes() == default.tobytes()

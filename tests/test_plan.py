@@ -32,6 +32,7 @@ from repro.models.logistic import StreamingLR
 from repro.models.mlp import StreamingMLP
 from repro.nn import plan as nn_plan
 from repro.nn.serialization import training_state
+from repro.nn.stacked import stacked_arena
 from repro.perf import configure
 
 
@@ -682,6 +683,48 @@ class TestPlanCacheAccounting:
                                        "unsupported": 1, "invalidate": 0}
         assert [entry.rows for entry, _ in cache.entries.values()] == [64, 64]
 
+    def test_a_growth_keeps_the_refused_ceiling(self, monkeypatch):
+        """A plan grown to fewer rows than a refused growth keeps the
+        refused size as its ceiling: batches of that size or larger take
+        the reference path without capturing and being refused again."""
+        sizing = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        with configure(plan_capture=True):
+            sizing.partial_fit(*make_batches(1, 128, 6, 3)[0])
+        fit_bytes = nn_plan._cache().nbytes
+        nn_plan.clear_plans()
+        model = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        reference = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        first = make_batches(1, 64, 6, 3)[0]
+        with configure(plan_capture=True):
+            model.predict_proba(first[0])
+            proba_bytes = nn_plan._cache().nbytes
+            model.partial_fit(*first)
+        # A 128-row fit plan fits beside the 64-row proba plan; a
+        # 256-row one does not.
+        monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES",
+                            proba_bytes + fit_bytes)
+        batches = [make_batches(1, rows, 6, 3, seed=seed)[0] for seed, rows
+                   in enumerate([256, 100, 256, 32, 120, 256])]
+        before = nn_plan.plan_cache_stats()
+        with configure(plan_capture=True):
+            losses = [model.partial_fit(*batch) for batch in batches]
+        with configure(plan_capture=False):
+            reference.predict_proba(first[0])
+            reference.partial_fit(*first)
+            losses_ref = [reference.partial_fit(*batch) for batch in batches]
+        assert [np.float64(l).tobytes() for l in losses] == \
+            [np.float64(l).tobytes() for l in losses_ref]
+        assert state_bytes(model) == state_bytes(reference)
+        # Captures at 100 and 120 rows, a replay at 32; only the first
+        # 256-row batch tries a capture the cache refuses.
+        events = plan_events(before)
+        assert (events["capture"], events["replay"],
+                events["unsupported"]) == (2, 1, 1)
+        fit_plans = [entry for key, (entry, _)
+                     in nn_plan._cache().entries.items() if key[0] == "fit"]
+        assert [(plan.rows, plan.ceiling) for plan in fit_plans] == \
+            [(120, 256)]
+
     def test_a_plan_that_fits_beside_its_twin_evicts_other_plans(
             self, monkeypatch):
         """Whether a plan is kept depends on its bytes and its twin's, not
@@ -817,14 +860,16 @@ class TestSharedPlans:
                        plans_on=True)
         models = [StreamingMLP(num_features=6, num_classes=3, seed=s)
                   for s in range(3)]
-        stack = nn.stack_models([m.module for m in models])
-        optimizer = nn.make_stacked_optimizer(
-            stack, [m.optimizer for m in models])
+        arena = stacked_arena(models)
+        arena.load(models, train=True)
         rng = np.random.default_rng(2)
         with configure(plan_capture=True):
-            nn.stacked_fit(stack, optimizer, rng.normal(size=(3, 8, 6)),
+            nn.stacked_fit(arena.stack, arena.optimizer,
+                           rng.normal(size=(3, 8, 6)),
                            rng.integers(0, 3, (3, 8)))
-        plans = [plan for plan, _ in nn_plan._cache().entries.values()]
+        # The arena holds the stack's Parameters by design; it is no plan.
+        plans = [plan for key, (plan, _) in nn_plan._cache().entries.items()
+                 if key[0] != "arena"]
         assert len(plans) == 7
         # A plan keeps neither its capture run's graph nor any model.
         for plan in plans:
@@ -901,13 +946,14 @@ class TestFallback:
 
 
 class TestStackedPlans:
-    def _fleet(self, num_models, seed=0):
+    def _fleet(self, num_models, seed=0, lr=0.05):
+        """A momentum MLP fleet loaded into its arena."""
         models = [StreamingMLP(num_features=6, num_classes=3, seed=seed + s,
-                               momentum=0.9) for s in range(num_models)]
-        stack = nn.stack_models([m.module for m in models])
-        optimizer = nn.make_stacked_optimizer(
-            stack, [m.optimizer for m in models])
-        return models, stack, optimizer
+                               lr=lr, momentum=0.9)
+                  for s in range(num_models)]
+        arena = stacked_arena(models)
+        arena.load(models, train=True)
+        return models, arena
 
     def test_stacked_fit_replay_is_bitwise(self):
         rng = np.random.default_rng(8)
@@ -915,12 +961,13 @@ class TestStackedPlans:
                  for _ in range(8)]
 
         def run(plans_on):
-            models, stack, optimizer = self._fleet(4)
+            models, arena = self._fleet(4)
             losses = []
             with configure(plan_capture=plans_on):
                 for xs, ys in steps:
-                    losses.append(nn.stacked_fit(stack, optimizer, xs, ys))
-            nn.unstack_models(stack)
+                    losses.append(nn.stacked_fit(arena.stack,
+                                                 arena.optimizer, xs, ys))
+            arena.store(models)
             return losses, [m.state_dict() for m in models]
 
         losses_on, states_on = run(True)
@@ -932,32 +979,42 @@ class TestStackedPlans:
                 assert state_a[key].tobytes() == state_b[key].tobytes()
 
     def test_stacked_plan_survives_rebinding_to_new_fleet(self):
-        # Two different fleets with the same signature share one cached
-        # plan; each replay must bind the calling fleet's parameters.
+        # Two fleets whose learning rates differ stack in two arenas but
+        # share one cached plan; each replay must bind the calling
+        # arena's parameters and optimizer.
         rng = np.random.default_rng(9)
         xs = rng.normal(size=(3, 8, 6))
         ys = rng.integers(0, 3, (3, 8))
         with configure(plan_capture=True):
-            models_a, stack_a, opt_a = self._fleet(3, seed=0)
-            nn.stacked_fit(stack_a, opt_a, xs, ys)
-            losses_a = nn.stacked_fit(stack_a, opt_a, xs, ys)
-            nn.unstack_models(stack_a)
+            models_a, arena_a = self._fleet(3, seed=0)
+            nn.stacked_fit(arena_a.stack, arena_a.optimizer, xs, ys)
+            losses_a = nn.stacked_fit(arena_a.stack, arena_a.optimizer,
+                                      xs, ys)
+            arena_a.store(models_a)
             before = nn_plan.plan_cache_stats()
-            models_b, stack_b, opt_b = self._fleet(3, seed=40)
-            losses_b = nn.stacked_fit(stack_b, opt_b, xs, ys)
-            nn.unstack_models(stack_b)
+            models_b, arena_b = self._fleet(3, seed=40, lr=0.1)
+            losses_b = nn.stacked_fit(arena_b.stack, arena_b.optimizer,
+                                      xs, ys)
+            arena_b.store(models_b)
+        assert arena_b is not arena_a
         assert plan_events(before)["capture"] == 0
         # Different weights -> different losses; same plan served both.
         assert losses_a.tobytes() != losses_b.tobytes()
+        models_ref = [StreamingMLP(num_features=6, num_classes=3,
+                                   seed=40 + s, lr=0.1, momentum=0.9)
+                      for s in range(3)]
         with configure(plan_capture=False):
-            models_ref, stack_ref, opt_ref = self._fleet(3, seed=40)
-            losses_ref = nn.stacked_fit(stack_ref, opt_ref, xs, ys)
-            nn.unstack_models(stack_ref)
-        assert losses_b.tobytes() == losses_ref.tobytes()
+            losses_ref = [model.partial_fit(x, y)
+                          for model, x, y in zip(models_ref, xs, ys)]
+        assert losses_b.tolist() == losses_ref
         for model_b, model_ref in zip(models_b, models_ref):
-            state_b, state_ref = model_b.state_dict(), model_ref.state_dict()
-            for key in state_b:
-                assert state_b[key].tobytes() == state_ref[key].tobytes()
+            for state_b, state_ref in (
+                    (model_b.state_dict(), model_ref.state_dict()),
+                    (model_b.optimizer.state_dict(),
+                     model_ref.optimizer.state_dict())):
+                assert state_b.keys() == state_ref.keys()
+                for key in state_b:
+                    assert state_b[key].tobytes() == state_ref[key].tobytes()
 
 
 # -- telemetry ----------------------------------------------------------------

@@ -39,6 +39,7 @@ from repro.serving import (
     StreamingService,
     TenantStream,
     make_requests,
+    plan_stacked_groups,
     predict_and_update,
     serve_requests,
     stacking_key,
@@ -846,8 +847,7 @@ class TestStackedServing:
                             labels[offset:offset + len(ex)].tobytes()
                         offset += len(ex)
         with pytest.raises(StackedModelError, match="Conv2d"):
-            nn.stack_models([cnn_factory().model.module
-                             for _ in range(2)])
+            ModelStack(cnn_factory().model.module, 2)
 
     def test_learner_tenants_fall_back_to_serial(self):
         registry = SessionRegistry(make_learner, capacity=4)
@@ -859,6 +859,23 @@ class TestStackedServing:
             [("a", x, y), ("b", x, y), ("c", x, y)], window=8)
         assert all(result.accepted for result in results)
         assert service.batches_stacked == 0
+
+    def test_plan_stacked_groups_keeps_dispatch_order(self):
+        jobs = ["a1", "x1", "b1", "a2", "c1", "x2", "a3", "b2"]
+        keys = {"a": "A", "b": "B", "c": "C", "x": None}
+
+        def key_of(job):
+            return keys[job[0]]
+
+        # None keys and groups under min_group run serially, each job in
+        # its dispatch position.
+        groups, singles = plan_stacked_groups(jobs, key_of, min_group=3)
+        assert groups == [["a1", "a2", "a3"]]
+        assert singles == ["x1", "b1", "c1", "x2", "b2"]
+        groups, singles = plan_stacked_groups(jobs, key_of)
+        assert groups == [["a1", "a2", "a3"], ["b1", "b2"]]
+        assert singles == ["x1", "c1", "x2"]
+        assert plan_stacked_groups([], key_of) == ([], [])
 
     def test_unlabeled_requests_stack_without_updates(self):
         x = np.full((16, NUM_FEATURES), 0.5)

@@ -7,10 +7,12 @@ These tests drive ``execute_stacked`` through rounds whose membership and
 size change every time and hold each member — parameters, exported
 optimizer state, Dropout RNG state — byte-equal to a serial replay.
 They also check that warm rounds are served by replayed plans, with no
-Tensor graph built.
+Tensor graph built, and that an arena keeps none of its members alive.
 """
 
 import copy
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -20,8 +22,7 @@ from repro import nn
 from repro.models.base import NeuralStreamingModel
 from repro.models.mlp import StreamingMLP
 from repro.nn import plan as nn_plan
-from repro.nn.stacked import (ModelStack, StackedAdam, StackedModelError,
-                              StackedSGD)
+from repro.nn.stacked import ModelStack, StackedArena, StackedModelError
 from repro.perf import configure, optimizations_disabled
 from repro.serving import ModelEstimator, execute_stacked, predict_and_update
 
@@ -153,7 +154,7 @@ def run_rounds(kind, rounds=30, num_models=8, seed=0, plans=True):
 
 def count_constructions(monkeypatch):
     counts = Counter()
-    for cls in (ModelStack, StackedSGD, StackedAdam):
+    for cls in (ModelStack, StackedArena):
         original = cls.__init__
 
         def init(self, *args, _original=original, _name=cls.__name__,
@@ -178,13 +179,12 @@ class TestArenaRounds:
 
     @pytest.mark.parametrize("kind", sorted(FLEETS))
     def test_one_stack_and_optimizer_per_group_size(self, kind, monkeypatch):
+        # An arena builds its stack and its optimizer once.
         counts = count_constructions(monkeypatch)
         plan = run_rounds(kind)
         sizes = {len(members) for members, _ in plan}
-        assert counts["ModelStack"] == len(sizes)
-        stacked = "StackedAdam" if kind == "adam" else "StackedSGD"
-        assert counts[stacked] == len(sizes)
-        assert sum(counts.values()) == 2 * len(sizes)
+        assert counts == {"ModelStack": len(sizes),
+                          "StackedArena": len(sizes)}
 
     def test_evicted_arenas_rebuild_bitwise(self, monkeypatch):
         counts = count_constructions(monkeypatch)
@@ -229,6 +229,23 @@ class TestArenaRounds:
         serve([3, 0, 1])
         for index in (0, 1, 3):
             assert snapshot(models[index]) == snapshot(mirrors[index])
+
+    @pytest.mark.parametrize("kind", sorted(FLEETS))
+    def test_arena_keeps_no_member_alive(self, kind):
+        models = [FLEETS[kind](seed) for seed in range(3)]
+        rng = np.random.default_rng(6)
+        for labeled in (True, False):
+            xs = [rng.normal(size=(ROWS, NUM_FEATURES)) for _ in models]
+            ys = [rng.integers(0, NUM_CLASSES, ROWS) if labeled else None
+                  for _ in models]
+            execute_stacked([ModelEstimator(model) for model in models],
+                            xs, ys)
+        refs = [weakref.ref(obj) for model in models
+                for obj in (model, model.module,
+                            *model.module.parameters())]
+        del models
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
 
     def test_mismatched_adam_step_counts_raise(self):
         models = [FLEETS["adam"](seed) for seed in range(2)]

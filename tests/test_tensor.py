@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.models import StreamingCNN, StreamingMLP
-from repro.nn import (Tensor, make_stacked_optimizer, no_grad, ones,
-                      stack_models, tensor, zeros)
-from repro.nn.stacked import _stacked_fit_steps
+from repro.nn import Tensor, no_grad, ones, tensor, zeros
+from repro.nn.stacked import _stacked_fit_steps, stacked_arena
 from repro.perf import configure
 
 from conftest import numeric_gradient
@@ -394,13 +393,12 @@ class TestGraphsDieByReferenceCounting:
     def test_stacked_fit_round(self):
         models = [StreamingMLP(num_features=6, num_classes=3, seed=s)
                   for s in range(3)]
-        stack = stack_models([m.module for m in models])
-        optimizer = make_stacked_optimizer(stack,
-                                           [m.optimizer for m in models])
+        arena = stacked_arena(models)
+        arena.load(models, train=True)
         rng = np.random.default_rng(2)
         xs, ys = rng.normal(size=(3, 8, 6)), rng.integers(0, 3, (3, 8))
-        assert _cyclic_garbage(
-            lambda: _stacked_fit_steps(stack, optimizer, xs, ys, 1)) == 0
+        assert _cyclic_garbage(lambda: _stacked_fit_steps(
+            arena.stack, arena.optimizer, xs, ys, 1)) == 0
 
     def test_gradient_on(self):
         model = StreamingMLP(num_features=6, num_classes=3, seed=0)
