@@ -8,7 +8,7 @@ from .accuracy import (
     macro_f1,
     stability_index,
 )
-from .perf import LatencyStats, measure_latency, measure_throughput
+from .perf import measure_throughput
 from .prequential import PrequentialResult, evaluate_learner, evaluate_model
 from .windows import (
     FadingAccuracy,
@@ -27,8 +27,6 @@ __all__ = [
     "PrequentialResult",
     "evaluate_model",
     "evaluate_learner",
-    "LatencyStats",
-    "measure_latency",
     "measure_throughput",
     "SlidingWindowAccuracy",
     "FadingAccuracy",

@@ -1,74 +1,17 @@
-"""Throughput and latency measurement (paper Section VI-E).
+"""Throughput measurement (paper Section VI-E).
 
-Figure 10 reports items/second versus batch size; Table III reports per-
-batch update and inference latency in microseconds.  These helpers time a
-learner's two phases separately, with warm-up iterations excluded, the way
-the paper's performance experiments are framed.
+Figure 10 reports items/second versus batch size; :func:`measure_throughput`
+times a learner's combined inference and training, with warm-up
+iterations excluded, the way the paper's performance experiments are
+framed.  Per-phase latency (Table III) comes from the learner's spans
+(:mod:`repro.obs`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["LatencyStats", "measure_latency", "measure_throughput"]
-
-
-@dataclass
-class LatencyStats:
-    """Per-batch latency summary, in seconds."""
-
-    mean: float
-    p50: float
-    p95: float
-    samples: np.ndarray
-
-    @property
-    def mean_us(self) -> float:
-        """Mean latency in microseconds (Table III's unit)."""
-        return self.mean * 1e6
-
-
-def _summarize(samples: list[float]) -> LatencyStats:
-    array = np.asarray(samples)
-    return LatencyStats(
-        mean=float(array.mean()),
-        p50=float(np.percentile(array, 50)),
-        p95=float(np.percentile(array, 95)),
-        samples=array,
-    )
-
-
-def measure_latency(predict_fn, update_fn, batches, warmup: int = 2
-                    ) -> tuple[LatencyStats, LatencyStats]:
-    """Time inference and update separately over a batch sequence.
-
-    ``predict_fn(batch)`` and ``update_fn(batch)`` are called for every
-    batch; the first ``warmup`` timings of each phase are discarded.
-    Returns ``(infer_stats, update_stats)``.
-
-    ``batches`` is materialized and validated up front, so a too-short
-    (or lazily exhausted) stream fails before any work is timed.
-    """
-    batches = list(batches)
-    if len(batches) <= warmup:
-        raise ValueError(
-            f"need more than {warmup} batches to measure latency; "
-            f"got {len(batches)}"
-        )
-    infer_times: list[float] = []
-    update_times: list[float] = []
-    for batch in batches:
-        start = time.perf_counter()
-        predict_fn(batch)
-        infer_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        update_fn(batch)
-        update_times.append(time.perf_counter() - start)
-    return (_summarize(infer_times[warmup:]),
-            _summarize(update_times[warmup:]))
+__all__ = ["measure_throughput"]
 
 
 def measure_throughput(process_fn, batches, warmup: int = 2) -> float:

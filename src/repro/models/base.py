@@ -22,7 +22,6 @@ from .. import nn
 from ..nn import functional as F
 from ..nn import plan as _plan
 from ..nn.stacked import StackedModelError, architecture_key
-from ..perf.config import config as _perf_config
 
 __all__ = ["StreamingModel", "NeuralStreamingModel"]
 
@@ -149,9 +148,7 @@ class NeuralStreamingModel(StreamingModel):
                 and cached[2].shape == fingerprint.shape
                 and np.array_equal(cached[2], fingerprint)):
             return cached[3]
-        result = None
-        if _perf_config.plan_capture:
-            result = _plan.proba_with_plan(self, x)
+        result = _plan.proba_with_plan(self, x)
         if result is None:
             result = self._forward_proba(x)
         self._proba_cache = (id(x), self._weights_version,
@@ -177,9 +174,7 @@ class NeuralStreamingModel(StreamingModel):
         y = np.asarray(y, dtype=np.int64).reshape(-1)
         if len(y) != len(x):
             raise ValueError(f"{len(x)} rows but {len(y)} labels")
-        loss = None
-        if _perf_config.plan_capture:
-            loss = _plan.fit_with_plan(self, x, y)
+        loss = _plan.fit_with_plan(self, x, y)
         if loss is None:
             loss = self._fit_steps(x, y)
         self.updates += 1
@@ -208,12 +203,12 @@ class NeuralStreamingModel(StreamingModel):
         trace the same op sequence, so :mod:`repro.nn.plan` lets them
         share plans.  The input shape matters on its own: two image CNNs
         over ``(3, 8, 8)`` and ``(3, 4, 16)`` rows share architecture and
-        feature count.  Subclasses with a custom ``_prepare``, an exotic
-        optimizer, or layers ``architecture_key`` rejects opt out;
-        everything else is guarded by capture-time verification anyway.
+        feature count.  Subclasses with a custom ``_prepare`` or layers
+        ``architecture_key`` rejects opt out, and the plan engine leaves
+        out optimizers other than SGD and Adam; everything else is
+        guarded by capture-time verification anyway.
         """
-        if (type(self)._prepare is not NeuralStreamingModel._prepare
-                or type(self.optimizer) not in (nn.SGD, nn.Adam)):
+        if type(self)._prepare is not NeuralStreamingModel._prepare:
             return None
         try:
             architecture = architecture_key(self.module)

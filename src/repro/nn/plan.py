@@ -42,15 +42,23 @@ the calling model's (or stack's) parameters, optimizer, and generators.
 Kernels fetch ``parameter.data``, optimizer state, and RNG state at call
 time, so a plan serves every model with the same structure — class,
 ``architecture_key``, optimizer class — and checkpoint restores or
-copies never leave it stale.  Single-model and stacked fits share one
-capture-and-verify routine, and so do single-model and stacked inference
-passes.  A stacked fit may also carry the inference softmax on its first
-forward's logits — a predict-and-train plan, whose probabilities capture
-verifies against the stack's ``predict_proba`` on the pre-step state.
-Plans live in one cache per thread, bounded by the bytes their arenas
-hold; the stacked arenas of :mod:`repro.nn.stacked` share it and its
-budget.  The whole engine sits behind the ``plan_capture`` flag in
-:mod:`repro.perf.config`.
+copies never leave it stale.
+
+**One plan type.**  Every plan is a :class:`_Plan`: forward kernels over
+one arena, with an optional training tail (loss, backward, optimizer
+step) and an optional inference softmax.  An inference plan has the
+softmax, a fit plan the tail, and a predict-and-train plan — a stacked
+fit whose first forward's logits also give the prediction — both.
+Single-model and stacked calls of every kind take one walk through the
+cache (:func:`_run`) and one capture-and-verify routine
+(:func:`_capture`).  Plans live in one cache per thread, bounded by the
+bytes their arenas hold; the stacked arenas of :mod:`repro.nn.stacked`
+share it and its budget.
+
+**The switch.**  The engine reads the ``plan_capture`` flag of
+:mod:`repro.perf.config` itself, and decides which calls it takes: an
+entry point returns None for a call it declines, and the caller runs
+its define-by-run reference path.
 """
 
 from __future__ import annotations
@@ -63,12 +71,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..perf.config import config as _perf_config
 from . import functional as F
 from . import kernels as K
 from . import record as _record
 from .kernels import replay_kernel
 from .modules import Dropout
-from .optim import Adam, Optimizer
+from .optim import SGD, Adam, Optimizer
 from .serialization import generator_state, load_generator_state
 
 __all__ = [
@@ -738,34 +747,35 @@ def _wire_backward(kernels, edges, x_buf, loss_kernel, logits_id,
             grad_of[source] = kernel.g_in
 
 
-class _FitPlan:
-    """A compiled train step: forward, loss, backward, optimizer update.
+class _Plan:
+    """A compiled pass: forward kernels over one arena, an optional
+    training tail — loss, backward and optimizer step, run ``sgd_steps``
+    times — and an optional inference ``softmax``.
 
-    Its arena holds ``rows`` batch rows, the row count it was captured
-    at; a batch with fewer rows replays on the arena's leading rows
-    (:meth:`_Kernel.view`).  A predict-and-train plan also holds the
-    inference ``softmax`` kernel, run on the logits of the first step's
-    forward: without Dropout the train and eval forwards run the same
-    kernels on the same weights, so that forward is also the prediction
-    from the pre-step weights.
+    An inference plan has the softmax and no tail, a fit plan the tail,
+    and a predict-and-train plan both: its softmax runs on the logits of
+    the first step's forward, which without Dropout is also the
+    prediction from the pre-step weights (the train and eval forwards
+    run the same kernels on the same weights).  The arena holds ``rows``
+    batch rows, the row count the plan was captured at; a batch with
+    fewer rows replays on the arena's leading rows (:meth:`_Kernel.view`).
     """
 
-    __slots__ = ("rows", "x_buf", "kernels", "loss", "step", "sgd_steps",
-                 "softmax", "nbytes", "views", "ceiling")
+    __slots__ = ("rows", "x_buf", "kernels", "softmax", "loss", "step",
+                 "sgd_steps", "nbytes", "views", "ceiling")
 
-    def __init__(self, x_buf, kernels, loss_kernel, step_kernel, sgd_steps,
-                 softmax_kernel=None):
+    def __init__(self, x_buf, kernels, softmax=None, loss=None, step=None,
+                 sgd_steps=0):
         self.rows = len(x_buf)
         self.x_buf = x_buf
         self.kernels = kernels
-        self.loss = loss_kernel
-        self.step = step_kernel
+        self.softmax = softmax
+        self.loss = loss
+        self.step = step
         self.sgd_steps = sgd_steps
-        self.softmax = softmax_kernel
-        parts = [self, loss_kernel, *kernels]
-        if softmax_kernel is not None:
-            parts.append(softmax_kernel)
-        self.nbytes = _arena_bytes(parts)
+        self.nbytes = _arena_bytes(
+            [self, *kernels,
+             *(kernel for kernel in (loss, softmax) if kernel is not None)])
         self.views = {}
         self.ceiling = sys.maxsize  # lowered by a refused growth (_refused)
 
@@ -780,79 +790,42 @@ class _FitPlan:
             views = self.views[n] = (
                 _rows(self.x_buf, n),
                 [kernel.view(n) for kernel in self.kernels],
-                self.loss.view(n),
+                None if self.loss is None else self.loss.view(n),
                 None if self.softmax is None else self.softmax.view(n))
         return views
 
-    def replay(self, optimizer, rngs, xr: np.ndarray, labels: np.ndarray):
-        """Train the model or stack that ``optimizer`` updates on a batch.
+    def replay(self, params, rngs, xr: np.ndarray, optimizer=None,
+               labels=None) -> tuple:
+        """Run the plan on ``xr``, which has at most :attr:`rows` rows,
+        bound to ``params`` and ``rngs``; a training tail steps
+        ``optimizer`` (whose parameters ``params`` are) on ``labels``.
 
-        ``xr`` has at most :attr:`rows` rows.  Returns ``(loss,
-        probabilities)``: the loss buffer (0-d, or one loss per model)
-        and, for a predict-and-train plan, the softmax buffer (else
-        None), both overwritten by the next replay.
+        Returns ``(loss, probabilities)``: the loss buffer (0-d, or one
+        loss per model) of a plan with a training tail and the softmax
+        buffer of one with a softmax, else None; the next replay
+        overwrites both.
         """
-        params = optimizer.parameters
         x_buf, kernels, loss_kernel, softmax = self._arena(len(xr))
         np.copyto(x_buf, xr)
         loss = None
-        for step in range(self.sgd_steps):
+        for step in range(self.sgd_steps or 1):  # inference: one pass
             for kernel in kernels:
                 kernel.forward(params, rngs)
             if step == 0 and softmax is not None:
                 softmax.forward()
-            loss = loss_kernel.forward(labels)
-            loss_kernel.backward()
-            for kernel in reversed(kernels):
-                kernel.backward(params)
-            self.step.step(optimizer)
+            if loss_kernel is not None:
+                loss = loss_kernel.forward(labels)
+                loss_kernel.backward()
+                for kernel in reversed(kernels):
+                    kernel.backward(params)
+                self.step.step(optimizer)
         return loss, None if softmax is None else softmax.out
 
 
-class _ProbaPlan:
-    """A compiled inference pass ending in the softmax chain; its arena
-    holds ``rows`` batch rows, as a :class:`_FitPlan`'s does."""
-
-    __slots__ = ("rows", "x_buf", "kernels", "softmax", "nbytes", "views",
-                 "ceiling")
-
-    def __init__(self, x_buf, kernels, softmax_kernel):
-        self.rows = len(x_buf)
-        self.x_buf = x_buf
-        self.kernels = kernels
-        self.softmax = softmax_kernel
-        self.nbytes = _arena_bytes([self, softmax_kernel, *kernels])
-        self.views = {}
-        self.ceiling = sys.maxsize  # lowered by a refused growth (_refused)
-
-    def _arena(self, n: int) -> tuple:
-        """``(x_buf, kernels, softmax)`` for an ``n``-row batch, as
-        :meth:`_FitPlan._arena` gives."""
-        if n == self.rows:
-            return self.x_buf, self.kernels, self.softmax
-        views = self.views.get(n)
-        if views is None:
-            views = self.views[n] = (
-                _rows(self.x_buf, n),
-                [kernel.view(n) for kernel in self.kernels],
-                self.softmax.view(n))
-        return views
-
-    def replay(self, params, rngs, xr: np.ndarray) -> np.ndarray:
-        """Probabilities for ``xr``, which has at most :attr:`rows` rows."""
-        x_buf, kernels, softmax = self._arena(len(xr))
-        np.copyto(x_buf, xr)
-        for kernel in kernels:
-            kernel.forward(params, rngs)
-        softmax.forward()
-        # Callers cache the result; the arena is rewritten next call.
-        return softmax.out.copy()
-
-
 def _compile_fit(trace, optimizer, rngs, sgd_steps: int, x_shape,
-                 predict: bool = False):
-    """Compile a recorded ``fit`` trace into a :class:`_FitPlan`; with
-    ``predict``, a predict-and-train plan."""
+                 predict: bool = False) -> _Plan:
+    """Compile a recorded ``fit`` trace into a plan with a training tail;
+    with ``predict``, also the softmax (a predict-and-train plan)."""
     segments: list[list] = []
     segment: list = []
     for op in trace.ops:
@@ -895,12 +868,13 @@ def _compile_fit(trace, optimizer, rngs, sgd_steps: int, x_shape,
     if any(grad is None for grad in grads):
         raise PlanUnsupported("optimizer parameter without a gradient")
     softmax = _SoftmaxKernel(logits_buf, logits_t.data) if predict else None
-    return _FitPlan(x_buf, kernels, loss_kernel, _StepKernel(grads),
-                    sgd_steps, softmax)
+    return _Plan(x_buf, kernels, softmax, loss_kernel, _StepKernel(grads),
+                 sgd_steps)
 
 
-def _compile_proba(trace, params, rngs, x_shape):
-    """Compile a recorded inference trace into a :class:`_ProbaPlan`."""
+def _compile_proba(trace, params, rngs, x_shape) -> _Plan:
+    """Compile a recorded inference trace into a plan ending in the
+    softmax."""
     ops = trace.ops
     if not ops or ops[-1][0] != "softmax":
         raise PlanUnsupported("trace does not end in softmax")
@@ -914,7 +888,7 @@ def _compile_proba(trace, params, rngs, x_shape):
     logits_buf = buf_of.get(id(sm_in))
     if logits_buf is None:
         raise PlanUnsupported("softmax input not produced by the plan")
-    return _ProbaPlan(x_buf, kernels, _SoftmaxKernel(logits_buf, sm_out.data))
+    return _Plan(x_buf, kernels, _SoftmaxKernel(logits_buf, sm_out.data))
 
 
 # -- the per-thread plan cache -----------------------------------------------
@@ -924,7 +898,7 @@ _UNSUPPORTED = object()
 
 def _is_plan(entry) -> bool:
     """Whether a cache entry is a plan or unsupported marker, not an arena."""
-    return entry is _UNSUPPORTED or isinstance(entry, (_FitPlan, _ProbaPlan))
+    return entry is _UNSUPPORTED or isinstance(entry, _Plan)
 
 
 class _PlanCache:
@@ -1035,12 +1009,14 @@ def _binding(model) -> _Binding | None:
     """``model``'s :class:`_Binding`, computed once and kept on the model.
 
     ``structure`` is the part of a plan key that lets models share
-    plans.  None marks a model the engine must not capture.
+    plans.  None marks a model the engine must not capture: its
+    ``_plan_structure`` opts out, or its optimizer is neither SGD nor
+    Adam, the two whose steps fit plans replay.
     """
     binding = getattr(model, "_plan_binding", None)
     if binding is None:
         structure = model._plan_structure()
-        if structure is None:
+        if structure is None or type(model.optimizer) not in (SGD, Adam):
             binding = False
         else:
             module = model.module
@@ -1051,15 +1027,15 @@ def _binding(model) -> _Binding | None:
     return binding or None
 
 
-def _replayed(replay, *args):
-    """Run a cached plan's ``replay``, timing it while hooks listen."""
+def _replayed(plan: _Plan, *args):
+    """Replay ``plan`` on ``args``, timing it while hooks listen."""
     if not _HOOKS:
-        result = replay(*args)
+        result = plan.replay(*args)
         with _STATS_LOCK:
             _STATS["replay"] += 1
         return result
     start = perf_counter()
-    result = replay(*args)
+    result = plan.replay(*args)
     _notify("replay", perf_counter() - start)
     return result
 
@@ -1110,64 +1086,72 @@ def _generators(rngs) -> list:
             for rng in (entry if isinstance(entry, list) else (entry,))]
 
 
-# -- model-facing entry points ----------------------------------------------
-
-
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _fit(key, optimizer, rngs, reference, xr, labels, sgd_steps,
-         predict=None):
-    """Train through the plan cached under ``key``, capturing it on a miss
-    or when ``xr`` has more rows than its arena (a growth).
+def _run(key, xr, params, rngs, reference, optimizer=None, labels=None,
+         sgd_steps=0, predict=None):
+    """Run a call through the plan cached under ``key``, capturing it on
+    a miss or when ``xr`` has more rows than its arena (a growth).
 
-    Returns ``(loss, probabilities)``: the loss (0-d, or one per model)
-    and, given the ``predict`` reference, the probabilities from the
-    pre-step weights (else None) — plan buffers, which the next replay
-    overwrites, or the reference runs' results on a capture that fails.
-    Returns None when ``key`` is marked unsupported, or ``xr`` is as
-    large as a refused growth (:func:`_refused`), and the caller must run
-    its references itself.
+    ``xr``, ``params`` and ``rngs`` are as :meth:`_Plan.replay` takes
+    them, and ``reference`` is the define-by-run run a capture traces: a
+    training call's (one with an ``optimizer``, ``labels`` and
+    ``sgd_steps``) returns its loss, an inference call's the
+    probabilities.  A predict-and-train call also passes ``predict``,
+    its prediction on the pre-step state.  Returns ``(loss,
+    probabilities)`` as :meth:`_Plan.replay` does — plan buffers, which
+    the next replay overwrites, or the reference runs' results on a
+    capture that fails.  Returns None when ``key`` is marked unsupported,
+    or ``xr`` is as large as a refused growth (:func:`_refused`), and the
+    caller must run its references itself.
     """
     cache = _cache()
     plan = cache.get(key)
     if plan is _UNSUPPORTED or (plan is not None and len(xr) >= plan.ceiling):
         return None
-    if plan is None or len(xr) > plan.rows:
-        ceiling = sys.maxsize if plan is None else plan.ceiling
-        # No local reference may keep a replaced plan's arena alive
-        # through the capture.
-        kept, plan = _kept_through_growth(cache, key, plan, len(xr)), None
-        return _capture_fit(cache, key, kept, ceiling, optimizer, rngs,
-                            reference, xr, labels, sgd_steps, predict)
-    return _replayed(plan.replay, optimizer, rngs, xr, labels)
+    if plan is not None and len(xr) <= plan.rows:
+        return _replayed(plan, params, rngs, xr, optimizer, labels)
+    ceiling = sys.maxsize if plan is None else plan.ceiling
+    # No local reference may keep a replaced plan's arena alive through
+    # the capture.
+    kept, plan = _kept_through_growth(cache, key, plan, len(xr)), None
+    return _capture(cache, key, kept, ceiling, xr, params, rngs, reference,
+                    optimizer, labels, sgd_steps, predict)
 
 
-def _capture_fit(cache, key, kept, ceiling, optimizer, rngs, reference, xr,
-                 labels, sgd_steps, predict=None):
-    """Trace + compile + verify; always advances state exactly once.
+def _capture(cache, key, kept, ceiling, xr, params, rngs, reference,
+             optimizer, labels, sgd_steps, predict):
+    """Trace + compile + verify a plan for a call of :func:`_run` and
+    store it under ``key``; runs the references once, so a training call
+    advances its model's state exactly once.
 
     ``kept`` is the plan a refused growth leaves in place
     (:func:`_kept_through_growth`); ``ceiling`` is the replaced plan's,
-    which a grown plan keeps.  With ``predict``, the reference
-    inference pass, the plan is a predict-and-train plan: ``predict``
-    runs on the pre-step state, and the trial replay's probabilities must
-    match its bytes too.
+    which a grown plan keeps.  The trial replay must reproduce the
+    reference's loss or probabilities byte for byte.  A training call's
+    replays from the state before its reference step and must also land
+    on the parameters, optimizer state and Dropout generator states after
+    it.  A predict-and-train call's ``predict`` runs on the pre-step
+    state, and the replay's probabilities must match its bytes too.
     """
-    generators = _generators(rngs)
-    pre = _Snapshot(optimizer, generators)
+    training = optimizer is not None
+    if training:
+        generators = _generators(rngs)
+        pre = _Snapshot(optimizer, generators)
     start = perf_counter()
     proba_ref = None if predict is None else predict()
     trace = _record.Trace()
     with _record.capturing(trace):
-        loss_ref = reference()
-    ref = (loss_ref, proba_ref)
+        out_ref = reference()
+    ref = (out_ref, proba_ref) if training else (None, out_ref)
     plan = None
     if trace.ok:
         try:
-            plan = _compile_fit(trace, optimizer, rngs, sgd_steps, xr.shape,
-                                predict is not None)
+            plan = (_compile_fit(trace, optimizer, rngs, sgd_steps, xr.shape,
+                                 predict is not None) if training
+                    else _compile_proba(trace, params, rngs, xr.shape))
         except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
             pass
     # The trace holds the reference run's dead graph: drop it before the
@@ -1177,21 +1161,22 @@ def _capture_fit(cache, key, kept, ceiling, optimizer, rngs, reference, xr,
         return _unsupported(cache, key, ref)
     if cache.refuses(key, plan.nbytes):
         return _refused(cache, key, kept, len(xr), ref)
-    post = _Snapshot(optimizer, generators)
-    # Trial replay from the pre-capture state: it must land bit-for-bit
-    # on the reference run's post state before the plan may be cached.
-    pre.restore()
+    if training:
+        post = _Snapshot(optimizer, generators)
+        pre.restore()
     result = None
     try:
-        result = plan.replay(optimizer, rngs, xr, labels)
+        result = plan.replay(params, rngs, xr, optimizer, labels)
     except Exception:  # repro: noqa[REP004] — trial replay failure → plan rejected below
         pass
-    now = _Snapshot(optimizer, generators)
-    if (result is None or not now.matches(post)
-            or not _same_bytes(result[0], np.asarray(loss_ref))
-            or (predict is not None
-                and not _same_bytes(result[1], proba_ref))):
-        post.restore()
+    if (result is None
+            or not all(expected is None
+                       or _same_bytes(got, np.asarray(expected))
+                       for got, expected in zip(result, ref))
+            or (training
+                and not _Snapshot(optimizer, generators).matches(post))):
+        if training:
+            post.restore()
         return _unsupported(cache, key, ref)
     plan.ceiling = ceiling
     cache.put(key, plan)
@@ -1199,93 +1184,64 @@ def _capture_fit(cache, key, kept, ceiling, optimizer, rngs, reference, xr,
     return result
 
 
-def _proba(key, params, rngs, reference, xr):
-    """Probabilities through the plan cached under ``key``, capturing it
-    on a miss or a growth, as :func:`_fit` does.
+# -- model-facing entry points ----------------------------------------------
 
-    Returns a fresh array — the ``reference`` run's on a capture that
-    fails — or None when ``key`` is marked unsupported, or ``xr`` is as
-    large as a refused growth, and the caller must run ``reference``
-    itself.
-    """
-    cache = _cache()
-    plan = cache.get(key)
-    if plan is _UNSUPPORTED or (plan is not None and len(xr) >= plan.ceiling):
+
+def _engaged() -> bool:
+    """Whether the engine takes calls now: ``plan_capture`` is on, and no
+    capture is recording on this thread (whose reference run must run
+    define-by-run)."""
+    return _perf_config.plan_capture and not (
+        _record.ACTIVE and _record.current() is not None)
+
+
+def _model_call(model, x):
+    """``(binding, xr)`` for a single model's call on ``x``: its
+    :class:`_Binding` and the batch as the module's input.  None when the
+    engine declines the call — not :func:`_engaged`, an ineligible model,
+    or an empty batch."""
+    if not _engaged():
         return None
-    if plan is None or len(xr) > plan.rows:
-        ceiling = sys.maxsize if plan is None else plan.ceiling
-        kept, plan = _kept_through_growth(cache, key, plan, len(xr)), None
-        return _capture_proba(cache, key, kept, ceiling, params, rngs,
-                              reference, xr)
-    return _replayed(plan.replay, params, rngs, xr)
-
-
-def _capture_proba(cache, key, kept, ceiling, params, rngs, reference, xr):
-    """Trace + compile + verify an inference pass; ``kept`` and
-    ``ceiling`` as for :func:`_capture_fit`."""
-    trace = _record.Trace()
-    start = perf_counter()
-    with _record.capturing(trace):
-        out_ref = reference()
-    if not trace.ok:
-        return _unsupported(cache, key, out_ref)
-    out_plan = None
-    try:
-        plan = _compile_proba(trace, params, rngs, xr.shape)
-        trace.ops.clear()
-        if cache.refuses(key, plan.nbytes):
-            return _refused(cache, key, kept, len(xr), out_ref)
-        out_plan = plan.replay(params, rngs, xr)
-    except Exception:  # repro: noqa[REP004] — compile/replay failure → plan rejected below
-        pass
-    if out_plan is None or not _same_bytes(out_plan, out_ref):
-        return _unsupported(cache, key, out_ref)
-    plan.ceiling = ceiling
-    cache.put(key, plan)
-    _notify("capture", perf_counter() - start)
-    return out_plan
+    binding = _binding(model)
+    n = len(x)
+    if binding is None or n == 0:
+        return None
+    return binding, np.asarray(x, dtype=float).reshape(
+        n, *model.module_input_shape)
 
 
 def fit_with_plan(model, x, y):
     """Train ``model`` on ``(x, y)`` via a captured plan.
 
     Returns the loss, or ``None`` when the caller must run the reference
-    path (ineligible model, empty batch, unsupported signature, or a
-    capture already active on this thread).  ``y`` is the already
-    validated int64 label vector from ``partial_fit``.
+    path (a call :func:`_model_call` declines, or an unsupported
+    signature).  ``y`` is the already validated int64 label vector from
+    ``partial_fit``.
     """
-    if _record.ACTIVE and _record.current() is not None:
+    bound = _model_call(model, x)
+    if bound is None:
         return None
-    binding = _binding(model)
-    if binding is None:
-        return None
-    n = len(x)
-    if n == 0:
-        return None
-    xr = np.asarray(x, dtype=float).reshape(n, *model.module_input_shape)
+    binding, xr = bound
+    optimizer = model.optimizer
     key = ("fit", binding.structure, bool(model.module.training),
            model.sgd_steps)
-    result = _fit(key, model.optimizer, binding.rngs,
-                  lambda: model._fit_steps(x, y), xr, y, model.sgd_steps)
+    result = _run(key, xr, optimizer.parameters, binding.rngs,
+                  lambda: model._fit_steps(x, y), optimizer, y,
+                  model.sgd_steps)
     return None if result is None else float(result[0])
 
 
 def proba_with_plan(model, x):
     """Class probabilities via a captured plan; ``None`` → reference path."""
-    if _record.ACTIVE and _record.current() is not None:
+    bound = _model_call(model, x)
+    if bound is None:
         return None
-    binding = _binding(model)
-    if binding is None:
-        return None
-    n = len(x)
-    if n == 0:
-        return None
-    xr = np.asarray(x, dtype=float).reshape(n, *model.module_input_shape)
-    result = _proba(("proba", binding.structure), binding.params,
-                    binding.rngs, lambda: model._forward_proba(x), xr)
+    binding, xr = bound
+    result = _run(("proba", binding.structure), xr, binding.params,
+                  binding.rngs, lambda: model._forward_proba(x))
     # The reference path leaves the module in train mode unconditionally.
     model.module.train()
-    return result
+    return None if result is None else result[1].copy()
 
 
 def stacked_proba_with_plan(stack, xs):
@@ -1295,13 +1251,13 @@ def stacked_proba_with_plan(stack, xs):
     ``xs`` arrives already reshaped to ``(models, batch, features)``.
     Keyed like :func:`stacked_fit_with_plan`, by architecture and shape.
     """
-    if _record.ACTIVE and _record.current() is not None:
+    if not _engaged():
         return None
-    result = _proba(("stacked-proba", stack.key, xs.shape),
-                    stack.stacked_params, stack.rngs,
-                    lambda: stack.predict_proba(xs), xs)
+    result = _run(("stacked-proba", stack.key, xs.shape), xs,
+                  stack.stacked_params, stack.rngs,
+                  lambda: stack.predict_proba(xs))
     stack.train()  # where the reference leaves the stack
-    return result
+    return None if result is None else result[1].copy()
 
 
 def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference,
@@ -1318,18 +1274,20 @@ def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference,
     is a predict-and-train plan, and ``probabilities`` is what
     ``stack.predict_proba(xs)`` returns on the pre-step weights; else it
     is None.  Only a stack without Dropout may predict from its training
-    forward; capture verifies that the two agree.
+    forward, which with Dropout draws masks; capture verifies that the
+    two agree.  The engine declines a predicting stack with Dropout, and
+    an optimizer other than SGD or Adam.
     """
-    if _record.ACTIVE and _record.current() is not None:
+    kind = {SGD: "sgd", Adam: "adam"}.get(type(optimizer))
+    if not _engaged() or kind is None or (predict and stack.rngs):
         return None
     if predict:
         stack.train()  # where the reference's predict_proba leaves it
-    kind = "adam" if isinstance(optimizer, Adam) else "sgd"
     key = (stack.key, stack.num_models, xs.shape, sgd_steps, kind,
            bool(stack.training), predict)
-    result = _fit(key, optimizer, stack.rngs,
-                  lambda: reference(stack, optimizer, xs, ys, sgd_steps), xs,
-                  ys, sgd_steps,
+    result = _run(key, xs, optimizer.parameters, stack.rngs,
+                  lambda: reference(stack, optimizer, xs, ys, sgd_steps),
+                  optimizer, ys, sgd_steps,
                   (lambda: stack.predict_proba(xs)) if predict else None)
     if result is None:
         return None

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.config import config as _perf_config
 from . import functional as F
 from . import plan as _plan
 from . import record as _record
@@ -296,11 +295,10 @@ def stacked_fit(stack: ModelStack, optimizer, xs: np.ndarray,
     """
     xs = _model_axis(stack, xs)
     ys = np.asarray(ys, dtype=np.int64).reshape(stack.num_models, -1)
-    if _perf_config.plan_capture and type(optimizer) in (SGD, Adam):
-        result = _plan.stacked_fit_with_plan(stack, optimizer, xs, ys,
-                                             sgd_steps, _stacked_fit_steps)
-        if result is not None:
-            return result[0]
+    result = _plan.stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps,
+                                         _stacked_fit_steps)
+    if result is not None:
+        return result[0]
     return _stacked_fit_steps(stack, optimizer, xs, ys, sgd_steps)
 
 
@@ -313,10 +311,9 @@ def stacked_predict_proba(stack: ModelStack, xs: np.ndarray) -> np.ndarray:
     replay runs ``predict_proba`` itself.
     """
     xs = _model_axis(stack, xs)
-    if _perf_config.plan_capture:
-        probabilities = _plan.stacked_proba_with_plan(stack, xs)
-        if probabilities is not None:
-            return probabilities
+    probabilities = _plan.stacked_proba_with_plan(stack, xs)
+    if probabilities is not None:
+        return probabilities
     return stack.predict_proba(xs)
 
 
@@ -336,14 +333,11 @@ def stacked_predict_fit(stack: ModelStack, optimizer, xs: np.ndarray,
     """
     xs = _model_axis(stack, xs)
     ys = np.asarray(ys, dtype=np.int64).reshape(stack.num_models, -1)
-    if (_perf_config.plan_capture and not stack.rngs
-            and type(optimizer) in (SGD, Adam)):
-        result = _plan.stacked_fit_with_plan(stack, optimizer, xs, ys,
-                                             sgd_steps, _stacked_fit_steps,
-                                             predict=True)
-        if result is not None:
-            losses, probabilities = result
-            return probabilities, losses
+    result = _plan.stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps,
+                                         _stacked_fit_steps, predict=True)
+    if result is not None:
+        losses, probabilities = result
+        return probabilities, losses
     probabilities = stacked_predict_proba(stack, xs)
     return probabilities, stacked_fit(stack, optimizer, xs, ys, sgd_steps)
 

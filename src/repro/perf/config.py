@@ -8,7 +8,9 @@ replay matches the define-by-run step bit for bit, so the switch changes
 speed, never results.  Turning it off is the way to rule the plan engine
 out when a model misbehaves in the field, and the define-by-run pass it
 leaves is what equivalence checks compare plans against
-(``with optimizations_disabled(): ...``).
+(``with optimizations_disabled(): ...``).  Only the plan engine reads
+it: while it is off, every entry point of :mod:`repro.nn.plan` declines
+its call, and the calling model or stack runs define-by-run.
 
 Every other fast path in the hot-path pass — the fused Linear,
 cross-entropy and softmax nodes, cached nearest-neighbour norms — is

@@ -71,10 +71,6 @@ class ServeConfig:
     #: Bitwise-equivalent to serial execution per tenant (docs/SERVING.md,
     #: "Stacked execution").
     stacked_execution: bool = False
-    #: Minimum same-key micro-batches worth stacking in one dispatch
-    #: round; smaller groups run serially (stacking one model only adds
-    #: overhead).
-    stacked_min_group: int = 2
 
     def __post_init__(self):
         if self.max_active_tenants < 1:
@@ -118,9 +114,4 @@ class ServeConfig:
             raise ValueError(
                 "degrade_low_watermark must be in [0, high); got "
                 f"{self.degrade_low_watermark}"
-            )
-        if self.stacked_min_group < 2:
-            raise ValueError(
-                f"stacked_min_group must be >= 2; got "
-                f"{self.stacked_min_group}"
             )

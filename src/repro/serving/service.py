@@ -363,10 +363,7 @@ class StreamingService:
                 if requests:
                     jobs.append((name, state, requests))
             if jobs:
-                if len(jobs) > 1:
-                    self._process_coscheduled(jobs)
-                else:
-                    self._process(*jobs[0])
+                self._process_round(jobs)
                 self._capacity_freed.set()
                 self._apply_pressure()
             for name in ready:
@@ -407,15 +404,6 @@ class StreamingService:
         state.pending_rows -= rows
         self._pending_total -= len(taken)
         return taken
-
-    def _process(self, tenant: str, state: _TenantState,
-                 requests: list[_Request]) -> None:
-        self.breaker.tick()
-        try:
-            with self.registry.session(tenant) as estimator:
-                self._process_with(tenant, state, requests, estimator)
-        except Exception as exc:  # repro: noqa[REP004] — one tenant's failure must not kill the service; the breaker sheds repeat offenders
-            self._resolve_failure(tenant, state, requests, exc)
 
     def _process_with(self, tenant: str, state: _TenantState,
                       requests: list[_Request], estimator) -> None:
@@ -479,13 +467,14 @@ class StreamingService:
 
     # -- stacked co-scheduling -----------------------------------------------
 
-    def _process_coscheduled(self, jobs: list) -> None:
-        """Serve one dispatch round of several tenants' micro-batches.
+    def _process_round(self, jobs: list) -> None:
+        """Serve one dispatch round: each ready tenant's micro-batch.
 
         Micro-batches sharing a :func:`~repro.serving.stacked.stacking_key`
         execute through one stacked tensor program (bitwise-equivalent per
-        tenant to the serial path); everything else — and any group whose
-        stacked execution fails — runs serially, per tenant.
+        tenant to the serial path); everything else — a one-tenant round,
+        and any group whose stacked execution fails — runs serially, per
+        tenant.
         """
         entries = []
         pinned = []
@@ -504,8 +493,7 @@ class StreamingService:
                 key_of=lambda entry: stacking_key(
                     entry[3],
                     rows=sum(request.rows for request in entry[2]),
-                    labeled=entry[2][0].y is not None),
-                min_group=self.config.stacked_min_group)
+                    labeled=entry[2][0].y is not None))
             for group in groups:
                 self._run_stacked_group(group)
             for tenant, state, requests, estimator in singles:

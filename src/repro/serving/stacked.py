@@ -148,8 +148,11 @@ def plan_stacked_groups(jobs, key_of, *, min_group: int = 2
     key (or None for never-stackable jobs).  Returns ``(groups,
     singles)``: the lists of jobs that run stacked, one per key, and the
     jobs that run serially.  Grouping preserves dispatch order within
-    each group and within the serial remainder.
+    each group and within the serial remainder.  With fewer than
+    ``min_group`` jobs no group can form, and no key is computed.
     """
+    if len(jobs) < min_group:
+        return [], list(jobs)
     keyed = [(job, key_of(job)) for job in jobs]
     by_key: dict = {}
     for job, key in keyed:

@@ -13,7 +13,6 @@ from repro.metrics import (
     evaluate_learner,
     evaluate_model,
     global_accuracy,
-    measure_latency,
     measure_throughput,
     stability_index,
 )
@@ -133,20 +132,6 @@ class TestEvaluateLearner:
 
 
 class TestPerfHelpers:
-    def test_measure_latency(self):
-        batches = list(range(10))
-        infer, update = measure_latency(
-            lambda b: sum(range(100)), lambda b: sum(range(200)), batches
-        )
-        assert infer.mean > 0
-        assert update.mean > 0
-        assert infer.mean_us == pytest.approx(infer.mean * 1e6)
-        assert len(infer.samples) == 8  # warmup=2 dropped
-
-    def test_measure_latency_too_few_batches(self):
-        with pytest.raises(ValueError):
-            measure_latency(lambda b: None, lambda b: None, [1, 2], warmup=2)
-
     def test_measure_throughput(self):
         batches = [np.zeros(100) for _ in range(10)]
         throughput = measure_throughput(lambda b: b.sum(), batches)

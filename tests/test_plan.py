@@ -560,7 +560,26 @@ class TestLearnerWindows:
         assert events["replay"] > 0
 
 
+def call_on(model, call, batch):
+    """``model.partial_fit(x, y)`` or ``model.predict_proba(x)``."""
+    x, y = batch
+    return model.partial_fit(x, y) if call == "partial_fit" \
+        else model.predict_proba(x)
+
+
+def result_bytes(results):
+    """Bytes of each loss or probability array in ``results``."""
+    return [np.float64(result).tobytes() for result in results]
+
+
 class TestPlanCacheAccounting:
+    #: The single-model call each case runs, its twin (the other call,
+    #: whose plan is cached beside this call's), this call's plan kind,
+    #: and the reference run and compiler its captures use.  The
+    #: subclass below runs every case through ``predict_proba``.
+    call, twin, kind = "partial_fit", "predict_proba", "fit"
+    reference_run, compiler = "_fit_steps", "_compile_fit"
+
     def test_growth_replaces_the_plan_and_its_bytes(self):
         model = StreamingMLP(num_features=6, num_classes=3, seed=0)
         small = make_batches(1, 8, 6, 3)[0]
@@ -571,7 +590,7 @@ class TestPlanCacheAccounting:
             model.partial_fit(*small)
             held = cache.nbytes
             before = nn_plan.plan_cache_stats()
-            model.partial_fit(*large)
+            call_on(model, self.call, large)
         events = plan_events(before)
         assert (events["capture"], events["invalidate"]) == (1, 1)
         assert len(cache.entries) == 2
@@ -587,17 +606,17 @@ class TestPlanCacheAccounting:
         are never alive at once."""
         model = StreamingMLP(num_features=6, num_classes=3, seed=0)
         with configure(plan_capture=True):
-            model.partial_fit(*make_batches(1, 8, 6, 3)[0])
+            call_on(model, self.call, make_batches(1, 8, 6, 3)[0])
             (plan, _), = nn_plan._cache().entries.values()
             arena = weakref.ref(plan.x_buf)
             del plan
             alive = []
-            fit_steps = model._fit_steps
+            reference = getattr(model, self.reference_run)
             monkeypatch.setattr(
-                model, "_fit_steps",
-                lambda x, y: alive.append(arena() is not None)
-                or fit_steps(x, y))
-            model.partial_fit(*make_batches(1, 40, 6, 3, seed=1)[0])
+                model, self.reference_run,
+                lambda *batch: alive.append(arena() is not None)
+                or reference(*batch))
+            call_on(model, self.call, make_batches(1, 40, 6, 3, seed=1)[0])
         assert alive == [False]
 
     def test_failed_growth_marks_every_row_count_unsupported(
@@ -611,22 +630,21 @@ class TestPlanCacheAccounting:
             raise nn_plan.PlanUnsupported("refused for the test")
 
         with configure(plan_capture=True):
-            model.partial_fit(*small)
-            monkeypatch.setattr(nn_plan, "_compile_fit", refuse)
+            call_on(model, self.call, small)
+            monkeypatch.setattr(nn_plan, self.compiler, refuse)
             before = nn_plan.plan_cache_stats()
-            losses = [model.partial_fit(*large)]
+            results = [call_on(model, self.call, large)]
             monkeypatch.undo()
-            losses.append(model.partial_fit(*small))
+            results.append(call_on(model, self.call, small))
         with configure(plan_capture=False):
-            reference.partial_fit(*small)
-            losses_ref = [reference.partial_fit(*large),
-                          reference.partial_fit(*small)]
+            call_on(reference, self.call, small)
+            results_ref = [call_on(reference, self.call, large),
+                           call_on(reference, self.call, small)]
         # The replaced plan is dropped; the smaller batch after it runs
         # the reference path too, since the key has no row count.
         assert plan_events(before) == {"capture": 0, "replay": 0,
                                        "unsupported": 1, "invalidate": 1}
-        assert [np.float64(l).tobytes() for l in losses] == \
-            [np.float64(l).tobytes() for l in losses_ref]
+        assert result_bytes(results) == result_bytes(results_ref)
         assert state_bytes(model) == state_bytes(reference)
         cache = nn_plan._cache()
         assert cache.nbytes == sum(nbytes for _, nbytes
@@ -642,9 +660,11 @@ class TestPlanCacheAccounting:
         reference = StreamingMLP(num_features=6, num_classes=3, seed=0)
         batches = make_batches(5, 64, 6, 3, seed=2)
         with configure(plan_capture=True):
-            model.predict_proba(batches[0][0])
-        proba_bytes = nn_plan._cache().nbytes
-        monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES", proba_bytes + 1024)
+            call_on(model, self.twin, batches[0])
+        with configure(plan_capture=False):
+            call_on(reference, self.twin, batches[0])
+        twin_bytes = nn_plan._cache().nbytes
+        monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES", twin_bytes + 1024)
         model._weights_version += 1
         before = nn_plan.plan_cache_stats()
         results = run_stream(model, batches, plans_on=True)
@@ -671,16 +691,20 @@ class TestPlanCacheAccounting:
                    for seed, rows in enumerate([256, 64, 300, 256, 32])]
         before = nn_plan.plan_cache_stats()
         with configure(plan_capture=True):
-            losses = [model.partial_fit(*batch) for batch in batches]
+            results = [call_on(model, self.call, batch)
+                       for batch in batches]
         with configure(plan_capture=False):
             reference.predict_proba(first[0])
             reference.partial_fit(*first)
-            losses_ref = [reference.partial_fit(*batch) for batch in batches]
-        assert [np.float64(l).tobytes() for l in losses] == \
-            [np.float64(l).tobytes() for l in losses_ref]
+            results_ref = [call_on(reference, self.call, batch)
+                           for batch in batches]
+        assert result_bytes(results) == result_bytes(results_ref)
         assert state_bytes(model) == state_bytes(reference)
         assert plan_events(before) == {"capture": 0, "replay": 2,
                                        "unsupported": 1, "invalidate": 0}
+        assert [(entry.rows, entry.ceiling) for key, (entry, _)
+                in cache.entries.items() if key[0] == self.kind] == \
+            [(64, 256)]
         assert [entry.rows for entry, _ in cache.entries.values()] == [64, 64]
 
     def test_a_growth_keeps_the_refused_ceiling(self, monkeypatch):
@@ -689,78 +713,89 @@ class TestPlanCacheAccounting:
         the reference path without capturing and being refused again."""
         sizing = StreamingMLP(num_features=6, num_classes=3, seed=0)
         with configure(plan_capture=True):
-            sizing.partial_fit(*make_batches(1, 128, 6, 3)[0])
-        fit_bytes = nn_plan._cache().nbytes
+            call_on(sizing, self.call, make_batches(1, 128, 6, 3)[0])
+        grown_bytes = nn_plan._cache().nbytes
         nn_plan.clear_plans()
         model = StreamingMLP(num_features=6, num_classes=3, seed=0)
         reference = StreamingMLP(num_features=6, num_classes=3, seed=0)
         first = make_batches(1, 64, 6, 3)[0]
         with configure(plan_capture=True):
-            model.predict_proba(first[0])
-            proba_bytes = nn_plan._cache().nbytes
-            model.partial_fit(*first)
-        # A 128-row fit plan fits beside the 64-row proba plan; a
-        # 256-row one does not.
+            call_on(model, self.twin, first)
+            twin_bytes = nn_plan._cache().nbytes
+            call_on(model, self.call, first)
+        # A 128-row plan fits beside its 64-row twin; a 256-row one does
+        # not.
         monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES",
-                            proba_bytes + fit_bytes)
+                            twin_bytes + grown_bytes)
         batches = [make_batches(1, rows, 6, 3, seed=seed)[0] for seed, rows
                    in enumerate([256, 100, 256, 32, 120, 256])]
         before = nn_plan.plan_cache_stats()
         with configure(plan_capture=True):
-            losses = [model.partial_fit(*batch) for batch in batches]
+            results = [call_on(model, self.call, batch)
+                       for batch in batches]
         with configure(plan_capture=False):
-            reference.predict_proba(first[0])
-            reference.partial_fit(*first)
-            losses_ref = [reference.partial_fit(*batch) for batch in batches]
-        assert [np.float64(l).tobytes() for l in losses] == \
-            [np.float64(l).tobytes() for l in losses_ref]
+            call_on(reference, self.twin, first)
+            call_on(reference, self.call, first)
+            results_ref = [call_on(reference, self.call, batch)
+                           for batch in batches]
+        assert result_bytes(results) == result_bytes(results_ref)
         assert state_bytes(model) == state_bytes(reference)
         # Captures at 100 and 120 rows, a replay at 32; only the first
         # 256-row batch tries a capture the cache refuses.
         events = plan_events(before)
         assert (events["capture"], events["replay"],
                 events["unsupported"]) == (2, 1, 1)
-        fit_plans = [entry for key, (entry, _)
-                     in nn_plan._cache().entries.items() if key[0] == "fit"]
-        assert [(plan.rows, plan.ceiling) for plan in fit_plans] == \
-            [(120, 256)]
+        plans = [entry for key, (entry, _)
+                 in nn_plan._cache().entries.items()
+                 if key[0] == self.kind]
+        assert [(plan.rows, plan.ceiling) for plan in plans] == [(120, 256)]
 
     def test_a_plan_that_fits_beside_its_twin_evicts_other_plans(
             self, monkeypatch):
         """Whether a plan is kept depends on its bytes and its twin's, not
-        on where the twin sits in the eviction order: here the proba plan
-        is the least recently used entry when its fit plan is stored."""
+        on where the twin sits in the eviction order: here the twin is the
+        least recently used entry when the plan is stored."""
         sizing = StreamingMLP(num_features=6, num_classes=3, seed=0)
         with configure(plan_capture=True):
-            sizing.partial_fit(*make_batches(1, 64, 6, 3)[0])
-        fit_bytes = nn_plan._cache().nbytes
+            call_on(sizing, self.call, make_batches(1, 64, 6, 3)[0])
+        plan_bytes = nn_plan._cache().nbytes
         nn_plan.clear_plans()
         model, *others = (StreamingMLP(num_features=features, num_classes=3,
                                        seed=0) for features in (6, 7, 8))
         reference = StreamingMLP(num_features=6, num_classes=3, seed=0)
         with configure(plan_capture=True):
-            model.predict_proba(make_batches(1, 64, 6, 3)[0][0])
+            call_on(model, self.twin, make_batches(1, 64, 6, 3)[0])
             for other in others:
                 features = other.num_features
                 other.partial_fit(*make_batches(1, 64, features, 3)[0])
                 other.predict_proba(make_batches(1, 64, features, 3)[0][0])
+        with configure(plan_capture=False):
+            call_on(reference, self.twin, make_batches(1, 64, 6, 3)[0])
         monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES",
-                            nn_plan._cache().nbytes + fit_bytes - 1)
+                            nn_plan._cache().nbytes + plan_bytes - 1)
         batches = make_batches(3, 64, 6, 3, seed=3)
         before = nn_plan.plan_cache_stats()
         with configure(plan_capture=True):
-            first = model.partial_fit(*batches[0])
+            first = call_on(model, self.call, batches[0])
         losses, probas = run_stream(model, batches[1:], plans_on=True)
         with configure(plan_capture=False):
-            first_ref = reference.partial_fit(*batches[0])
+            first_ref = call_on(reference, self.call, batches[0])
         losses_ref, probas_ref = run_stream(reference, batches[1:],
                                             plans_on=False)
-        assert_bitwise_equal(model, reference, [first, *losses],
-                             [first_ref, *losses_ref], probas, probas_ref)
-        # The fit plan evicts the proba plan, whose recapture evicts one
-        # of the other models' plans; from then on both replay.
+        assert result_bytes([first]) == result_bytes([first_ref])
+        assert_bitwise_equal(model, reference, losses, losses_ref, probas,
+                             probas_ref)
+        # The plan evicts its twin, whose recapture evicts one of the
+        # other models' plans; from then on both replay.
         assert plan_events(before) == {"capture": 2, "replay": 3,
                                        "unsupported": 0, "invalidate": 2}
+
+
+class TestProbaPlanCacheAccounting(TestPlanCacheAccounting):
+    """The cache-accounting cases through ``predict_proba``'s plans."""
+
+    call, twin, kind = "predict_proba", "partial_fit", "proba"
+    reference_run, compiler = "_forward_proba", "_compile_proba"
 
 
 # -- plans shared across instances and threads ---------------------------------
