@@ -77,11 +77,13 @@ def test_conv2d_forward_backward(benchmark):
     benchmark(step)
 
 
-# The tabular CNN's define-by-run ops (never plan-captured): a (1, 3) conv
-# over the 16-feature signal, then ReLU and a (1, 2) pool over its
-# rows x 32 x 1 x 16 activation, in the memory layout the conv leaves.
-# 512 rows is stream-cnn's batch; about 2,900 its mean long-window fit,
-# where that workload's p90 latency is paid.
+# The tabular CNN's ops as define-by-run nodes: a (1, 3) conv over the
+# 16-feature signal, then ReLU and a (1, 2) pool over its rows x 32 x 1 x 16
+# activation, in the memory layout the conv leaves.  A captured plan runs
+# the same kernels of repro.nn.kernels over its arena; these cells time
+# them with fresh buffers, as a capture's reference run and a plans-off
+# stream do.  512 rows is stream-cnn's batch; about 2,900 its mean
+# long-window fit, where that workload's p90 latency is paid.
 
 
 @pytest.fixture(scope="module", params=[512, 2900],

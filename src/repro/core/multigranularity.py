@@ -335,9 +335,15 @@ class MultiGranularityEnsemble:
             weights = np.zeros(len(usable))
             weights[int(np.argmin([distance for _, distance in usable]))] = 1.0
         weights = weights / weights.sum()
+        # Predict the short level last: its fit on this batch can then
+        # skip the forward the shared plan still holds (docs/PERF.md, "One
+        # forward per labeled batch").  The blend keeps level order.
+        probas = {id(level): level.model.predict_proba(x)
+                  for level, _ in sorted(usable,
+                                         key=lambda item: item[0].is_short)}
         blended = np.zeros((len(x), self.num_classes))
         for (level, _), weight in zip(usable, weights):
-            blended += weight * level.model.predict_proba(x)
+            blended += weight * probas[id(level)]
         return blended
 
     def predict(self, x: np.ndarray, embedding: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels as K
 from . import record as _record
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor
 
 __all__ = [
     "linear",
@@ -90,11 +90,8 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out = np.empty(xd.shape[:-1] + wd.shape[-2:-1],
                    dtype=np.result_type(xd, wd))
     K.linear_forward(xd, wd, None if bias is None else bias.data, out)
-    mask = None
     if activation is not None:
-        if activation == "relu" and is_grad_enabled():
-            mask = np.empty(out.shape, dtype=bool)
-        K.activation_forward(activation, out, out, mask)
+        K.activation_forward(activation, out, out)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     # A data input (every first layer's) takes no gradient, and
@@ -104,7 +101,11 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def backward(g: np.ndarray):
         if activation is not None:
             g_act = K.empty_result(g, out)
-            scratch = None if activation == "relu" else np.empty_like(out)
+            mask = scratch = None
+            if activation == "relu":
+                mask = np.empty(out.shape, dtype=bool)
+            else:
+                scratch = np.empty_like(out)
             K.activation_backward(activation, g, out, mask, g_act, scratch)
             g = g_act
         dtype = np.result_type(g, wd)

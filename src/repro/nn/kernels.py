@@ -142,18 +142,17 @@ def label_index(shape: tuple) -> tuple:
 
 
 @replay_kernel
-def activation_forward(name: str, x, out, mask) -> None:
+def activation_forward(name: str, x, out) -> None:
     """``out = name(x)`` for ``"relu"``, ``"tanh"`` or ``"sigmoid"``.
 
-    ``out`` may be ``x`` itself.  ReLU also records ``x > 0`` in the
-    boolean ``mask`` for its backward (skipped when ``mask`` is None).
-    Its output is ``fmax(x + 0.0, 0.0)``: adding 0.0 turns -0.0 into +0.0
-    and quiets signalling NaNs, then ``fmax`` maps NaNs and negatives to
-    +0.0 — the bits of ``np.where(x > 0, x, 0.0)``.
+    ``out`` may be ``x`` itself.  ReLU's output is ``fmax(x + 0.0,
+    0.0)``: adding 0.0 turns -0.0 into +0.0 and quiets signalling NaNs,
+    then ``fmax`` maps NaNs and negatives to +0.0 — the bits of
+    ``np.where(x > 0, x, 0.0)``.  So ``out > 0`` wherever ``x > 0`` and
+    nowhere else, and the backward rebuilds the mask from ``out``: a
+    training forward costs what an inference forward does.
     """
     if name == "relu":
-        if mask is not None:
-            np.greater(x, 0.0, out=mask)
         np.add(x, 0.0, out=out)
         np.fmax(out, 0.0, out=out)
     elif name == "tanh":
@@ -171,13 +170,16 @@ def activation_forward(name: str, x, out, mask) -> None:
 
 @replay_kernel
 def activation_backward(name: str, g, out, mask, gx, scratch) -> None:
-    """``gx = g * name'(…)`` from the forward's ``out`` (tanh, sigmoid) or
-    ``mask`` (ReLU).
+    """``gx = g * name'(…)`` from the forward's ``out``.
 
-    ``gx`` may be ``g`` itself; tanh and sigmoid also need a ``scratch``
-    buffer that aliases neither.
+    ReLU writes ``out > 0``, which is ``x > 0`` for every input, into
+    the boolean ``mask`` (C-ordered, the layout the gradients it
+    multiplies arrive in) and multiplies by it; tanh and sigmoid take no
+    mask but a ``scratch`` buffer that aliases neither ``g`` nor ``gx``.
+    ``gx`` may be ``g`` itself.
     """
     if name == "relu":
+        np.greater(out, 0.0, out=mask)
         np.multiply(g, mask, out=gx)
     elif name == "tanh":
         # g * (1.0 - out * out)

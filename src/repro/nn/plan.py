@@ -48,12 +48,24 @@ copies never leave it stale.
 one arena, with an optional training tail (loss, backward, optimizer
 step) and an optional inference softmax.  An inference plan has the
 softmax, a fit plan the tail, and a predict-and-train plan — a stacked
-fit whose first forward's logits also give the prediction — both.
-Single-model and stacked calls of every kind take one walk through the
-cache (:func:`_run`) and one capture-and-verify routine
-(:func:`_capture`).  Plans live in one cache per thread, bounded by the
-bytes their arenas hold; the stacked arenas of :mod:`repro.nn.stacked`
-share it and its budget.
+fit whose first forward's logits also give the prediction, or a
+Dropout-free model's fit in train mode — both.  Single-model and stacked
+calls of every kind take one walk through the cache (:func:`_run`) and
+one capture-and-verify routine (:func:`_capture`).  Plans live in one
+cache per thread, bounded by the bytes their arenas hold; the stacked
+arenas of :mod:`repro.nn.stacked` share it and its budget.
+
+**One forward per labeled batch.**  A Dropout-free model in train mode
+predicts on its fit plan's forward and softmax wherever that plan's
+arena holds the batch, and the forward stays pending in the arena: the
+plan remembers the model (weakly), its ``_weights_version`` and the row
+count.  A fit of the same model at the same version on a batch of the
+same bytes skips step 0's forward, a ``"reuse"`` event; any other replay
+forgets the pending forward (:meth:`_Plan.fits_pending`).  Models with
+Dropout, predictions before the first fit, batches larger than the fit
+plan, and other models' predictions of a batch whose forward is pending
+for the plan's trainer, the last model to fit a predicted batch
+(:meth:`_Plan.keeps_forward`), take the proba plan.
 
 **The switch.**  The engine reads the ``plan_capture`` flag of
 :mod:`repro.perf.config` itself, and decides which calls it takes: an
@@ -65,6 +77,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import weakref
 from collections import Counter, OrderedDict
 from time import perf_counter
 from typing import NamedTuple
@@ -94,20 +107,23 @@ __all__ = [
     "PLAN_CACHE_COUNTER",
 ]
 
-#: Metric name for plan-cache events (capture / replay / unsupported /
-#: invalidate), fed by the plan hook ``run --profile`` registers.
+#: Metric name for plan-cache events (capture / replay / reuse /
+#: unsupported / invalidate), fed by the plan hook ``run --profile``
+#: registers.
 PLAN_CACHE_COUNTER = "freeway_plan_cache"
 
 #: Arena bytes one thread's plan cache may hold — plans and stacked
 #: arenas together — before it evicts least recently used entries.  Sized
 #: for the tabular CNN stream (batch 512, 16 features): its fit plan grown
-#: to its largest long-window fit beside its 512-row proba plan (4.87 MiB).
-#: The fit arena takes 18.6 KiB a row: 57.5 MiB at 3,164 rows (perfbench
-#: seed 1), 60.4 MiB at 3,321 (seed 102), and 74.4 MiB at 4,096, the most
-#: an 8-batch window can hold, so 79.3 MiB in all.  A budget the two plans
-#: overflow evicts the proba plan at every growth and then each plan on
-#: the other's capture, so every call recaptures.  The 1024-row MLP
-#: stream's plans (8.9 MiB at 6,477 rows, beside 0.73 MiB) fit many times.
+#: to its largest long-window fit beside its 512-row proba plan (4.87 MiB),
+#: which only the long level's predictions replay (the short level's
+#: replay the fit plan).  The fit arena takes 18.6 KiB a row: 57.5 MiB at
+#: 3,164 rows (perfbench seed 1), 60.4 MiB at 3,321 (seed 102), and 74.4
+#: MiB at 4,096, the most an 8-batch window can hold, so 79.3 MiB in all.
+#: A budget the two plans overflow evicts the proba plan at every growth
+#: and then each plan on the other's capture, so every call recaptures.
+#: The 1024-row MLP stream's plans (8.9 MiB at 6,477 rows, beside 0.73
+#: MiB) fit many times.
 _PLAN_CACHE_BYTES = 80 << 20
 
 
@@ -128,9 +144,11 @@ def add_plan_hook(hook) -> None:
 
     Events: ``"capture"`` (a plan was compiled and verified),
     ``"replay"`` (a cached plan ran; timed only while hooks are
-    registered), ``"unsupported"`` (capture fell back permanently for a
-    signature), ``"invalidate"`` (a cached plan was evicted, replaced
-    by a growth, or cleared).
+    registered), ``"reuse"`` (a fit replay skipped the forward its
+    model's prediction left pending, beside that replay's ``"replay"``),
+    ``"unsupported"`` (capture fell back permanently for a signature),
+    ``"invalidate"`` (a cached plan was evicted, replaced by a growth, or
+    cleared).
     """
     with _HOOKS_LOCK:
         if hook not in _HOOKS:
@@ -317,8 +335,7 @@ class _LinearKernel(_Kernel):
         bias = params[self.bindex].data if self.bindex >= 0 else None
         K.linear_forward(self.x, params[self.windex].data, bias, self.out)
         if self.activation is not None:
-            K.activation_forward(self.activation, self.out, self.out,
-                                 self.mask)
+            K.activation_forward(self.activation, self.out, self.out)
 
     @replay_kernel
     def backward(self, params) -> None:
@@ -360,7 +377,7 @@ class _ActKernel(_Kernel):
 
     @replay_kernel
     def forward(self, params, rngs) -> None:
-        K.activation_forward(self.name, self.x, self.out, self.mask)
+        K.activation_forward(self.name, self.x, self.out)
 
     def input_grad(self) -> np.ndarray:
         # Nothing reads the output gradient after this backward.
@@ -759,10 +776,21 @@ class _Plan:
     run the same kernels on the same weights).  The arena holds ``rows``
     batch rows, the row count the plan was captured at; a batch with
     fewer rows replays on the arena's leading rows (:meth:`_Kernel.view`).
+
+    ``pending`` names the forward a single model's prediction left in the
+    arena — ``(weak reference to the model, its _weights_version, rows)``
+    — or is None.  Every replay forgets it; :func:`proba_with_plan` sets
+    it after a prediction replay, and a training replay of the same model
+    on the same batch at the same weights skips step 0's forward
+    (:meth:`fits_pending`).  ``trainer`` weakly references the last
+    model to fit a batch a prediction left pending; while the arena
+    holds the trainer's forward of a batch, other models' predictions of
+    that batch leave it alone (:meth:`keeps_forward`).
     """
 
     __slots__ = ("rows", "x_buf", "kernels", "softmax", "loss", "step",
-                 "sgd_steps", "nbytes", "views", "ceiling")
+                 "sgd_steps", "nbytes", "views", "ceiling", "pending",
+                 "trainer")
 
     def __init__(self, x_buf, kernels, softmax=None, loss=None, step=None,
                  sgd_steps=0):
@@ -778,6 +806,7 @@ class _Plan:
              *(kernel for kernel in (loss, softmax) if kernel is not None)])
         self.views = {}
         self.ceiling = sys.maxsize  # lowered by a refused growth (_refused)
+        self.pending = self.trainer = None
 
     def _arena(self, n: int) -> tuple:
         """``(x_buf, kernels, loss, softmax)`` for an ``n``-row batch: the
@@ -794,26 +823,78 @@ class _Plan:
                 None if self.softmax is None else self.softmax.view(n))
         return views
 
+    def _holds_batch(self, xr: np.ndarray) -> bool:
+        """Whether the pending forward ran on ``xr``: ``len(xr)`` rows
+        whose bytes are ``xr``'s (bits, not values: -0.0 and NaN payloads
+        count)."""
+        pending = self.pending
+        return (pending is not None and pending[2] == len(xr)
+                and _same_bytes(self._arena(len(xr))[0], xr))
+
+    def _pending_for(self, model) -> bool:
+        """Whether the pending forward is ``model``'s at its current
+        weights: its ``_weights_version`` has not moved since."""
+        pending = self.pending
+        return (pending is not None and pending[0]() is model
+                and pending[1] == model._weights_version)
+
+    def fits_pending(self, model, xr: np.ndarray) -> bool:
+        """For a fit of ``model`` on ``xr``: whether step 0 may skip its
+        forward, which the arena holds for ``model`` on ``xr`` at its
+        current weights.
+
+        A fit of the batch a prediction left pending, whoever's forward
+        it is, makes ``model`` the plan's :attr:`trainer`.
+        """
+        if not self._holds_batch(xr):
+            return False
+        self.trainer = weakref.ref(model)
+        return self._pending_for(model)
+
+    def keeps_forward(self, model, xr: np.ndarray) -> bool:
+        """Whether a prediction of ``xr`` by ``model`` must leave the arena
+        alone: it holds the :attr:`trainer`'s forward on ``xr`` at its
+        current weights, and ``model`` is another.
+
+        The trainer predicts each batch and then fits it, as a
+        prequential learner does; other models predicting the batch in
+        between, an ensemble's members, take the proba plan, and the
+        trainer's fit still skips its forward.
+        """
+        trainer = None if self.trainer is None else self.trainer()
+        return (trainer is not None and trainer is not model
+                and self._pending_for(trainer) and self._holds_batch(xr))
+
     def replay(self, params, rngs, xr: np.ndarray, optimizer=None,
-               labels=None) -> tuple:
+               labels=None, proba=True, reuse=False) -> tuple:
         """Run the plan on ``xr``, which has at most :attr:`rows` rows,
-        bound to ``params`` and ``rngs``; a training tail steps
-        ``optimizer`` (whose parameters ``params`` are) on ``labels``.
+        bound to ``params`` and ``rngs``.
+
+        With an ``optimizer`` (whose parameters ``params`` are) the
+        training tail steps it on ``labels``; without one only the
+        forward runs.  ``proba`` asks for the softmax, if the plan has
+        one.  With ``reuse``, step 0 skips the copy of ``xr`` and the
+        forward, which the arena holds already (:meth:`fits_pending`).
 
         Returns ``(loss, probabilities)``: the loss buffer (0-d, or one
-        loss per model) of a plan with a training tail and the softmax
-        buffer of one with a softmax, else None; the next replay
-        overwrites both.
+        loss per model) of a training replay and the softmax buffer of
+        one that ran the softmax, else None; the next replay overwrites
+        both.
         """
+        self.pending = None
         x_buf, kernels, loss_kernel, softmax = self._arena(len(xr))
-        np.copyto(x_buf, xr)
+        if not proba:
+            softmax = None
+        if not reuse:
+            np.copyto(x_buf, xr)
         loss = None
-        for step in range(self.sgd_steps or 1):  # inference: one pass
-            for kernel in kernels:
-                kernel.forward(params, rngs)
+        for step in range(1 if optimizer is None else self.sgd_steps):
+            if step or not reuse:
+                for kernel in kernels:
+                    kernel.forward(params, rngs)
             if step == 0 and softmax is not None:
                 softmax.forward()
-            if loss_kernel is not None:
+            if optimizer is not None:
                 loss = loss_kernel.forward(labels)
                 loss_kernel.backward()
                 for kernel in reversed(kernels):
@@ -1091,50 +1172,59 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _run(key, xr, params, rngs, reference, optimizer=None, labels=None,
-         sgd_steps=0, predict=None):
+         sgd_steps=0, predict=None, proba=True, owner=None):
     """Run a call through the plan cached under ``key``, capturing it on
     a miss or when ``xr`` has more rows than its arena (a growth).
 
-    ``xr``, ``params`` and ``rngs`` are as :meth:`_Plan.replay` takes
-    them, and ``reference`` is the define-by-run run a capture traces: a
-    training call's (one with an ``optimizer``, ``labels`` and
+    ``xr``, ``params``, ``rngs`` and ``proba`` are as :meth:`_Plan.replay`
+    takes them, and ``reference`` is the define-by-run run a capture
+    traces: a training call's (one with an ``optimizer``, ``labels`` and
     ``sgd_steps``) returns its loss, an inference call's the
     probabilities.  A predict-and-train call also passes ``predict``,
-    its prediction on the pre-step state.  Returns ``(loss,
-    probabilities)`` as :meth:`_Plan.replay` does — plan buffers, which
-    the next replay overwrites, or the reference runs' results on a
-    capture that fails.  Returns None when ``key`` is marked unsupported,
-    or ``xr`` is as large as a refused growth (:func:`_refused`), and the
-    caller must run its references itself.
+    its prediction on the pre-step state.  A single model's training
+    call passes itself as ``owner``: a replay skips step 0's forward
+    when the plan holds ``owner``'s forward on ``xr``
+    (:meth:`_Plan.fits_pending`), a ``"reuse"`` event.  Returns
+    ``(loss, probabilities)`` as :meth:`_Plan.replay` does — plan
+    buffers, which the next replay overwrites, or the reference runs'
+    results on a capture that fails.  Returns None when ``key`` is
+    marked unsupported, or ``xr`` is as large as a refused growth
+    (:func:`_refused`), and the caller must run its references itself.
     """
     cache = _cache()
     plan = cache.get(key)
     if plan is _UNSUPPORTED or (plan is not None and len(xr) >= plan.ceiling):
         return None
     if plan is not None and len(xr) <= plan.rows:
-        return _replayed(plan, params, rngs, xr, optimizer, labels)
-    ceiling = sys.maxsize if plan is None else plan.ceiling
+        reuse = owner is not None and plan.fits_pending(owner, xr)
+        if reuse:
+            _notify("reuse")
+        return _replayed(plan, params, rngs, xr, optimizer, labels, proba,
+                         reuse)
+    ceiling, trainer = ((sys.maxsize, None) if plan is None
+                        else (plan.ceiling, plan.trainer))
     # No local reference may keep a replaced plan's arena alive through
     # the capture.
     kept, plan = _kept_through_growth(cache, key, plan, len(xr)), None
-    return _capture(cache, key, kept, ceiling, xr, params, rngs, reference,
-                    optimizer, labels, sgd_steps, predict)
+    return _capture(cache, key, kept, ceiling, trainer, xr, params, rngs,
+                    reference, optimizer, labels, sgd_steps, predict)
 
 
-def _capture(cache, key, kept, ceiling, xr, params, rngs, reference,
-             optimizer, labels, sgd_steps, predict):
+def _capture(cache, key, kept, ceiling, trainer, xr, params, rngs,
+             reference, optimizer, labels, sgd_steps, predict):
     """Trace + compile + verify a plan for a call of :func:`_run` and
     store it under ``key``; runs the references once, so a training call
     advances its model's state exactly once.
 
     ``kept`` is the plan a refused growth leaves in place
-    (:func:`_kept_through_growth`); ``ceiling`` is the replaced plan's,
-    which a grown plan keeps.  The trial replay must reproduce the
-    reference's loss or probabilities byte for byte.  A training call's
-    replays from the state before its reference step and must also land
-    on the parameters, optimizer state and Dropout generator states after
-    it.  A predict-and-train call's ``predict`` runs on the pre-step
-    state, and the replay's probabilities must match its bytes too.
+    (:func:`_kept_through_growth`); ``ceiling`` and ``trainer`` are the
+    replaced plan's, which a grown plan keeps.  The trial replay must
+    reproduce the reference's loss or probabilities byte for byte.  A
+    training call's replays from the state before its reference step and
+    must also land on the parameters, optimizer state and Dropout
+    generator states after it.  A predict-and-train call's ``predict``
+    runs on the pre-step state, and the replay's probabilities must match
+    its bytes too.
     """
     training = optimizer is not None
     if training:
@@ -1178,7 +1268,7 @@ def _capture(cache, key, kept, ceiling, xr, params, rngs, reference,
         if training:
             post.restore()
         return _unsupported(cache, key, ref)
-    plan.ceiling = ceiling
+    plan.ceiling, plan.trainer = ceiling, trainer
     cache.put(key, plan)
     _notify("capture", perf_counter() - start)
     return result
@@ -1210,35 +1300,73 @@ def _model_call(model, x):
         n, *model.module_input_shape)
 
 
+def _fit_key(model, binding: _Binding) -> tuple:
+    """The cache key of ``model``'s fit plan."""
+    return ("fit", binding.structure, bool(model.module.training),
+            model.sgd_steps)
+
+
+def _predicts_on_fit_plan(model, binding: _Binding) -> bool:
+    """Whether ``model``'s fit plan is a predict-and-train plan, whose
+    forward and softmax its predictions replay: a model without Dropout
+    in train mode, whose training forward is its inference forward."""
+    return model.module.training and not binding.rngs
+
+
 def fit_with_plan(model, x, y):
     """Train ``model`` on ``(x, y)`` via a captured plan.
 
     Returns the loss, or ``None`` when the caller must run the reference
     path (a call :func:`_model_call` declines, or an unsupported
     signature).  ``y`` is the already validated int64 label vector from
-    ``partial_fit``.
+    ``partial_fit``.  A model whose predictions replay its fit plan
+    (:func:`_predicts_on_fit_plan`) captures it with the softmax, checked
+    against ``_forward_proba``; a replay skips step 0's forward when the
+    plan holds this model's forward on ``x`` from a prediction at the
+    current weights.
     """
     bound = _model_call(model, x)
     if bound is None:
         return None
     binding, xr = bound
     optimizer = model.optimizer
-    key = ("fit", binding.structure, bool(model.module.training),
-           model.sgd_steps)
-    result = _run(key, xr, optimizer.parameters, binding.rngs,
-                  lambda: model._fit_steps(x, y), optimizer, y,
-                  model.sgd_steps)
+    predict = ((lambda: model._forward_proba(x))
+               if _predicts_on_fit_plan(model, binding) else None)
+    result = _run(_fit_key(model, binding), xr, optimizer.parameters,
+                  binding.rngs, lambda: model._fit_steps(x, y), optimizer,
+                  y, model.sgd_steps, predict, proba=False, owner=model)
     return None if result is None else float(result[0])
 
 
 def proba_with_plan(model, x):
-    """Class probabilities via a captured plan; ``None`` → reference path."""
+    """Class probabilities via a captured plan; ``None`` → reference path.
+
+    A model whose fit plan is a predict-and-train plan
+    (:func:`_predicts_on_fit_plan`) replays that plan's forward and
+    softmax when the plan covers the batch, and leaves the forward
+    pending for a fit on the same batch (:meth:`_Plan.fits_pending`).
+    Other calls take the proba plan: a model with Dropout or in eval
+    mode, a prediction before the first fit, a batch larger than the fit
+    plan, and a batch whose forward the plan holds for its trainer, the
+    last model to fit a predicted batch (:meth:`_Plan.keeps_forward`).
+    """
     bound = _model_call(model, x)
     if bound is None:
         return None
     binding, xr = bound
-    result = _run(("proba", binding.structure), xr, binding.params,
-                  binding.rngs, lambda: model._forward_proba(x))
+    plan = None
+    if _predicts_on_fit_plan(model, binding):
+        plan = _cache().get(_fit_key(model, binding))
+    # A refused growth's ceiling lies above the rows of the plan it kept,
+    # so a plan whose arena holds the batch is below its ceiling too.
+    if (isinstance(plan, _Plan) and len(xr) <= plan.rows
+            and not plan.keeps_forward(model, xr)):
+        result = _replayed(plan, model.optimizer.parameters, binding.rngs,
+                           xr)
+        plan.pending = (weakref.ref(model), model._weights_version, len(xr))
+    else:
+        result = _run(("proba", binding.structure), xr, binding.params,
+                      binding.rngs, lambda: model._forward_proba(x))
     # The reference path leaves the module in train mode unconditionally.
     model.module.train()
     return None if result is None else result[1].copy()

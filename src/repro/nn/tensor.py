@@ -455,17 +455,19 @@ class Tensor:
         """The shared activation kernel ``name`` as an autograd node."""
         x = self.data
         out = _kernels.empty_result(x)
-        relu = name == "relu"
-        # The mask is C-ordered whatever ``x``'s layout: the gradient it
-        # multiplies arrives C-ordered (a pool's backward, a Linear's), and
-        # a multiply over two layouts runs several times slower.
-        mask = (np.empty(x.shape, dtype=bool) if relu and is_grad_enabled()
-                else None)
-        _kernels.activation_forward(name, x, out, mask)
+        _kernels.activation_forward(name, x, out)
 
         def backward(g: np.ndarray):
             grad = _kernels.empty_result(g, out)
-            scratch = None if relu else np.empty_like(out)
+            # ReLU's mask is C-ordered whatever ``out``'s layout: the
+            # gradient it multiplies arrives C-ordered (a pool's backward,
+            # a Linear's), and a multiply over two layouts runs several
+            # times slower.
+            mask = scratch = None
+            if name == "relu":
+                mask = np.empty(out.shape, dtype=bool)
+            else:
+                scratch = np.empty_like(out)
             _kernels.activation_backward(name, g, out, mask, grad, scratch)
             return (grad,)
 

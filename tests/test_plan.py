@@ -530,7 +530,9 @@ class TestLearnerWindows:
         assert len(set(windows)) >= 4 and min(windows) > BATCH
         assert new_maxima(windows) < len(set(windows))  # some replay on views
         assert set(rows["proba"]) == {BATCH}
-        # The first short-fit and proba plans, then one per new maximum.
+        # The first short-fit plan, then one per new maximum, and the proba
+        # plan: the long level's predictions of a batch whose short-level
+        # forward the fit plan holds for the short fit take it.
         assert events["capture"] == 2 + new_maxima(windows)
         assert events["invalidate"] == new_maxima(windows)
         assert events["unsupported"] == 0
@@ -579,6 +581,13 @@ class TestPlanCacheAccounting:
     #: subclass below runs every case through ``predict_proba``.
     call, twin, kind = "partial_fit", "predict_proba", "fit"
     reference_run, compiler = "_fit_steps", "_compile_fit"
+
+    @staticmethod
+    def twin_model(num_features=6):
+        """The model the twin cases run.  Its Dropout keeps its
+        predictions on the proba plan, beside its fit plan; a Dropout-free
+        model's predictions replay its fit plan once it has one."""
+        return DropoutMLP(num_features=num_features, num_classes=3, seed=0)
 
     def test_growth_replaces_the_plan_and_its_bytes(self):
         model = StreamingMLP(num_features=6, num_classes=3, seed=0)
@@ -656,8 +665,7 @@ class TestPlanCacheAccounting:
         budget together would evict each other on every call; the second
         one is refused, so the first keeps replaying and nothing
         recaptures."""
-        model = StreamingMLP(num_features=6, num_classes=3, seed=0)
-        reference = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        model, reference = self.twin_model(), self.twin_model()
         batches = make_batches(5, 64, 6, 3, seed=2)
         with configure(plan_capture=True):
             call_on(model, self.twin, batches[0])
@@ -711,13 +719,12 @@ class TestPlanCacheAccounting:
         """A plan grown to fewer rows than a refused growth keeps the
         refused size as its ceiling: batches of that size or larger take
         the reference path without capturing and being refused again."""
-        sizing = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        sizing = self.twin_model()
         with configure(plan_capture=True):
             call_on(sizing, self.call, make_batches(1, 128, 6, 3)[0])
         grown_bytes = nn_plan._cache().nbytes
         nn_plan.clear_plans()
-        model = StreamingMLP(num_features=6, num_classes=3, seed=0)
-        reference = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        model, reference = self.twin_model(), self.twin_model()
         first = make_batches(1, 64, 6, 3)[0]
         with configure(plan_capture=True):
             call_on(model, self.twin, first)
@@ -755,14 +762,13 @@ class TestPlanCacheAccounting:
         """Whether a plan is kept depends on its bytes and its twin's, not
         on where the twin sits in the eviction order: here the twin is the
         least recently used entry when the plan is stored."""
-        sizing = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        sizing = self.twin_model()
         with configure(plan_capture=True):
             call_on(sizing, self.call, make_batches(1, 64, 6, 3)[0])
         plan_bytes = nn_plan._cache().nbytes
         nn_plan.clear_plans()
-        model, *others = (StreamingMLP(num_features=features, num_classes=3,
-                                       seed=0) for features in (6, 7, 8))
-        reference = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        model, *others = (self.twin_model(features) for features in (6, 7, 8))
+        reference = self.twin_model()
         with configure(plan_capture=True):
             call_on(model, self.twin, make_batches(1, 64, 6, 3)[0])
             for other in others:
@@ -1050,6 +1056,428 @@ class TestStackedPlans:
                 assert state_b.keys() == state_ref.keys()
                 for key in state_b:
                     assert state_b[key].tobytes() == state_ref[key].tobytes()
+
+
+# -- one forward per labeled batch ---------------------------------------------
+
+
+def reuses_since(before):
+    """``"reuse"`` events since the ``plan_cache_stats()`` ``before``."""
+    return nn_plan.plan_cache_stats().get("reuse", 0) - before.get("reuse", 0)
+
+
+def twin_run(build, script):
+    """Run ``script(model)`` on a model from ``build`` with plans on, and
+    on a plans-off twin.  Both runs must agree byte for byte — every
+    result ``script`` returns, and the parameters, optimizer state and
+    Dropout generators.  Returns the plans-on run's ``"reuse"`` events."""
+    fast, slow = build(), build()
+    before = nn_plan.plan_cache_stats()
+    with configure(plan_capture=True):
+        results = script(fast)
+    reuses = reuses_since(before)
+    with configure(plan_capture=False):
+        results_ref = script(slow)
+    assert [np.asarray(r).tobytes() for r in results] == \
+        [np.asarray(r).tobytes() for r in results_ref]
+    assert state_bytes(fast) == state_bytes(slow)
+    return reuses
+
+
+def with_bits(x, index, bits):
+    """A copy of ``x`` whose cell ``index`` holds the float64 ``bits``."""
+    x = x.copy()
+    x[index] = np.array([bits], dtype=np.uint64).view(np.float64)[0]
+    return x
+
+
+NEGATIVE_ZERO = 0x8000000000000000
+NAN = 0x7FF8000000000000
+NAN_OTHER_PAYLOAD = 0x7FF8000000000001
+
+#: The Dropout-free models of ``ROW_MODELS``, and an image CNN.
+REUSE_MODELS = {
+    **{kind: build for kind, build in ROW_MODELS.items()
+       if kind != "dropout-mlp"},
+    "image-cnn": lambda: StreamingCNN((2, 4, 4), 3, seed=4,
+                                      image_channels=4),
+}
+
+
+# What a script runs between a prediction and the fit of the same batch;
+# each returns its results for the twin comparison.
+
+
+def between_none(model, batches):
+    return []
+
+
+def between_partial_fit(model, batches):
+    return [model.partial_fit(*batches[3])]
+
+
+def between_load_state_dict(model, batches):
+    model.load_state_dict(model.state_dict())
+    return []
+
+
+def between_load_training_state(model, batches):
+    nn.serialization.load_training_state(model, training_state(model))
+    return []
+
+
+def between_apply_gradient(model, batches):
+    model.apply_gradient([np.full(p.data.shape, 0.01)
+                          for p in model.module.parameters()])
+    return []
+
+
+def between_other_model(model, batches):
+    """Another model, as many fits in, predicts the same batch."""
+    other = StreamingMLP(num_features=8, num_classes=3, seed=9)
+    return [other.partial_fit(*batches[2]),
+            other.predict_proba(batches[1][0]).copy()]
+
+
+class TestForwardReuse:
+    """A Dropout-free model's prediction runs on its fit plan's forward and
+    leaves it pending; the fit that follows on the same batch and weights
+    skips it, a ``"reuse"`` event, and stays bitwise equal to plans off."""
+
+    @staticmethod
+    def predict_then_fit(batches, between=between_none, fitted=None,
+                         predicted=None):
+        """A script for :func:`twin_run`: fit ``batches[0]`` (the fit plan's
+        capture), predict ``predicted`` (default ``batches[1]``'s rows),
+        run ``between``, then fit ``fitted`` (default the predicted
+        batch)."""
+        x, y = batches[1]
+        predicted = x if predicted is None else predicted
+        fitted = (x, y) if fitted is None else fitted
+
+        def script(model):
+            results = [model.partial_fit(*batches[0]),
+                       model.predict_proba(predicted).copy()]
+            results += between(model, batches)
+            results.append(model.partial_fit(*fitted))
+            return results
+
+        return script
+
+    @pytest.mark.parametrize("kind", sorted(REUSE_MODELS))
+    def test_predict_then_fit_reuses_one_forward(self, kind):
+        build = REUSE_MODELS[kind]
+        width = int(np.prod(build().module_input_shape))
+        batches = make_batches(4, 16, width, 3, seed=5)
+        assert twin_run(build, self.predict_then_fit(batches)) == 1
+
+    @pytest.mark.parametrize("between", [
+        between_partial_fit, between_load_state_dict,
+        between_load_training_state, between_apply_gradient,
+        between_other_model,
+    ], ids=lambda between: between.__name__[len("between_"):])
+    def test_no_reuse_after_a_write_or_another_forward(self, between):
+        batches = make_batches(4, 16, 8, 3, seed=6)
+        script = self.predict_then_fit(batches, between=between)
+        assert twin_run(REUSE_MODELS["mlp"], script) == 0
+
+    @pytest.mark.parametrize("bits,other", [
+        (0, NEGATIVE_ZERO), (NAN, NAN_OTHER_PAYLOAD),
+    ], ids=["signed-zero", "nan-payload"])
+    def test_no_reuse_when_one_bit_differs(self, bits, other):
+        """Equal values are not enough: the fitted batch must carry the
+        predicted batch's bits."""
+        batches = make_batches(4, 16, 8, 3, seed=7)
+        x, y = batches[1]
+        script = self.predict_then_fit(
+            batches, predicted=with_bits(x, (5, 2), bits),
+            fitted=(with_bits(x, (5, 2), other), y))
+        assert twin_run(REUSE_MODELS["mlp"], script) == 0
+
+    def test_no_reuse_when_the_fit_has_more_rows(self):
+        batches = make_batches(4, 16, 8, 3, seed=8)
+        x, y = batches[1]
+        script = self.predict_then_fit(batches, predicted=x[:8])
+        assert twin_run(REUSE_MODELS["mlp"], script) == 0
+
+    def test_no_reuse_with_dropout(self):
+        batches = make_batches(4, 16, 8, 3, seed=9)
+        build = lambda: DropoutMLP(num_features=8, num_classes=3,  # noqa: E731
+                                   seed=4)
+        assert twin_run(build, self.predict_then_fit(batches)) == 0
+
+    def test_no_reuse_in_eval_mode(self):
+        """An eval-mode prediction takes the proba plan, and an eval-mode
+        fit its own fit plan."""
+        batches = make_batches(4, 16, 8, 3, seed=10)
+
+        def script(model):
+            model.module.eval()
+            results = [model.partial_fit(*batches[0])]
+            model.module.eval()  # a prediction leaves train mode
+            results.append(model.predict_proba(batches[1][0]).copy())
+            model.module.eval()
+            results.append(model.partial_fit(*batches[1]))
+            return results
+
+        assert twin_run(REUSE_MODELS["mlp"], script) == 0
+
+    def test_sgd_steps_two_reuses_step_zero_only(self, monkeypatch):
+        batches = make_batches(4, 16, 8, 3, seed=11)
+        build = lambda: StreamingMLP(num_features=8, num_classes=3,  # noqa: E731
+                                     seed=4, sgd_steps=2, momentum=0.9)
+        assert twin_run(build, self.predict_then_fit(batches)) == 1
+        forwards = []
+        linear_forward = nn.kernels.linear_forward
+        monkeypatch.setattr(nn.kernels, "linear_forward",
+                            lambda *args: forwards.append(1)
+                            or linear_forward(*args))
+        model = build()
+        x, y = batches[1]
+        with configure(plan_capture=True):
+            model.partial_fit(*batches[0])
+            model.predict_proba(x)
+            forwards.clear()
+            model.partial_fit(x, y)
+        # Step 1's forward through the two Linear layers; step 0's is the
+        # prediction's.
+        assert len(forwards) == 2
+
+    def test_the_trainer_keeps_its_forward_from_other_predictions(self):
+        """Once a model has fit a batch it predicted, other models'
+        predictions of the batch it predicts next take the proba plan, and
+        its fit still skips its forward."""
+        batches = make_batches(4, 16, 8, 3, seed=12)
+        build = lambda: StreamingMLP(num_features=8, num_classes=3,  # noqa: E731
+                                     seed=4)
+
+        def script(model):
+            other = StreamingMLP(num_features=8, num_classes=3, seed=9)
+            results = [model.partial_fit(*batches[0]),
+                       other.partial_fit(*batches[3])]
+            for x, y in batches[1:3]:
+                results += [model.predict_proba(x).copy(),
+                            other.predict_proba(x).copy(),
+                            model.partial_fit(x, y)]
+            return results + list(training_state(other).values())
+
+        # The first round's fit makes the model the trainer; the second
+        # round reuses.
+        before = nn_plan.plan_cache_stats()
+        assert twin_run(build, script) == 1
+        assert plan_events(before)["capture"] == 2  # the fit and proba plans
+
+    def test_the_plan_keeps_no_model_alive(self):
+        """The pending forward and the trainer hold their models weakly."""
+        model = StreamingMLP(num_features=8, num_classes=3, seed=4)
+        batches = make_batches(3, 16, 8, 3, seed=13)
+        with configure(plan_capture=True):
+            model.partial_fit(*batches[0])
+            for x, y in batches[1:]:
+                model.predict_proba(x)
+                model.partial_fit(x, y)
+            model.predict_proba(batches[0][0])
+        plan, = [entry for key, (entry, _) in nn_plan._cache().entries.items()
+                 if key[0] == "fit"]
+        assert plan.pending[0]() is model and plan.trainer() is model
+        alive = weakref.ref(model)
+        del model
+        assert alive() is None
+
+    def test_a_refused_growths_ceiling_sends_predictions_to_the_proba_plan(
+            self, monkeypatch):
+        """Predictions at or above the ceiling a refused fit growth leaves
+        replay the proba plan; smaller ones the fit plan, whose forward
+        the next fit skips."""
+        model = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        reference = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        opening = [("predict_proba", make_batches(1, 300, 6, 3)[0]),
+                   ("partial_fit", make_batches(1, 64, 6, 3, seed=1)[0])]
+        with configure(plan_capture=True):
+            for call, batch in opening:
+                call_on(model, call, batch)
+        cache = nn_plan._cache()
+        monkeypatch.setattr(nn_plan, "_PLAN_CACHE_BYTES", cache.nbytes + 1024)
+        small = make_batches(1, 32, 6, 3, seed=5)[0]
+        calls = [("partial_fit", make_batches(1, 256, 6, 3, seed=2)[0]),
+                 ("predict_proba", make_batches(1, 256, 6, 3, seed=3)[0]),
+                 ("predict_proba", make_batches(1, 300, 6, 3, seed=4)[0]),
+                 ("predict_proba", small), ("partial_fit", small)]
+        routes = []
+        before = nn_plan.plan_cache_stats()
+        with configure(plan_capture=True):
+            results = []
+            for call, batch in calls:
+                results.append(call_on(model, call, batch))
+                fit_plan, = [entry for key, (entry, _)
+                             in cache.entries.items() if key[0] == "fit"]
+                routes.append(fit_plan.pending is not None)
+        events = plan_events(before)
+        with configure(plan_capture=False):
+            for call, batch in opening:
+                call_on(reference, call, batch)
+            results_ref = [call_on(reference, call, batch)
+                           for call, batch in calls]
+        assert result_bytes(results) == result_bytes(results_ref)
+        assert state_bytes(model) == state_bytes(reference)
+        assert (fit_plan.rows, fit_plan.ceiling) == (64, 256)
+        # Only the 32-row prediction left a forward in the fit plan.
+        assert routes == [False, False, False, True, False]
+        assert events == {"capture": 0, "replay": 4, "unsupported": 1,
+                          "invalidate": 0}
+        assert reuses_since(before) == 1
+
+    @pytest.mark.parametrize("confidence", [True, False],
+                             ids=["confidence-channel", "no-channel"])
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_learner_stream_reuses_one_forward_per_short_fit(self, kind,
+                                                             confidence):
+        """Every short fit but the first, which follows no prediction,
+        skips its forward, whichever levels the ensemble blends."""
+        stream = window_stream()
+
+        def run():
+            learner = Learner(model_factory_for(kind, 16, 4, lr=0.3, seed=0),
+                              window_batches=4, seed=0,
+                              use_confidence_channel=confidence)
+            accuracies = [learner.process(batch).accuracy
+                          for batch in stream]
+            params = [np.asarray(value).tobytes()
+                      for level in learner.ensemble.levels
+                      for value in level.model.state_dict().values()]
+            return accuracies, params, learner.ensemble.short_level.updates
+
+        before = nn_plan.plan_cache_stats()
+        with configure(plan_capture=True):
+            accuracies, params, short_fits = run()
+        reuses = reuses_since(before)
+        with configure(plan_capture=False):
+            accuracies_ref, params_ref, _ = run()
+        assert (accuracies, params) == (accuracies_ref, params_ref)
+        assert short_fits == len(stream)
+        assert reuses == short_fits - 1
+
+
+# -- every parameter write bumps the weights version ----------------------------
+
+
+def fresh_after(model, x, write):
+    """Predict ``x``, run ``write``, and check that the next prediction of
+    the same ``x`` object is a fresh forward's bytes, not the stale one."""
+    stale = model.predict_proba(x).copy()
+    write()
+    got = model.predict_proba(x)
+    assert got.tobytes() == model._forward_proba(x).tobytes()
+    assert got.tobytes() != stale.tobytes()
+
+
+def other_state(seed=7):
+    """The training state of a differently seeded, trained model."""
+    other = StreamingMLP(num_features=8, num_classes=3, seed=seed)
+    other.partial_fit(*make_batches(1, 16, 8, 3, seed=seed)[0])
+    return training_state(other)
+
+
+@pytest.mark.parametrize("plans_on", [True, False], ids=["plans", "no-plans"])
+class TestWeightsVersion:
+    """``predict_proba``'s memo and a plan's pending forward trust
+    ``_weights_version``: every path that writes a model's parameters must
+    bump it."""
+
+    @staticmethod
+    def trained(seed=4):
+        model = StreamingMLP(num_features=8, num_classes=3, seed=seed)
+        model.partial_fit(*make_batches(1, 16, 8, 3, seed=seed)[0])
+        return model
+
+    @pytest.mark.parametrize("path", [
+        "partial_fit", "apply_gradient", "load_state_dict",
+        "load_training_state"])
+    def test_model_writes(self, plans_on, path):
+        x, y = make_batches(1, 16, 8, 3, seed=1)[0]
+        with configure(plan_capture=plans_on):
+            model = self.trained()
+            write = {
+                "partial_fit": lambda: model.partial_fit(x, y),
+                "apply_gradient": lambda: model.apply_gradient(
+                    [np.full(p.data.shape, 0.1)
+                     for p in model.module.parameters()]),
+                "load_state_dict": lambda: model.load_state_dict(
+                    nn.serialization.parameters_of(other_state())),
+                "load_training_state": lambda: (
+                    nn.serialization.load_training_state(model,
+                                                         other_state())),
+            }[path]
+            fresh_after(model, x, write)
+
+    def test_restore_learner_state(self, plans_on):
+        from repro.core.persistence import learner_state, restore_learner_state
+        batches = window_stream(num_batches=6)
+        x = batches[-1].x
+        with configure(plan_capture=plans_on):
+            learners = []
+            for seed, span in ((0, batches[:5]), (3, batches[1:6])):
+                learner = Learner(
+                    model_factory_for("mlp", 16, 4, lr=0.3, seed=seed),
+                    window_batches=4, seed=0)
+                for batch in span:
+                    learner.process(batch)
+                learners.append(learner)
+            target, source = learners
+            arrays, meta = learner_state(source)
+            models = [level.model for level in target.ensemble.levels]
+            stale = [model.predict_proba(x).copy() for model in models]
+            restore_learner_state(target, arrays, meta)
+            for model, before in zip(models, stale):
+                got = model.predict_proba(x)
+                assert got.tobytes() == model._forward_proba(x).tobytes()
+                assert got.tobytes() != before.tobytes()
+
+    def test_knowledge_warm_start(self, plans_on):
+        """``_verify_pending_reuse`` loads a verified match into every
+        level."""
+        from repro.core.knowledge import KnowledgeMatch
+        batches = window_stream(num_batches=4)
+        x = batches[-1].x
+        with configure(plan_capture=plans_on):
+            learner = Learner(model_factory_for("mlp", 16, 4, lr=0.3, seed=0),
+                              window_batches=2, seed=0)
+            for batch in batches[:3]:
+                learner.process(batch)
+            donor = model_factory_for("mlp", 16, 4, lr=0.3, seed=5)()
+            # Labels only the donor gets right: the match verifies.
+            y = (donor.predict(x) + 1) % 4
+            y[:len(y) // 2] = donor.predict(x)[:len(y) // 2]
+            entry = learner.knowledge.preserve(
+                np.zeros(2), donor.state_dict(), "short", 0.1, batch_index=1)
+            models = [level.model for level in learner.ensemble.levels]
+            stale = [model.predict_proba(x).copy() for model in models]
+            learner._pending_reuse = KnowledgeMatch(entry=entry, distance=0.05)
+            learner._verify_pending_reuse(x, y)
+            donor_state = [value.tobytes()
+                           for value in donor.state_dict().values()]
+            for model, before in zip(models, stale):
+                assert [value.tobytes() for value
+                        in model.state_dict().values()] == donor_state
+                got = model.predict_proba(x)
+                assert got.tobytes() == model._forward_proba(x).tobytes()
+                assert got.tobytes() != before.tobytes()
+
+    def test_execute_stacked_store(self, plans_on):
+        from repro.serving import ModelEstimator, execute_stacked
+        rng = np.random.default_rng(2)
+        xs = [rng.normal(size=(16, 8)) for _ in range(3)]
+        ys = [rng.integers(0, 3, 16) for _ in range(3)]
+        with configure(plan_capture=plans_on):
+            models = [self.trained(seed) for seed in range(3)]
+            stale = [model.predict_proba(x).copy()
+                     for model, x in zip(models, xs)]
+            execute_stacked([ModelEstimator(model) for model in models],
+                            xs, ys)
+            for model, x, before in zip(models, xs, stale):
+                got = model.predict_proba(x)
+                assert got.tobytes() == model._forward_proba(x).tobytes()
+                assert got.tobytes() != before.tobytes()
 
 
 # -- telemetry ----------------------------------------------------------------
